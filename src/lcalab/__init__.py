@@ -10,7 +10,6 @@ from .poly import (
     Monomial,
     ParseError,
     Poly,
-    Rational,
     SPECTRAL_VARS,
     VARS,
     Var,
@@ -71,7 +70,7 @@ __all__ = [
     "Algebra", "AlgebraError", "Ansatz", "AxiomReport", "BilinearMap",
     "BracketRule", "ConstraintSystem", "Element", "FamilyError",
     "GeneratorId", "MapError", "MatchReport", "Monomial", "ParseError",
-    "Poly", "Rational", "Residual", "SPECTRAL_VARS", "SolutionSpace",
+    "Poly", "Residual", "SPECTRAL_VARS", "SolutionSpace",
     "SolverError", "TAGS", "Unknown", "VARS", "Var", "VerifyReport",
     "algebra_from_dict", "algebra_to_dict", "as_poly", "assemble",
     "bracket", "check_axioms", "express_in_span", "family_templates",

@@ -7,11 +7,15 @@ to a target family, with indices adding mod m,
 
     [x_i lambda y_j] = c(d, l, b) * target_{i+j mod m}.
 
-Evaluation on general module elements follows the sesquilinearity rules: a
-coefficient p(d) in the left slot enters as p(-lambda), one in the right
-slot as q(d + lambda).  Spectral variables already present in coefficients
-pass through untouched, which is what makes nested brackets (Jacobi,
-Leibniz, and friends) straightforward residual computations.
+The rules are expanded once, at construction, into ``Algebra.table``: the
+bracket on every generator pair.  One kernel, ``slot_eval``, evaluates any
+such generator-pair table on general module elements by the
+sesquilinearity slot rule: a coefficient p(d) in the left slot enters as
+p(-lambda), one in the right slot as q(d + lambda).  The bracket is that
+kernel on the algebra's own table; conformal bilinear maps (``bimaps``)
+are the same kernel on theirs.  Spectral variables already present in
+coefficients pass through untouched, which is what makes nested brackets
+(Jacobi, Leibniz, and friends) straightforward residual computations.
 
 Index reduction mod m is a ring map on indices, so all axioms survive the
 quotient; m = 1 recovers the non-loop algebras.
@@ -55,6 +59,8 @@ class GeneratorId:
 
 def parse_generator(text: str) -> tuple[str, int]:
     """Split a "family:index" generator string."""
+    if not isinstance(text, str):
+        raise AlgebraError(f"bad generator {text!r}, expected a \"family:index\" string")
     family, sep, index = text.partition(":")
     if not sep or not family:
         raise AlgebraError(f"bad generator {text!r}, expected \"family:index\"")
@@ -179,7 +185,7 @@ class Algebra:
 
     def __init__(self, name: str, modulus: int, families: Sequence[str],
                  rules: Iterable[BracketRule], b: Scalar | None = None):
-        if not isinstance(modulus, int) or modulus < 1:
+        if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
             raise AlgebraError(f"modulus must be a positive integer, got {modulus!r}")
         families = tuple(families)
         if not families or len(set(families)) != len(families) or not all(families):
@@ -215,6 +221,16 @@ class Algebra:
         self.families = families
         self.b_value = b_value
         self._rules = table
+        # The bracket on generator pairs, in the table form slot_eval reads:
+        # (x_i, y_j) -> coeff * target_{i+j mod m}, an empty Element if zero.
+        gens = self.generators()
+        self.table: dict[tuple[GeneratorId, GeneratorId], Element] = {}
+        for gi in gens:
+            for gj in gens:
+                rule = table[(gi.family, gj.family)]
+                terms = {} if rule.target is None else \
+                    {GeneratorId(rule.target, (gi.index + gj.index) % modulus): rule.coeff}
+                self.table[(gi, gj)] = Element._raw(self, terms)
 
     # -- structure access --------------------------------------------------
 
@@ -281,41 +297,45 @@ def _spectral_poly(spectral: Union[Var, Poly]) -> Poly:
     raise TypeError(f"bad spectral parameter {spectral!r}")
 
 
-def bracket(x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
-    """Evaluate [x_s y] with the spectral parameter named (or given as) s.
+def slot_eval(table: Mapping[tuple[GeneratorId, GeneratorId], Element],
+              x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
+    """Evaluate a generator-pair table on x, y by the sesquilinearity slot rule.
 
-    For x = p(d) e_i and y = q(d) e_j with rule coefficient c(d, l) the
-    result is p(-s) * q(d+s) * c(d, s) on the target generator at index
-    i+j mod m, extended bilinearly.  s may itself be a polynomial in the
-    spectral variables (needed for the nested identities, e.g. l+m).
+    For x = p(d) e_i and y = q(d) e_j the result is
+    p(-s) * q(d+s) * table[e_i, e_j] with the value's l renamed to s,
+    extended bilinearly; absent pairs are zero.  s may itself be a
+    polynomial in the spectral variables (needed for the nested
+    identities, e.g. l+m).  Callers check that x and y belong to the
+    table's algebra.
     """
-    alg = x.algebra
-    x._require_same_algebra(y)
     s = _spectral_poly(spectral)
     d_plus_s = Poly.variable(Var.D) + s
     neg_s = -s
-    coeff_cache: dict[tuple[str, str], Poly] = {}
     acc: dict[GeneratorId, Poly] = {}
     for gi, p in x.terms.items():
         pw = p.subst({Var.D: neg_s})
         if pw.is_zero:
             continue
         for gj, q in y.terms.items():
-            rule = alg._rules[(gi.family, gj.family)]
-            if rule.target is None:
+            value = table.get((gi, gj))
+            if value is None or value.is_zero:
                 continue
-            key = (gi.family, gj.family)
-            c = coeff_cache.get(key)
-            if c is None:
-                c = rule.coeff.subst({Var.L: s})
-                coeff_cache[key] = c
-            coeff = pw * q.subst({Var.D: d_plus_s}) * c
-            if coeff.is_zero:
+            factor = pw * q.subst({Var.D: d_plus_s})
+            if factor.is_zero:
                 continue
-            tgt = GeneratorId(rule.target, (gi.index + gj.index) % alg.modulus)
-            prev = acc.get(tgt)
-            acc[tgt] = coeff if prev is None else prev + coeff
-    return Element._raw(alg, {g: c for g, c in acc.items() if not c.is_zero})
+            for gt, c in value.terms.items():
+                coeff = factor * c.subst({Var.L: s})
+                if coeff.is_zero:
+                    continue
+                prev = acc.get(gt)
+                acc[gt] = coeff if prev is None else prev + coeff
+    return Element._raw(x.algebra, {g: c for g, c in acc.items() if not c.is_zero})
+
+
+def bracket(x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
+    """Evaluate [x_s y]: the algebra's own table under the slot rule."""
+    x._require_same_algebra(y)
+    return slot_eval(x.algebra.table, x, y, spectral)
 
 
 def second_slot_subst(e: Element, spectral: Var = Var.L) -> Element:
@@ -450,7 +470,7 @@ def algebra_from_dict(data: dict) -> Algebra:
     """Build an Algebra from the JSON definition format.
 
     {"name": str, "modulus": int, "families": [str],
-     "b": "symbolic" | "p/q",
+     "b": "symbolic" | "p/q" | int,
      "rules": [{"left": str, "right": str, "target": str|null,
                 "coeff": expr-string}]}
 
@@ -475,6 +495,9 @@ def algebra_from_dict(data: dict) -> Algebra:
     b_raw = data.get("b", "symbolic")
     if b_raw == "symbolic":
         b = None
+    elif isinstance(b_raw, bool) or not isinstance(b_raw, (str, int)):
+        raise AlgebraError(f"bad b value {b_raw!r}, expected \"symbolic\", a "
+                           f"rational string or an integer")
     else:
         try:
             b = Fraction(b_raw)

@@ -3,9 +3,12 @@ of the four biderivation identities.
 
 A bilinear map phi is a table of Element values on generator pairs
 (absent pair = zero), with coefficients in d, l, b only.  It is evaluated
-on general elements by the same slot rules as the bracket: coefficient
-p(d) on the left enters as p(-s), q(d) on the right as q(d+s), and the
-table value's l is renamed to the requested spectral parameter.
+on general elements by the bracket's own kernel, ``algebra.slot_eval``:
+coefficient p(d) on the left enters as p(-s), q(d) on the right as
+q(d+s), and the table value's l is renamed to the requested spectral
+parameter.  The closed-form families (inner, cw_shift, clw_shift) are all
+the algebra's bracket table scaled and index-shifted, plus the
+g-component of clw_shift.
 
 Each identity is checked as a left-minus-right residual that must vanish
 identically:
@@ -37,10 +40,10 @@ from .algebra import (
     AlgebraError,
     Element,
     GeneratorId,
-    _spectral_poly,
     bracket,
     parse_generator,
     second_slot_subst,
+    slot_eval,
 )
 from .poly import ParseError, Poly, Scalar, Var, parse_poly
 
@@ -154,39 +157,12 @@ class BilinearMap:
 
 def map_eval(phi: BilinearMap, x: Element, y: Element,
              spectral: Union[Var, Poly] = Var.L) -> Element:
-    """Evaluate phi_s(x, y) by the conformal bilinear slot rules.
-
-    For x = p(d) e_i and y = q(d) e_j the result is
-    p(-s) * q(d+s) * phi(e_i, e_j) with the table value's l renamed to s,
-    extended bilinearly.  As with the bracket, s may be a polynomial in
-    the spectral variables.
-    """
+    """Evaluate phi_s(x, y): phi's table under the bracket's slot rule."""
     alg = phi.algebra
     if (x.algebra is not alg and x.algebra != alg) or \
        (y.algebra is not alg and y.algebra != alg):
         raise MapError("mismatched algebras")
-    s = _spectral_poly(spectral)
-    d_plus_s = Poly.variable(Var.D) + s
-    neg_s = -s
-    acc: dict[GeneratorId, Poly] = {}
-    for gi, p in x.terms.items():
-        pw = p.subst({Var.D: neg_s})
-        if pw.is_zero:
-            continue
-        for gj, q in y.terms.items():
-            value = phi.table.get((gi, gj))
-            if value is None:
-                continue
-            factor = pw * q.subst({Var.D: d_plus_s})
-            if factor.is_zero:
-                continue
-            for gt, c in value.terms.items():
-                coeff = factor * c.subst({Var.L: s})
-                if coeff.is_zero:
-                    continue
-                prev = acc.get(gt)
-                acc[gt] = coeff if prev is None else prev + coeff
-    return Element._raw(alg, {g: c for g, c in acc.items() if not c.is_zero})
+    return slot_eval(phi.table, x, y, spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +278,38 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
 # Closed-form families
 # ---------------------------------------------------------------------------
 
+def _shifted_table(algebra: Algebra, shift: int, a: Fraction) -> dict[GenPair, Element]:
+    """The bracket table scaled by a, with every target index moved by shift."""
+    return {pair: algebra.element({algebra.gen(gt.family, gt.index + shift): c * a
+                                   for gt, c in value.terms.items()})
+            for pair, value in algebra.table.items()}
+
+
 def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
                 a: Scalar = 1, g: Scalar = 0) -> BilinearMap:
     """Build one of the closed-form map families.
 
-    inner      phi(x, y) = t [x_l y], on any algebra.
+    All three are the bracket table scaled and index-shifted, so they
+    share one builder, _shifted_table(algebra, shift, factor):
+
+    inner      phi(x, y) = t [x_l y], on any algebra: shift 0, factor t.
     cw_shift   phi(L_i, L_j) = a (d+2l) L_{i+j+shift}, on a single-family
-               algebra; the shift=0 slice is the inner map with t = a.
-    clw_shift  the two-family version: every bracket coefficient is kept
-               and only the target index is shifted, scaled by a; the
-               g-component additionally routes g (d+2l) G_{i+j+shift} into
-               the (L, L) entries and exists only at b = -1.
+               algebra: the shifted table with factor a; the shift=0
+               slice is the inner map with t = a.
+    clw_shift  the two-family version of the same shifted table; the
+               g-component additionally routes g (d+2l) G_{i+j+shift}
+               into the (L, L) entries and exists only at b = -1.
     """
-    gens = algebra.generators()
     if kind == "inner":
-        t = Fraction(t)
-        table: dict[GenPair, Element] = {}
-        for gi in gens:
-            ei = algebra.gen_element(gi)
-            for gj in gens:
-                value = bracket(ei, algebra.gen_element(gj), Var.L) * t
-                if not value.is_zero:
-                    table[(gi, gj)] = value
-        return BilinearMap(algebra, table)
+        return BilinearMap(algebra, _shifted_table(algebra, 0, Fraction(t)))
 
     if kind == "cw_shift":
         if len(algebra.families) != 1:
             raise FamilyError("cw_shift requires a single-family algebra")
         fam = algebra.families[0]
-        rule = algebra.rule(fam, fam)
-        if rule.target != fam:
+        if algebra.rule(fam, fam).target != fam:
             raise FamilyError("cw_shift requires the family to close on itself")
-        a = Fraction(a)
-        table = {}
-        for gi in gens:
-            for gj in gens:
-                tgt = algebra.gen(fam, gi.index + gj.index + shift)
-                value = algebra.element({tgt: rule.coeff * a})
-                if not value.is_zero:
-                    table[(gi, gj)] = value
-        return BilinearMap(algebra, table)
+        return BilinearMap(algebra, _shifted_table(algebra, shift, Fraction(a)))
 
     if kind == "clw_shift":
         if algebra.families != ("L", "G"):
@@ -349,20 +317,13 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
         a, g = Fraction(a), Fraction(g)
         if g and algebra.b_value != Fraction(-1):
             raise FamilyError("the g-component exists only at b = -1")
-        ll = algebra.rule("L", "L")
-        table = {}
-        for gi in gens:
-            for gj in gens:
-                value = algebra.zero_element()
-                rule = algebra.rule(gi.family, gj.family)
-                if a and rule.target is not None:
-                    tgt = algebra.gen(rule.target, gi.index + gj.index + shift)
-                    value = value + algebra.element({tgt: rule.coeff * a})
-                if g and gi.family == "L" and gj.family == "L":
+        table = _shifted_table(algebra, shift, a)
+        if g:
+            coeff = algebra.rule("L", "L").coeff * g
+            for gi, gj in table:
+                if gi.family == gj.family == "L":
                     tgt = algebra.gen("G", gi.index + gj.index + shift)
-                    value = value + algebra.element({tgt: ll.coeff * g})
-                if not value.is_zero:
-                    table[(gi, gj)] = value
+                    table[(gi, gj)] = table[(gi, gj)] + algebra.element({tgt: coeff})
         return BilinearMap(algebra, table)
 
     raise FamilyError(f"unknown family kind {kind!r}; expected inner, cw_shift or clw_shift")
@@ -414,12 +375,16 @@ def map_from_dict(data: dict, algebra: Algebra) -> BilinearMap:
             raise MapError(str(exc)) from None
         if (gi, gj) in table:
             raise MapError(f"duplicate entry for pair ({gi},{gj})")
+        if not isinstance(value, list):
+            raise MapError(f"entry ({left},{right}): value must be a list")
         terms: dict[GeneratorId, Poly] = {}
         for item in value:
             try:
                 gen_text, coeff_text = item["gen"], item["coeff"]
             except (KeyError, TypeError):
                 raise MapError("each value item needs gen and coeff") from None
+            if not isinstance(coeff_text, str):
+                raise MapError(f"entry ({left},{right}): coeff must be a string")
             try:
                 gt = algebra.gen(*parse_generator(gen_text))
                 coeff = parse_poly(coeff_text)

@@ -23,9 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-# Exact rational scalar used throughout the package.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -59,8 +56,6 @@ SPECTRAL_VARS = (Var.L, Var.M, Var.G)
 Monomial = tuple
 
 UNIT_MONOMIAL: Monomial = (0, 0, 0, 0, 0)
-
-_ZERO_FRACTION = Fraction(0)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -131,13 +126,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), _ZERO_FRACTION)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the unit monomial."""
-        return self.terms.get(UNIT_MONOMIAL, _ZERO_FRACTION)
-
     def variables(self) -> tuple[Var, ...]:
         """Variables that actually occur, in slot order."""
         used = [False] * 5
@@ -146,13 +134,6 @@ class Poly:
                 if e:
                     used[i] = True
         return tuple(v for v in VARS if used[v.slot])
-
-    def total_degree(self) -> int:
-        return max((sum(mono) for mono in self.terms), default=0)
-
-    def degree_in(self, var: Var) -> int:
-        slot = var.slot
-        return max((mono[slot] for mono in self.terms), default=0)
 
     # -- ring operations -------------------------------------------------
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, Element, GeneratorId, bracket
+from .algebra import Algebra, Element, GeneratorId
 from .bimaps import (
     BilinearMap,
     GenPair,
@@ -200,12 +200,10 @@ def _relevant_pairs(algebra: Algebra, tag: str,
         return {(x, y), (y, x)}
     if tag == "def1b":
         x, y, z = args
-        inner = bracket(algebra.gen_element(y), algebra.gen_element(z), Var.M)
-        return {(x, y), (x, z)} | {(x, w) for w in inner.terms}
+        return {(x, y), (x, z)} | {(x, w) for w in algebra.table[(y, z)].terms}
     if tag == "lem1":
         x, y, z = args
-        inner = bracket(algebra.gen_element(x), algebra.gen_element(y), Var.M)
-        return {(y, z), (x, z)} | {(w, z) for w in inner.terms}
+        return {(y, z), (x, z)} | {(w, z) for w in algebra.table[(x, y)].terms}
     if tag == "lem2":
         x, y, u, v = args
         return {(x, y), (u, v)}

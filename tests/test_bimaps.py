@@ -7,6 +7,7 @@ import pytest
 
 from lcalab import (
     BilinearMap,
+    bracket,
     FamilyError,
     MapError,
     TAGS,
@@ -20,9 +21,9 @@ from lcalab import (
     residual,
     verify_map,
 )
-from lcalab.poly import B, D, L, M, Var
+from lcalab.poly import B, D, G, L, M, Var
 
-from randgen import make_rng, random_fraction, random_poly
+from randgen import make_rng, random_element, random_fraction, random_poly
 
 
 def raw_g_map(clw):
@@ -45,6 +46,18 @@ def test_map_eval_left_slot_rule():
     phi = make_family(vir, "inner", t=1)
     x = vir.gen_element(("L", 0))
     assert map_eval(phi, x * D, x) == vir.element({vir.gen("L", 0): -L * (D + 2 * L)})
+
+
+@pytest.mark.parametrize("kind, m", [("vir", 1), ("cw", 3), ("clw", 2)])
+def test_bracket_is_inner_map_with_t_one(kind, m):
+    # One slot rule serves both: the bracket is the inner map at t = 1.
+    alg = make_catalog(kind, m)  # clw keeps b symbolic
+    phi = make_family(alg, "inner", t=1)
+    rng = make_rng(21)
+    for s in (L, M, L + M, M + G):
+        for _ in range(25):
+            x, y = random_element(rng, alg), random_element(rng, alg)
+            assert bracket(x, y, s) == map_eval(phi, x, y, s)
 
 
 def test_map_eval_zero_table():
@@ -164,9 +177,15 @@ def test_inner_family_table():
     assert phi.table == {(gid, gid): vir.element({gid: D + 2 * L})}
 
 
-def test_cw_shift_zero_is_inner():
-    vir = make_catalog("vir")
-    assert make_family(vir, "cw_shift", shift=0, a=1) == make_family(vir, "inner", t=1)
+@pytest.mark.parametrize("kind, m, b, family, params", [
+    ("vir", 1, None, "cw_shift", {"a": 1}),
+    ("clw", 2, None, "clw_shift", {"a": Fraction(3, 2), "g": 0}),
+    ("clw", 2, -1, "clw_shift", {"a": Fraction(3, 2), "g": 0}),
+], ids=["vir-cw_shift", "clw-symbolic-clw_shift", "clw-b=-1-clw_shift"])
+def test_shift_zero_is_inner(kind, m, b, family, params):
+    alg = make_catalog(kind, m, b)
+    assert make_family(alg, family, shift=0, **params) == \
+        make_family(alg, "inner", t=params["a"])
 
 
 def test_cw_shift_targets():

@@ -195,12 +195,42 @@ def test_missing_degree(capsys):
     assert run(capsys, "solve-bider", "--catalog", "vir")[0] == 2
 
 
-def test_malformed_algebra_file(capsys, tmp_path):
-    path = tmp_path / "garbage.json"
-    path.write_text("{{{")
-    code, _, err = run(capsys, "check-axioms", "--algebra", str(path))
+VIR_RULES = [{"left": "L", "right": "L", "target": "L", "coeff": "d + 2*l"}]
+
+
+def assert_one_line_error(code, err, fragment):
     assert code == 2
-    assert "invalid JSON" in err
+    assert err.startswith("lcalab: error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("{{{", "invalid JSON"),
+    (json.dumps({"name": "V", "modulus": 1, "families": ["L"], "b": 0.1,
+                 "rules": VIR_RULES}), "bad b value 0.1"),
+    (json.dumps({"name": "V", "modulus": 1, "families": ["L"], "b": True,
+                 "rules": VIR_RULES}), "bad b value True"),
+    (json.dumps({"name": "V", "modulus": True, "families": ["L"],
+                 "rules": VIR_RULES}), "modulus must be a positive integer"),
+], ids=["garbage", "float-b", "bool-b", "bool-modulus"])
+def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "check-axioms", "--algebra", str(path))
+    assert_one_line_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("entry, fragment", [
+    ({"left": "L:0", "right": "L:0", "value": [{"gen": "L:0", "coeff": 3}]},
+     "coeff must be a string"),
+    ({"left": "L:0", "right": "L:0", "value": 3}, "value must be a list"),
+    ({"left": 0, "right": "L:0", "value": []}, "bad generator 0"),
+], ids=["numeric-coeff", "numeric-value", "numeric-left"])
+def test_malformed_map_file(capsys, tmp_path, entry, fragment):
+    path = tmp_path / "bad_map.json"
+    path.write_text(json.dumps({"algebra": "Vir", "entries": [entry]}))
+    code, _, err = run(capsys, "residual", "--catalog", "vir", "--map", str(path))
+    assert_one_line_error(code, err, fragment)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
