@@ -51,6 +51,7 @@ from .bimaps import (
 from .solver import (
     Ansatz,
     ConstraintSystem,
+    InternalCheckError,
     MatchReport,
     SolutionSpace,
     SolverError,
@@ -69,7 +70,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra", "AlgebraError", "Ansatz", "AxiomReport", "BilinearMap",
     "BracketRule", "ConstraintSystem", "Element", "FamilyError",
-    "GeneratorId", "MapError", "MatchReport", "Monomial", "ParseError",
+    "GeneratorId", "InternalCheckError", "MapError", "MatchReport",
+    "Monomial", "ParseError",
     "Poly", "Residual", "SPECTRAL_VARS", "SolutionSpace",
     "SolverError", "TAGS", "Unknown", "VARS", "Var", "VerifyReport",
     "algebra_from_dict", "algebra_to_dict", "as_poly", "assemble",

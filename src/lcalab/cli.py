@@ -4,7 +4,9 @@ Verbs: check-axioms, verify-family, residual, solve-bider, match.
 
 Exit codes: 0 when the operation ran and (for checking verbs) the
 mathematical check passed; 1 when a check failed; 2 on usage or I/O
-errors, with a one-line diagnostic naming the offending flag.
+errors, with a one-line diagnostic naming the offending flag; 3 on an
+internal error (a failed post-solve re-check or any other unexpected
+exception), with a one-line "lcalab: internal error:" diagnostic.
 
 Negative rationals must be passed in the --flag=value form, e.g. --b=-3/2.
 """
@@ -19,10 +21,17 @@ from pathlib import Path
 
 from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
 from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, verify_map
-from .solver import SolverError, match_templates, solve_bider, solver_report
+from .solver import (
+    InternalCheckError,
+    SolverError,
+    match_templates,
+    solve_bider,
+    solver_report,
+)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
@@ -179,6 +188,8 @@ def _run(args) -> int:
     # solve-bider / match
     try:
         space = solve_bider(algebra, args.degree, _solver_tags(args.eq))
+    except InternalCheckError:
+        raise
     except SolverError as exc:
         raise UsageError(f"--degree/--b: {exc}") from None
     match = match_templates(space)
@@ -206,6 +217,15 @@ def main(argv=None) -> int:
     except (AlgebraError, MapError, OSError) as exc:
         print(f"lcalab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # A bug, not a verdict on the input: keep exit 1 for failed checks
+        # and exit 2 for bad input, and leave the traceback to the log
+        # (imported here so that a normal run does not pay for logging).
+        import logging
+        logging.getLogger("lcalab").debug("internal error", exc_info=True)
+        detail = " ".join(str(exc).split())
+        print(f"lcalab: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

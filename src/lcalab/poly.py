@@ -19,6 +19,7 @@ function; they may be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -355,6 +356,10 @@ class ParseError(ValueError):
 _DIGITS = "0123456789"
 _VAR_BY_SYMBOL = {v.value: v for v in VARS}
 
+# Deepest nesting of "(" and unary "-" the recursive-descent parser
+# accepts; each level costs up to three Python frames.
+MAX_NESTING = 100
+
 
 def parse_poly(text: str) -> Poly:
     """Parse the expression grammar used by every file format here.
@@ -367,7 +372,9 @@ def parse_poly(text: str) -> Poly:
 
     Whitespace is insignificant.  A "/" anywhere but inside a rational
     constant is rejected, as is any identifier other than the five
-    variables.  str() on the result emits this same grammar.
+    variables, an integer too long to convert, and nesting of "(" and
+    unary "-" deeper than MAX_NESTING.  str() on the result emits this
+    same grammar.
     """
     parser = _Parser(text)
     value = parser.parse_expr()
@@ -380,6 +387,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str:
         text, n = self.text, len(self.text)
@@ -419,15 +427,20 @@ class _Parser:
         ch = self.peek()
         if not ch:
             raise ParseError("unexpected end of input", self.pos)
-        if ch == "-":
+        if ch in "-(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                                 self.pos)
+            self.depth += 1
             self.pos += 1
-            return -self.parse_factor()
-        if ch == "(":
-            self.pos += 1
-            value = self.parse_expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+            if ch == "-":
+                value = -self.parse_factor()
+            else:
+                value = self.parse_expr()
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.pos += 1
+            self.depth -= 1
             return value
         if ch in _DIGITS:
             return self.parse_rational()
@@ -462,4 +475,8 @@ class _Parser:
         while pos < n and text[pos] in _DIGITS:
             pos += 1
         self.pos = pos
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            raise ParseError(f"integer constant longer than "
+                             f"{sys.get_int_max_str_digits()} digits", start) from None

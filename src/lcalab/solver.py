@@ -10,8 +10,12 @@ useful oracle against the closed-form families.
 Identity residuals are linear in the map, so the residual of the ansatz
 at one generator tuple expands into one exact linear row per monomial of
 the result; the nullspace of the stacked rows is the solution space.
-Everything is computed over Fraction, and the reduced row echelon form is
-unique, so the emitted basis is deterministic bit for bit.
+Assembly evaluates that residual once per tuple, on the tagged map in
+which unknown k enters as the coefficient b^k: the algebra is b-free and
+residuals never substitute b, so the b^k part of the one residual is the
+column of unknown k.  Everything is computed over Fraction, and the
+reduced row echelon form is unique, so the emitted basis is deterministic
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, Element, GeneratorId
+from .algebra import Algebra, GeneratorId
 from .bimaps import (
     BilinearMap,
     GenPair,
@@ -38,6 +42,11 @@ from .poly import Monomial, Poly, Var
 
 class SolverError(ValueError):
     """Invalid solver request or failed internal consistency check."""
+
+
+class InternalCheckError(SolverError):
+    """A solved basis vector failed the post-solve residual re-check: a
+    solver bug, not bad input."""
 
 
 # Tags usable as linear constraints; lem2 is a consequence of the others
@@ -71,8 +80,9 @@ class Ansatz:
     """Degree-bounded unknown-coefficient general form of a bilinear map.
 
     Unknown count is (#pairs) * (#generators) * (D+1)(D+2)/2.  Requires a
-    fully numeric bracket table (no symbolic b), since the constraint rows
-    must be rational numbers.
+    bracket table free of b (numeric b): the constraint rows must be
+    rational numbers, and assembly uses b as the tag of the unknowns (see
+    tagged_map).
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -92,38 +102,38 @@ class Ansatz:
             for gi in gens for gj in gens for gt in gens for (p, q) in monos
         ]
         self._index = {u: k for k, u in enumerate(self.unknowns)}
-        self._by_pair: dict[GenPair, list[int]] = {}
-        for k, u in enumerate(self.unknowns):
-            self._by_pair.setdefault((u.left, u.right), []).append(k)
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
-    def unknowns_for_pair(self, pair: GenPair) -> list[int]:
-        return self._by_pair.get(pair, [])
-
-    def basis_map(self, k: int) -> BilinearMap:
-        """The map with unknown k set to 1 and every other unknown 0."""
-        u = self.unknowns[k]
-        value = self.algebra.element({u.target: Poly.monomial(u.monomial)})
-        return BilinearMap(self.algebra, {(u.left, u.right): value})
-
-    def map_from_vector(self, vector: Sequence[Fraction]) -> BilinearMap:
-        """Assemble the concrete map with the given unknown values."""
-        if len(vector) != self.n_unknowns:
-            raise SolverError("vector length does not match unknown count")
+    def _map(self, terms: Iterable[tuple[Unknown, Monomial, Fraction]]) -> BilinearMap:
         entries: dict[GenPair, dict[GeneratorId, dict[Monomial, Fraction]]] = {}
-        for coeff, u in zip(vector, self.unknowns):
-            if not coeff:
-                continue
-            target_terms = entries.setdefault((u.left, u.right), {})
-            target_terms.setdefault(u.target, {})[u.monomial] = Fraction(coeff)
+        for u, mono, coeff in terms:
+            entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[mono] = coeff
         table = {
             pair: self.algebra.element({gt: Poly(monos) for gt, monos in targets.items()})
             for pair, targets in entries.items()
         }
         return BilinearMap(self.algebra, table)
+
+    def map_from_vector(self, vector: Sequence[Fraction]) -> BilinearMap:
+        """Assemble the concrete map with the given unknown values."""
+        if len(vector) != self.n_unknowns:
+            raise SolverError("vector length does not match unknown count")
+        return self._map((u, u.monomial, Fraction(coeff))
+                         for coeff, u in zip(vector, self.unknowns) if coeff)
+
+    def tagged_map(self) -> BilinearMap:
+        """The ansatz map with unknown k set to the tag b^k.
+
+        Unknown k = (left, right, target, d^p l^q) is the term
+        b^k d^p l^q on target at (left, right).  Any residual of this map
+        is a polynomial whose b^k part is the residual of the map with
+        unknown k set to 1 and every other unknown 0.
+        """
+        return self._map((u, (u.dpow, u.lpow, 0, 0, k), _ONE)
+                         for k, u in enumerate(self.unknowns))
 
     def vector_of(self, phi: BilinearMap) -> list[Fraction]:
         """Flatten a concrete map onto the unknown coordinates.
@@ -188,36 +198,17 @@ class ConstraintSystem:
         return all(v == 0 for v in self.evaluate(vector))
 
 
-def _relevant_pairs(algebra: Algebra, tag: str,
-                    args: Sequence[GeneratorId]) -> set[GenPair]:
-    """Generator pairs whose table entry the residual can read.
-
-    Residuals are linear in the map with this sparse access pattern, so
-    every other unknown contributes a zero column at this tuple.
-    """
-    if tag == "def1a":
-        x, y = args
-        return {(x, y), (y, x)}
-    if tag == "def1b":
-        x, y, z = args
-        return {(x, y), (x, z)} | {(x, w) for w in algebra.table[(y, z)].terms}
-    if tag == "lem1":
-        x, y, z = args
-        return {(y, z), (x, z)} | {(w, z) for w in algebra.table[(x, y)].terms}
-    if tag == "lem2":
-        x, y, u, v = args
-        return {(x, y), (u, v)}
-    raise SolverError(f"unknown identity tag {tag!r}")
-
-
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> ConstraintSystem:
     """Expand the ansatz residuals into linear rows by coefficient matching.
 
-    For each tag and generator tuple, the residual is linear in the
-    unknowns with polynomial coefficients; each (target generator,
-    monomial) of the expansion becomes one row.  All-zero rows are
-    dropped.  Row order is (tag, tuple, target, monomial) and is
-    deterministic.
+    For each tag and generator tuple, the residual of the tagged map
+    (Ansatz.tagged_map) is computed once.  Residuals are linear in the
+    map and never substitute b, and the algebra is b-free, so the residual
+    is Q[b]-linear: its b^k part is unknown k's column.  Each (target
+    generator, monomial in d, l, m, g) of the residual becomes one row
+    {k: coefficient of b^k}; no all-zero row arises.  Row order is (tag,
+    tuple, target, monomial), with unknowns ascending within a row, and
+    is deterministic.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
@@ -225,38 +216,21 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
         raise SolverError(f"tag(s) not assemblable as linear constraints: "
                           f"{', '.join(bad)} (lem2 is checked, not solved)")
     algebra = ansatz.algebra
-    gens = algebra.generators()
     sort_key = algebra.gen_sort_key
+    tagged = ansatz.tagged_map()
 
     rows: list[dict[int, Fraction]] = []
     provenance: list[Provenance] = []
     for tag in tags:
-        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
-            columns: dict[int, Element] = {}
-            for pair in _relevant_pairs(algebra, tag, args):
-                for k in ansatz.unknowns_for_pair(pair):
-                    value = residual(ansatz.basis_map(k), tag, args).value
-                    if not value.is_zero:
-                        columns[k] = value
-            if not columns:
-                continue
-            order = sorted(columns)
-            coords: set[tuple[GeneratorId, Monomial]] = set()
-            for value in columns.values():
-                for gt, poly in value.terms.items():
-                    coords.update((gt, mono) for mono in poly.terms)
+        for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
+            coords: dict[tuple[GeneratorId, Monomial], dict[int, Fraction]] = {}
+            for gt, poly in residual(tagged, tag, args).value.terms.items():
+                for (p, q, r, s, k), coeff in poly.terms.items():
+                    coords.setdefault((gt, (p, q, r, s, 0)), {})[k] = coeff
             for gt, mono in sorted(coords, key=lambda c: (sort_key(c[0]), c[1])):
-                row = {}
-                for k in order:
-                    poly = columns[k].terms.get(gt)
-                    if poly is None:
-                        continue
-                    coeff = poly.terms.get(mono)
-                    if coeff:
-                        row[k] = coeff
-                if row:
-                    rows.append(row)
-                    provenance.append(Provenance(tag, tuple(args), gt, mono))
+                row = coords[(gt, mono)]
+                rows.append({k: row[k] for k in sorted(row)})
+                provenance.append(Provenance(tag, tuple(args), gt, mono))
     return ConstraintSystem(ansatz, tags, rows, provenance)
 
 
@@ -364,7 +338,7 @@ def solve_bider(algebra: Algebra, degree: int,
 
     Every basis vector is re-checked against the solved identities with
     the independent residual engine (defense in depth against elimination
-    bugs); a failure raises SolverError.
+    bugs); a failure raises InternalCheckError.
     """
     ansatz = Ansatz(algebra, degree)
     system = assemble(ansatz, tags)
@@ -372,7 +346,7 @@ def solve_bider(algebra: Algebra, degree: int,
     for i, phi in enumerate(space.basis):
         report = verify_map(phi, system.tags)
         if not report.passed:
-            raise SolverError(
+            raise InternalCheckError(
                 f"internal check failed: basis vector {i} has nonzero residuals: "
                 + "; ".join(str(r) for r in report.failures[:3]))
     return space

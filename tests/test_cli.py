@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from lcalab import make_catalog, make_family, map_to_dict
+import lcalab.cli
+import lcalab.solver
+from lcalab import ConstraintSystem, make_catalog, make_family, map_to_dict
 from lcalab.cli import main
 
 
@@ -212,7 +214,10 @@ def assert_one_line_error(code, err, fragment):
                  "rules": VIR_RULES}), "bad b value True"),
     (json.dumps({"name": "V", "modulus": True, "families": ["L"],
                  "rules": VIR_RULES}), "modulus must be a positive integer"),
-], ids=["garbage", "float-b", "bool-b", "bool-modulus"])
+    (json.dumps({"name": "V", "modulus": 1, "families": ["L"],
+                 "rules": [dict(VIR_RULES[0], coeff="(" * 3000 + "d" + ")" * 3000)]}),
+     "nested deeper than"),
+], ids=["garbage", "float-b", "bool-b", "bool-modulus", "deep-parens"])
 def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -231,6 +236,36 @@ def test_malformed_map_file(capsys, tmp_path, entry, fragment):
     path.write_text(json.dumps({"algebra": "Vir", "entries": [entry]}))
     code, _, err = run(capsys, "residual", "--catalog", "vir", "--map", str(path))
     assert_one_line_error(code, err, fragment)
+
+
+def assert_internal_error(code, err, fragment):
+    assert code == 3
+    assert err.startswith("lcalab: internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert fragment in err
+
+
+def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
+    # assembly that drops every row leaves basis vectors that fail the
+    # solved identities; the re-check must blame the solver, not the user
+    def assemble_dropping_rows(ansatz, tags):
+        system = assemble(ansatz, tags)
+        return ConstraintSystem(ansatz, system.tags, [], [])
+
+    assemble = lcalab.solver.assemble
+    monkeypatch.setattr(lcalab.solver, "assemble", assemble_dropping_rows)
+    code, out, err = run(capsys, "match", "--catalog", "vir", "--degree", "1")
+    assert out == ""
+    assert_internal_error(code, err, "internal check failed")
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def crash(algebra):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(lcalab.cli, "check_axioms", crash)
+    code, _, err = run(capsys, "check-axioms", "--catalog", "vir")
+    assert_internal_error(code, err, "RuntimeError: boom on two lines")
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

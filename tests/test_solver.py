@@ -1,5 +1,6 @@
 """Unit tests for the classification solver."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -11,20 +12,25 @@ from lcalab import (
     ConstraintSystem,
     SolutionSpace,
     SolverError,
+    algebra_from_dict,
     assemble,
+    check_axioms,
     express_in_span,
     family_templates,
     make_catalog,
     make_family,
     map_to_dict,
     match_templates,
+    normalize_tags,
     nullspace,
     residual,
     solve_bider,
     solver_report,
     verify_map,
 )
+from lcalab.bimaps import TAG_ARITY
 from lcalab.poly import D, L, Poly
+from lcalab.solver import Provenance
 
 from randgen import make_rng, random_fraction
 
@@ -122,6 +128,57 @@ def test_assembly_matches_residual_engine():
             assert poly.terms.get(prov.monomial, Fraction(0)) == value
 
 
+def per_unknown_assembly(ansatz, tags):
+    """Rows rebuilt one unknown at a time: the residual of the map with
+    unknown k set to 1 gives column k, at every tuple, for every k."""
+    algebra = ansatz.algebra
+    sort_key = algebra.gen_sort_key
+    n = ansatz.n_unknowns
+    units = [ansatz.map_from_vector([int(i == k) for i in range(n)]) for k in range(n)]
+    rows, provenance = [], []
+    for tag in normalize_tags(tags):
+        for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
+            coords = {}
+            for k, phi in enumerate(units):
+                for gt, poly in residual(phi, tag, args).value.terms.items():
+                    for mono, coeff in poly.terms.items():
+                        coords.setdefault((gt, mono), {})[k] = coeff
+            for gt, mono in sorted(coords, key=lambda c: (sort_key(c[0]), c[1])):
+                rows.append(coords[(gt, mono)])
+                provenance.append(Provenance(tag, args, gt, mono))
+    return rows, provenance
+
+
+def inhomogeneous_clw(m):
+    # two families with constant terms in the mixed brackets, so no
+    # (d, l)-degree grading: [L_l G] = d+2*l+1 at b = -1
+    algebra = algebra_from_dict({
+        "name": f"InhomCLW(m={m})", "modulus": m, "families": ["L", "G"], "b": "-1",
+        "rules": [
+            {"left": "L", "right": "L", "target": "L", "coeff": "d + 2*l"},
+            {"left": "L", "right": "G", "target": "G", "coeff": "d + (1-b)*l + 1"},
+            {"left": "G", "right": "L", "target": "G", "coeff": "-(b*d + (b-1)*l + 1)"},
+        ]})
+    assert check_axioms(algebra).passed
+    return algebra
+
+
+@pytest.mark.parametrize("algebra, degree, tags", [
+    (make_catalog("vir"), 3, ("def1a", "def1b")),
+    (make_catalog("cw", 2), 2, ("def1a", "def1b")),
+    (make_catalog("clw", 2, Fraction(3, 2)), 0, ("def1a", "def1b")),
+    (make_catalog("clw", 2, -1), 0, ("def1a", "def1b", "lem1")),
+    (inhomogeneous_clw(2), 0, ("def1a", "def1b")),
+], ids=["vir-d3", "cw2-d2", "clw2-b3/2-d0", "clw2-b-1-lem1-d0", "inhom-clw2-d0"])
+def test_assemble_matches_per_unknown_oracle(algebra, degree, tags):
+    ansatz = Ansatz(algebra, degree)
+    rows, provenance = per_unknown_assembly(ansatz, tags)
+    system = assemble(ansatz, tags)
+    assert system.rows == rows
+    assert [list(row) for row in system.rows] == [list(row) for row in rows]
+    assert system.provenance == provenance
+
+
 # -- nullspace -----------------------------------------------------------------------
 
 def test_nullspace_vir_skew():
@@ -148,6 +205,27 @@ def test_nullspace_empty_system():
     # free-column basis: one elementary vector per unknown
     for k, vec in enumerate(space.vectors):
         assert vec[k] == 1 and sum(map(bool, vec)) == 1
+
+
+@pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 2, None),
+                                        ("clw", 1, -1)])
+def test_nullspace_matches_sympy(kind, m, b):
+    sympy = pytest.importorskip("sympy")
+    system = assemble(Ansatz(make_catalog(kind, m, b), 2))
+    space = nullspace(system)
+
+    def q(value):
+        return sympy.Rational(value.numerator, value.denominator)
+
+    n = system.n_unknowns
+    matrix = sympy.Matrix([[q(row.get(k, Fraction(0))) for k in range(n)]
+                           for row in system.rows])
+    theirs = matrix.nullspace()
+    assert len(theirs) == space.dimension
+    ours = sympy.Matrix([[q(v) for v in vec] for vec in space.vectors])
+    assert (matrix * ours.T).is_zero_matrix
+    assert ours.rank() == space.dimension
+    assert sympy.Matrix.vstack(ours, *(v.T for v in theirs)).rank() == space.dimension
 
 
 # -- classification runs ----------------------------------------------------------------
