@@ -15,6 +15,7 @@ from .poly import (
     Var,
     as_poly,
     parse_poly,
+    parse_rational,
 )
 from .algebra import (
     Algebra,
@@ -78,6 +79,6 @@ __all__ = [
     "bracket", "check_axioms", "express_in_span", "family_templates",
     "load_algebra", "load_map", "make_catalog", "make_family", "map_eval",
     "map_from_dict", "map_to_dict", "match_templates", "normalize_tags",
-    "nullspace", "parse_generator", "parse_poly", "residual",
+    "nullspace", "parse_generator", "parse_poly", "parse_rational", "residual",
     "second_slot_subst", "solve_bider", "solver_report", "verify_map",
 ]

@@ -39,6 +39,7 @@ from .poly import (
     ZERO,
     as_poly,
     parse_poly,
+    parse_rational,
 )
 
 
@@ -474,9 +475,11 @@ def algebra_from_dict(data: dict) -> Algebra:
      "rules": [{"left": str, "right": str, "target": str|null,
                 "coeff": expr-string}]}
 
-    Coefficient expressions use the d/l/b subset of the expression grammar.
-    Pairs without a rule get the zero bracket.  The loaded table is
-    validated structurally only; run check_axioms separately.
+    A string b other than "symbolic" is read by parse_rational ("7",
+    "-3/2"; no exponent notation).  Coefficient expressions use the d/l/b
+    subset of the expression grammar.  Pairs without a rule get the zero
+    bracket.  The loaded table is validated structurally only; run
+    check_axioms separately.
     """
     if not isinstance(data, dict):
         raise AlgebraError("algebra definition must be a JSON object")
@@ -493,16 +496,19 @@ def algebra_from_dict(data: dict) -> Algebra:
         raise AlgebraError("families must be a list of strings")
 
     b_raw = data.get("b", "symbolic")
+    bad_b = (f"bad b value {b_raw!r}, expected \"symbolic\", a rational string "
+             f"such as \"-3/2\" or an integer")
     if b_raw == "symbolic":
         b = None
-    elif isinstance(b_raw, bool) or not isinstance(b_raw, (str, int)):
-        raise AlgebraError(f"bad b value {b_raw!r}, expected \"symbolic\", a "
-                           f"rational string or an integer")
+    elif isinstance(b_raw, int) and not isinstance(b_raw, bool):
+        b = b_raw
+    elif not isinstance(b_raw, str):
+        raise AlgebraError(bad_b)
     else:
         try:
-            b = Fraction(b_raw)
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise AlgebraError(f"bad b value {b_raw!r}") from None
+            b = parse_rational(b_raw)
+        except ParseError as exc:
+            raise AlgebraError(f"{bad_b} ({exc})") from None
 
     if not isinstance(raw_rules, list):
         raise AlgebraError("rules must be a list")
@@ -528,12 +534,12 @@ def algebra_from_dict(data: dict) -> Algebra:
 def load_algebra(path: str | Path) -> Algebra:
     """Load and validate an algebra definition file (JSON)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise AlgebraError(f"invalid JSON in {path}: {exc}") from None
     return algebra_from_dict(data)
 

@@ -398,11 +398,11 @@ def map_from_dict(data: dict, algebra: Algebra) -> BilinearMap:
 def load_map(path: str | Path, algebra: Algebra) -> BilinearMap:
     """Load a bilinear map file (JSON) against a known algebra."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MapError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise MapError(f"invalid JSON in {path}: {exc}") from None
     return map_from_dict(data, algebra)

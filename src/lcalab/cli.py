@@ -8,7 +8,9 @@ errors, with a one-line diagnostic naming the offending flag; 3 on an
 internal error (a failed post-solve re-check or any other unexpected
 exception), with a one-line "lcalab: internal error:" diagnostic.
 
-Negative rationals must be passed in the --flag=value form, e.g. --b=-3/2.
+Rational flags (--b, --t, --a, --g) take an integer or p/q with an
+optional leading "-" (poly.parse_rational); negative values must be
+passed in the --flag=value form, e.g. --b=-3/2.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
 from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, verify_map
+from .poly import ParseError, Scalar, parse_rational
 from .solver import (
     InternalCheckError,
     SolverError,
@@ -92,11 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_rational(text: str, flag: str) -> Fraction:
+def _parse_rational(text: str, flag: str) -> Scalar:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{flag}: not a rational number: {text!r}") from None
+        return parse_rational(text)
+    except ParseError as exc:
+        raise UsageError(f"{flag}: not a rational number such as 7 or -3/2: "
+                         f"{text!r} ({exc})") from None
 
 
 def _build_algebra(args):

@@ -10,9 +10,13 @@ parameter of the two-family loop algebras.  The variable set is closed: no
 identity in scope needs anything else, and the fixed arity keeps a monomial
 a plain 5-tuple of exponents.
 
-A ``Poly`` maps monomials to nonzero ``Fraction`` coefficients; the zero
-polynomial is the empty map.  Coefficients are exact rationals, never
-floats, so equality is exact and "residual == 0" is a decidable check.
+A ``Poly`` maps monomials to nonzero coefficients, each an ``int`` or a
+``Fraction`` and never a ``float``, compared by value; the zero polynomial
+is the empty map.  Integral values enter as ``int``, so all-integer
+tables compute on machine-size integers, and the numeric tower keeps the
+mix canonical: ``3 == Fraction(3)``, their hashes agree and both print as
+``3``.  Coefficients are exact, so equality is exact and "residual == 0"
+is a decidable check.
 Values are immutable after construction and every operation is a pure
 function; they may be shared freely between threads.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -59,38 +64,42 @@ Monomial = tuple
 UNIT_MONOMIAL: Monomial = (0, 0, 0, 0, 0)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_scalar(value: Scalar) -> Scalar:
+    """The coefficient form of value: an int if it is integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 class Poly:
     """Immutable sparse polynomial in Q[d, l, m, g, b].
 
-    ``terms`` maps exponent 5-tuples to nonzero Fraction coefficients.
-    Construction drops zero coefficients, so two equal polynomials always
-    have identical term maps (canonical form).
+    ``terms`` maps exponent 5-tuples to nonzero coefficients, each an int
+    or a Fraction (never a float), compared by value.  Construction drops
+    zero coefficients, so two equal polynomials always have equal term
+    maps (canonical form).
     """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono) != 5 or any(e < 0 for e in mono):
                     raise ValueError(f"bad monomial {mono!r}")
-                c = _as_fraction(coeff)
+                c = _as_scalar(coeff)
                 if c:
                     clean[tuple(mono)] = c
         self.terms = clean
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "Poly":
+    def _raw(cls, terms: dict[Monomial, Scalar]) -> "Poly":
         # Internal constructor: terms must already be canonical.
         p = object.__new__(cls)
         p.terms = terms
@@ -107,7 +116,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        c = _as_fraction(value)
+        c = _as_scalar(value)
         return cls._raw({UNIT_MONOMIAL: c}) if c else ZERO
 
     @classmethod
@@ -199,7 +208,7 @@ class Poly:
             a, b = self.terms, other.terms
             if not a or not b:
                 return ZERO
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, Scalar] = {}
             for m1, c1 in a.items():
                 for m2, c2 in b.items():
                     mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
@@ -209,7 +218,7 @@ class Poly:
             return Poly._raw({m: c for m, c in out.items() if c})
         if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
             return NotImplemented
-        c = Fraction(other)
+        c = _as_scalar(other)
         if not c:
             return ZERO
         return Poly._raw({mono: coeff * c for mono, coeff in self.terms.items()})
@@ -219,8 +228,10 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = ONE
-        for _ in range(exponent):
+        if exponent == 0:
+            return ONE
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -235,28 +246,37 @@ class Poly:
         if not assignments or not self.terms:
             return self
         amap = {var.slot: as_poly(value) for var, value in assignments.items()}
-        if not any(mono[slot] for mono in self.terms for slot in amap):
+        slots = tuple(amap)
+        if not any(mono[slot] for mono in self.terms for slot in slots):
             return self
-        total = ZERO
-        powers: dict[tuple[int, int], Poly] = {}
+        # Term c * x^mono becomes c * x^(mono - e) * prod(replacement ** e)
+        # with e the exponents of mono in the substituted slots.  That
+        # product, with e already taken off its monomials, depends on e
+        # alone: it is built once per e and expanded straight into ``out``.
+        exponents_of = itemgetter(*slots)
+        shifted: dict[object, list[tuple[Monomial, Scalar]]] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            base = list(mono)
-            factors = []
-            for slot, replacement in amap.items():
-                e = mono[slot]
-                if e:
-                    base[slot] = 0
-                    key = (slot, e)
-                    f = powers.get(key)
-                    if f is None:
-                        f = replacement ** e
-                        powers[key] = f
-                    factors.append(f)
-            term = Poly._raw({tuple(base): coeff})
-            for f in factors:
-                term = term * f
-            total = total + term
-        return total
+            key = exponents_of(mono)
+            product = shifted.get(key)
+            if product is None:
+                p = ONE
+                taken = [0] * 5
+                for slot, replacement in amap.items():
+                    e = mono[slot]
+                    if e:
+                        p = p * replacement ** e
+                        taken[slot] = e
+                t0, t1, t2, t3, t4 = taken
+                product = shifted[key] = [
+                    ((m[0] - t0, m[1] - t1, m[2] - t2, m[3] - t3, m[4] - t4), c)
+                    for m, c in p.terms.items()]
+            e0, e1, e2, e3, e4 = mono
+            for (s0, s1, s2, s3, s4), c2 in product:
+                target = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4)
+                s = out.get(target)
+                out[target] = coeff * c2 if s is None else s + coeff * c2
+        return Poly._raw({m: c for m, c in out.items() if c})
 
     def coefficients(self, split_vars: Iterable[Var]) -> dict[Monomial, "Poly"]:
         """Group terms by their monomial in ``split_vars``.
@@ -268,7 +288,7 @@ class Poly:
         slots = {v.slot for v in split_vars}
         if not slots:
             raise ValueError("split_vars must be nonempty")
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
+        groups: dict[Monomial, dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             key = tuple(e if i in slots else 0 for i, e in enumerate(mono))
             rest = tuple(0 if i in slots else e for i, e in enumerate(mono))
@@ -322,14 +342,14 @@ def as_poly(value) -> Poly:
     """Coerce an int or Fraction to a constant polynomial."""
     if isinstance(value, Poly):
         return value
-    return Poly.const(_as_fraction(value))
+    return Poly.const(value)
 
 
 ZERO = Poly._raw({})
-ONE = Poly._raw({UNIT_MONOMIAL: Fraction(1)})
+ONE = Poly._raw({UNIT_MONOMIAL: 1})
 
 _VAR_POLYS = {
-    var: Poly._raw({tuple(1 if i == var.slot else 0 for i in range(5)): Fraction(1)})
+    var: Poly._raw({tuple(1 if i == var.slot else 0 for i in range(5)): 1})
     for var in VARS
 }
 
@@ -378,9 +398,28 @@ def parse_poly(text: str) -> Poly:
     """
     parser = _Parser(text)
     value = parser.parse_expr()
-    if parser.peek():
-        raise ParseError(f"unexpected character {parser.peek()!r}", parser.pos)
+    parser.expect_end()
     return value
+
+
+def parse_rational(text: str) -> Scalar:
+    """Parse a signed rational constant: an optional "-", then the
+    ``rational`` of the parse_poly grammar, e.g. "7" or "-3/2".
+
+    Anything else, exponent notation and decimals included, raises
+    ParseError, so the value is never larger than its text.  Returns an
+    int when the value is integral, else a Fraction.
+    """
+    parser = _Parser(text)
+    negative = parser.peek() == "-"
+    if negative:
+        parser.pos += 1
+    ch = parser.peek()
+    if not ch or ch not in _DIGITS:
+        raise ParseError("expected a rational constant such as 7 or -3/2", parser.pos)
+    value = _as_scalar(parser.parse_rational())
+    parser.expect_end()
+    return -value if negative else value
 
 
 class _Parser:
@@ -396,6 +435,10 @@ class _Parser:
             pos += 1
         self.pos = pos
         return text[pos] if pos < n else ""
+
+    def expect_end(self) -> None:
+        if self.peek():
+            raise ParseError(f"unexpected character {self.peek()!r}", self.pos)
 
     def parse_expr(self) -> Poly:
         value = self.parse_term()
@@ -443,7 +486,7 @@ class _Parser:
             self.depth -= 1
             return value
         if ch in _DIGITS:
-            return self.parse_rational()
+            return Poly.const(self.parse_rational())
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isalpha():
@@ -455,7 +498,7 @@ class _Parser:
             return Poly.variable(var)
         raise ParseError(f"unexpected character {ch!r}", self.pos)
 
-    def parse_rational(self) -> Poly:
+    def parse_rational(self) -> Scalar:
         numerator = self.parse_integer()
         if self.peek() == "/":
             self.pos += 1
@@ -465,8 +508,8 @@ class _Parser:
             denominator = self.parse_integer()
             if denominator == 0:
                 raise ParseError("denominator must be positive", denom_pos)
-            return Poly.const(Fraction(numerator, denominator))
-        return Poly.const(numerator)
+            return Fraction(numerator, denominator)
+        return numerator
 
     def parse_integer(self) -> int:
         text, n = self.text, len(self.text)

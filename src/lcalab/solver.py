@@ -13,9 +13,10 @@ the result; the nullspace of the stacked rows is the solution space.
 Assembly evaluates that residual once per tuple, on the tagged map in
 which unknown k enters as the coefficient b^k: the algebra is b-free and
 residuals never substitute b, so the b^k part of the one residual is the
-column of unknown k.  Everything is computed over Fraction, and the
-reduced row echelon form is unique, so the emitted basis is deterministic
-bit for bit.
+column of unknown k.  Every entry is an exact rational, an int or a
+Fraction (never a float), and every division has a Fraction operand or
+is an exact floor division; the reduced row echelon form is unique, so
+the emitted basis is deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Ansatz:
         """Assemble the concrete map with the given unknown values."""
         if len(vector) != self.n_unknowns:
             raise SolverError("vector length does not match unknown count")
-        return self._map((u, u.monomial, Fraction(coeff))
+        return self._map((u, u.monomial, coeff)
                          for coeff, u in zip(vector, self.unknowns) if coeff)
 
     def tagged_map(self) -> BilinearMap:
@@ -132,7 +133,7 @@ class Ansatz:
         is a polynomial whose b^k part is the residual of the map with
         unknown k set to 1 and every other unknown 0.
         """
-        return self._map((u, (u.dpow, u.lpow, 0, 0, k), _ONE)
+        return self._map((u, (u.dpow, u.lpow, 0, 0, k), 1)
                          for k, u in enumerate(self.unknowns))
 
     def vector_of(self, phi: BilinearMap) -> list[Fraction]:
@@ -238,15 +239,14 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
 # Exact nullspace
 # ---------------------------------------------------------------------------
 
-def _normalize_vector(vector: list[Fraction]) -> list[Fraction]:
-    """Scale to coprime integers with the first nonzero entry positive."""
-    denoms = lcm(*(v.denominator for v in vector)) if any(vector) else 1
-    ints = [v * denoms for v in vector]
-    common = 0
-    for v in ints:
-        common = gcd(common, abs(v.numerator))
+def _normalize_vector(vector: list[Fraction]) -> list[int]:
+    """Scale int/Fraction entries to coprime ints with the first nonzero
+    entry positive, in integer arithmetic only."""
+    denoms = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (denoms // v.denominator) for v in vector]
+    common = gcd(*ints)
     if common > 1:
-        ints = [v / common for v in ints]
+        ints = [v // common for v in ints]
     for v in ints:
         if v:
             if v < 0:
@@ -293,6 +293,7 @@ def _rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]
         if not r:
             continue
         lead = min(r)
+        # Fraction / (int or Fraction) is exact; int / int would be a float.
         inv = _ONE / r[lead]
         r = {c: v * inv for c, v in r.items()}
         for prow in pivots.values():

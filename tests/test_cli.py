@@ -1,6 +1,7 @@
 """CLI contract tests: verbs, exit codes, report formats, round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -189,6 +190,29 @@ def test_bad_rational(capsys):
     assert "--b" in err
 
 
+# Fraction() would accept exponent notation and spend ~9 s building the
+# ten-million-digit integer 1e10000000; only the grammar's constants pass.
+HUGE_EXPONENT = "1e10000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "--catalog", "clw", f"--b={HUGE_EXPONENT}"],
+    ["verify-family", "--catalog", "vir", "--family", "inner", f"--t={HUGE_EXPONENT}"],
+    ["verify-family", "--catalog", "clw", "--family", "clw", f"--a={HUGE_EXPONENT}"],
+    ["verify-family", "--catalog", "clw", "--b=-1", "--family", "clw",
+     f"--g={HUGE_EXPONENT}"],
+    ["check-axioms", "--catalog", "clw", "--b=1.5"],
+    ["check-axioms", "--catalog", "clw", "--b=3/-2"],
+], ids=["b", "t", "a", "g", "decimal", "negative-denominator"])
+def test_rational_flag_rejects_non_grammar_text(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert out == ""
+    assert_one_line_error(code, err, "not a rational number")
+    assert argv[-1].split("=")[0] in err
+
+
 def test_unknown_verb(capsys):
     assert run(capsys, "explode")[0] == 2
 
@@ -217,12 +241,29 @@ def assert_one_line_error(code, err, fragment):
     (json.dumps({"name": "V", "modulus": 1, "families": ["L"],
                  "rules": [dict(VIR_RULES[0], coeff="(" * 3000 + "d" + ")" * 3000)]}),
      "nested deeper than"),
-], ids=["garbage", "float-b", "bool-b", "bool-modulus", "deep-parens"])
+    (json.dumps({"name": "V", "modulus": 1, "families": ["L"], "b": HUGE_EXPONENT,
+                 "rules": VIR_RULES}), f"bad b value '{HUGE_EXPONENT}'"),
+    ('{"name": "V", "modulus": 1, "families": ["L"], "b": 1' + "0" * 5000 + "}",
+     "invalid JSON"),
+], ids=["garbage", "float-b", "bool-b", "bool-modulus", "deep-parens", "exponent-b",
+        "huge-int"])
 def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
+    start = time.perf_counter()
     code, _, err = run(capsys, "check-axioms", "--algebra", str(path))
+    assert time.perf_counter() - start < 1.0
     assert_one_line_error(code, err, fragment)
+
+
+@pytest.mark.parametrize("option", ["--algebra", "--map"])
+def test_undecodable_file_is_usage_error(capsys, tmp_path, option):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = (["check-axioms", "--algebra", str(path)] if option == "--algebra"
+            else ["residual", "--catalog", "vir", "--map", str(path)])
+    code, _, err = run(capsys, *argv)
+    assert_one_line_error(code, err, "cannot read")
 
 
 @pytest.mark.parametrize("entry, fragment", [

@@ -1,10 +1,12 @@
-"""Fuzzing of the input boundary: only the documented exception escapes.
+"""Fuzzing of the input boundary and property tests of the Poly kernel.
 
 parse_poly may raise only ParseError, algebra_from_dict only AlgebraError
 and map_from_dict only MapError, whatever the input; anything else (a
 RecursionError, a TypeError from an unexpected JSON type) would surface
 in the CLI as an internal error instead of a usage error.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -15,11 +17,15 @@ from lcalab import (  # noqa: E402
     AlgebraError,
     MapError,
     ParseError,
+    Poly,
+    VARS,
+    Var,
     algebra_from_dict,
     make_catalog,
     map_from_dict,
     parse_poly,
 )
+from lcalab.poly import B, D, G, L, M  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -111,3 +117,128 @@ def test_map_from_dict_raises_only_map_error(data):
         map_from_dict(data, CW2)
     except MapError:
         pass
+
+
+# -- the Poly kernel against a Fraction-only reference ---------------------------
+#
+# Poly keeps integral coefficients as int and the rest as Fraction.  The
+# reference below computes with Fraction alone and shares no code with
+# Poly: a polynomial is a plain dict from exponent 5-tuples to nonzero
+# Fractions.
+
+UNIT = (0, 0, 0, 0, 0)
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, Fraction(0)) + sign * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def ref_pow(p, n):
+    out = {UNIT: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_subst(p, assignment):
+    """assignment: slot -> reference polynomial."""
+    out = {}
+    for mono, c in p.items():
+        term = {tuple(0 if i in assignment else e for i, e in enumerate(mono)): c}
+        for slot, replacement in assignment.items():
+            term = ref_mul(term, ref_pow(replacement, mono[slot]))
+        out = ref_add(out, term)
+    return out
+
+
+def as_ref(terms):
+    return {mono: Fraction(c) for mono, c in terms.items() if c}
+
+
+def assert_matches(poly, ref):
+    assert poly.terms == ref
+    assert all(type(c) in (int, Fraction) for c in poly.terms.values())
+    canonical = Poly(ref)
+    assert poly == canonical
+    assert hash(poly) == hash(canonical)
+    assert str(poly) == str(canonical)
+
+
+# Integral Fractions such as Fraction(6, 3) are drawn on purpose: Poly must
+# store them as int, and still equal, hash and print like the mixed results
+# of arithmetic.
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(lambda n, k: Fraction(n * k, k), st.integers(-6, 6), st.integers(1, 4)),
+)
+monomials = st.tuples(*[st.integers(0, 2)] * 5)
+term_maps = st.dictionaries(monomials, coefficients, max_size=5)
+KERNEL = settings(max_examples=100, deadline=None, database=None)
+
+
+@KERNEL
+@given(term_maps)
+def test_poly_stores_integral_coefficients_as_int(terms):
+    poly = Poly(terms)
+    assert_matches(poly, as_ref(terms))
+    for c in poly.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    for c in terms.values():
+        assert type(Poly.const(c).terms.get(UNIT, 0)) is (int if c.denominator == 1
+                                                         else Fraction)
+
+
+@KERNEL
+@given(term_maps, term_maps, st.integers(0, 3), coefficients)
+def test_ring_operations_match_reference(p_terms, q_terms, n, scalar):
+    p, q = Poly(p_terms), Poly(q_terms)
+    rp, rq = as_ref(p_terms), as_ref(q_terms)
+    assert_matches(p + q, ref_add(rp, rq))
+    assert_matches(p - q, ref_add(rp, rq, sign=-1))
+    assert_matches(-p, ref_add({}, rp, sign=-1))
+    assert_matches(p * q, ref_mul(rp, rq))
+    assert_matches(p ** n, ref_pow(rp, n))
+    assert_matches(p * scalar, ref_mul(rp, {UNIT: Fraction(scalar)} if scalar else {}))
+    assert_matches(scalar + p, ref_add(rp, {UNIT: Fraction(scalar)} if scalar else {}))
+
+
+@KERNEL
+@given(term_maps, st.dictionaries(st.sampled_from(VARS), term_maps, min_size=1,
+                                  max_size=2))
+def test_subst_matches_reference(p_terms, assignment):
+    poly = Poly(p_terms).subst({var: Poly(r) for var, r in assignment.items()})
+    expected = ref_subst(as_ref(p_terms),
+                         {var.slot: as_ref(r) for var, r in assignment.items()})
+    assert_matches(poly, expected)
+
+
+def test_wide_subst_matches_reference():
+    wide = (D + L + M + G + 1) ** 6
+    assert len(wide.terms) == 210
+    ref_wide = ref_pow(as_ref((D + L + M + G + 1).terms), 6)
+    assert_matches(wide, ref_wide)
+    assignment = {Var.D: L - Fraction(1, 2) * B, Var.M: Fraction(6, 3) * G + 3}
+    expected = ref_subst(ref_wide, {var.slot: as_ref(r.terms)
+                                    for var, r in assignment.items()})
+    assert_matches(wide.subst(assignment), expected)
+
+
+def test_equal_polys_hash_and_print_alike():
+    mixed = Poly.const(Fraction(3, 2)) * 2
+    assert mixed == Poly.const(3) == Poly.const(Fraction(6, 2)) == 3
+    assert hash(mixed) == hash(Poly.const(3))
+    assert str(mixed) == str(Poly.const(3)) == "3"
+    assert type(Poly.const(Fraction(6, 3)).terms[UNIT]) is int

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcalab import ParseError, Poly, Var, parse_poly
+from lcalab import ParseError, Poly, Var, parse_poly, parse_rational
 from lcalab.poly import B, D, L, M, UNIT_MONOMIAL
 
 from randgen import make_rng, random_assignment, random_poly
@@ -175,6 +175,24 @@ def test_parse_zero_denominator():
 def test_parse_trailing_garbage():
     with pytest.raises(ParseError):
         parse_poly("d + 2*l )")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-3/2", Fraction(-3, 2)), ("6/3", 2), (" - 4 ", -4), ("0/5", 0),
+])
+def test_parse_rational_accepts_signed_constants(text, value):
+    result = parse_rational(text)
+    assert result == value
+    assert type(result) is (int if value.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", [
+    "1e10000000", "1e3", "1.5", ".5", "--1", "-", "", "+3", "3/0", "3/-2", "0x10",
+    "1_000", "\u0663", "inf", "b", "7 7", "(7)", "2*3",
+])
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
 
 
 def test_str_canonical_order():

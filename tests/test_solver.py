@@ -30,7 +30,7 @@ from lcalab import (
 )
 from lcalab.bimaps import TAG_ARITY
 from lcalab.poly import D, L, Poly
-from lcalab.solver import Provenance
+from lcalab.solver import Provenance, _normalize_vector
 
 from randgen import make_rng, random_fraction
 
@@ -205,6 +205,26 @@ def test_nullspace_empty_system():
     # free-column basis: one elementary vector per unknown
     for k, vec in enumerate(space.vectors):
         assert vec[k] == 1 and sum(map(bool, vec)) == 1
+
+
+def exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def test_int_entries_stay_exact():
+    # rows and vector_of columns carry int coefficients, and int / int is
+    # a float: every result must stay an int or a Fraction
+    for vector, expected in [([0, 4, -6, 10], [0, 2, -3, 5]),
+                             ([-4, 6], [2, -3]),
+                             ([Fraction(1, 2), 3], [1, 6]),
+                             ([0, 0], [0, 0])]:
+        normalized = _normalize_vector(vector)
+        assert normalized == expected and exact(normalized)
+    coords = express_in_span([[2, 0, 4], [0, 3, 3]], [2, 3, 7])
+    assert coords == [1, 1] and exact(coords)
+    coords = express_in_span([[2, 4], [1, 2]], [1, 2])
+    assert coords == [Fraction(1, 2), 0] and exact(coords)
+    assert express_in_span([[2, 0]], [0, 1]) is None
 
 
 @pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 2, None),
