@@ -32,6 +32,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -255,21 +256,50 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
+    """(den * phi, den), den the least common multiple of the denominators
+    of phi's coefficients; den * phi has int coefficients only.
+
+    A map with no Fraction coefficient is returned as it is, with den 1.
+    """
+    denominators = [c.denominator for value in phi.table.values()
+                    for coeff in value.terms.values()
+                    for c in coeff.terms.values() if type(c) is Fraction]
+    if not denominators:
+        return phi, 1
+    den = lcm(*denominators)
+    # Poly() stores each integral product, a Fraction with denominator 1,
+    # as an int.
+    table = {pair: phi.algebra.element(
+                 {gt: Poly({mono: c * den for mono, c in coeff.terms.items()})
+                  for gt, coeff in value.terms.items()})
+             for pair, value in phi.table.items()}
+    return BilinearMap(phi.algebra, table), den
+
+
 def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     """Evaluate every residual of the given tags over all generator tuples.
 
     The report lists every nonzero residual with its canonical polynomial
     string, ordered by (tag, tuple).
+
+    Residuals are linear in the map, so the sweep runs on den * phi, whose
+    coefficients are ints (see _integral_multiple), and divides only the
+    nonzero residuals by den.  The work per tuple then does not depend on
+    whether phi's coefficients are integral.
     """
     tags = normalize_tags(tags)
     gens = phi.algebra.generators()
+    scaled, den = _integral_multiple(phi)
     failures: list[Residual] = []
     checked = 0
     for tag in tags:
         for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
-            r = residual(phi, tag, args)
+            r = residual(scaled, tag, args)
             checked += 1
             if not r.is_zero:
+                if den != 1:
+                    r = Residual(r.tag, r.args, r.value * Fraction(1, den))
                 failures.append(r)
     return VerifyReport(phi.algebra.name, tags, checked, failures)
 

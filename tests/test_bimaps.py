@@ -1,5 +1,6 @@
 """Unit tests for bilinear maps, identity residuals and families."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from lcalab import (
     residual,
     verify_map,
 )
+from lcalab.bimaps import TAG_ARITY, _integral_multiple
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
@@ -244,6 +246,38 @@ def test_verify_zero_map_all_tags():
     clw = make_catalog("clw", 1, 0)
     report = verify_map(BilinearMap.zero(clw), TAGS)
     assert report.passed
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-6, 5), Fraction(6, 3), 1])
+def test_verify_map_rational_map_matches_residuals(scale):
+    # verify_map sweeps an integral multiple of the map; the failures it
+    # reports are still the map's own residuals, value and string alike.
+    clw = make_catalog("clw", 2)  # symbolic b: the g-component fails def1b
+    ls = [g for g in clw.generators() if g.family == "L"]
+    g_part = BilinearMap(clw, {(x, y): clw.element({clw.gen("G", x.index + y.index): D + 2 * L})
+                               for x in ls for y in ls})
+    phi = (make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)) + g_part) * scale
+    report = verify_map(phi, TAGS)
+    expected = [r for tag in TAGS for r in (residual(phi, tag, args)
+                for args in itertools.product(clw.generators(), repeat=TAG_ARITY[tag]))
+                if not r.is_zero]
+    assert expected and not report.passed
+    assert [(r.tag, r.args, r.value) for r in report.failures] == \
+        [(r.tag, r.args, r.value) for r in expected]
+    assert [str(r) for r in report.failures] == [str(r) for r in expected]
+    assert verify_map(make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)), TAGS).passed
+
+
+def test_integral_multiple_has_int_coefficients():
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-7, 4)) * Fraction(5, 3)
+    scaled, den = _integral_multiple(phi)
+    assert den == 12
+    assert scaled == phi * den
+    assert all(type(c) is int for value in scaled.table.values()
+               for coeff in value.terms.values() for c in coeff.terms.values())
+    integral = make_family(clw, "clw_shift", shift=1, a=3)
+    assert _integral_multiple(integral) == (integral, 1)
 
 
 def test_verify_report_contents():
