@@ -17,6 +17,13 @@ are the same kernel on theirs.  Spectral variables already present in
 coefficients pass through untouched, which is what makes nested brackets
 (Jacobi, Leibniz, and friends) straightforward residual computations.
 
+A table value's l is renamed to the spectral parameter s once per table
+and s, not per evaluation: each table owner (an Algebra or a bimaps
+BilinearMap) keeps the renamed copies, s -> table, filled on first use.
+Tables are therefore read-only after construction; an owner exposes its
+table as a read-only view.  An algebra's table is capped at
+MAX_TABLE_ENTRIES generator pairs.
+
 Index reduction mod m is a ring map on indices, so all axioms survive the
 quotient; m = 1 recovers the non-loop algebras.
 """
@@ -28,6 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .poly import (
@@ -41,6 +49,11 @@ from .poly import (
     parse_poly,
     parse_rational,
 )
+
+
+# Largest generator-pair table an Algebra builds: (families * modulus)**2
+# entries.  clw reaches it at m = 100, cw at m = 200.
+MAX_TABLE_ENTRIES = 40_000
 
 
 class AlgebraError(ValueError):
@@ -191,6 +204,11 @@ class Algebra:
         families = tuple(families)
         if not families or len(set(families)) != len(families) or not all(families):
             raise AlgebraError("families must be a nonempty list of distinct names")
+        entries = (len(families) * modulus) ** 2
+        if entries > MAX_TABLE_ENTRIES:
+            raise AlgebraError(f"generator-pair table of {entries} entries ({len(families)} "
+                               f"families, modulus {modulus}) exceeds the cap of "
+                               f"{MAX_TABLE_ENTRIES}")
         b_value = None if b is None else Fraction(b)
 
         table: dict[tuple[str, str], BracketRule] = {}
@@ -225,13 +243,19 @@ class Algebra:
         # The bracket on generator pairs, in the table form slot_eval reads:
         # (x_i, y_j) -> coeff * target_{i+j mod m}, an empty Element if zero.
         gens = self.generators()
-        self.table: dict[tuple[GeneratorId, GeneratorId], Element] = {}
+        self._table: dict[tuple[GeneratorId, GeneratorId], Element] = {}
         for gi in gens:
             for gj in gens:
                 rule = table[(gi.family, gj.family)]
                 terms = {} if rule.target is None else \
                     {GeneratorId(rule.target, (gi.index + gj.index) % modulus): rule.coeff}
-                self.table[(gi, gj)] = Element._raw(self, terms)
+                self._table[(gi, gj)] = Element._raw(self, terms)
+        self._renamed: dict[Poly, dict] = {}
+
+    @property
+    def table(self) -> Mapping[tuple[GeneratorId, GeneratorId], Element]:
+        """Read-only view of the bracket on generator pairs."""
+        return MappingProxyType(self._table)
 
     # -- structure access --------------------------------------------------
 
@@ -298,18 +322,62 @@ def _spectral_poly(spectral: Union[Var, Poly]) -> Poly:
     raise TypeError(f"bad spectral parameter {spectral!r}")
 
 
-def slot_eval(table: Mapping[tuple[GeneratorId, GeneratorId], Element],
-              x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
+_L = Poly.variable(Var.L)
+
+Table = Mapping[tuple[GeneratorId, GeneratorId], Element]
+
+
+def _renamed_table(table: Table, renamed: dict[Poly, Table], s: Poly) -> Table:
+    """table with the l of every value renamed to the spectral parameter s.
+
+    ``renamed`` is the table owner's cache, s -> renamed table, filled
+    here on first use; for s = l the table itself is the answer.  Equal
+    coefficients share one renamed copy, equal values one renamed Element
+    (a bracket table has one value per target, not per pair), and pairs
+    whose value is or becomes zero are left out.  The cache is only valid
+    because tables are never written after construction.
+    """
+    if s == _L:
+        return table
+    out = renamed.get(s)
+    if out is None:
+        coeffs: dict[Poly, Poly] = {}
+        values: dict[tuple, Element] = {}
+        out = {}
+        for pair, value in table.items():
+            key = tuple(value.terms.items())
+            new = values.get(key)
+            if new is None:
+                terms = {}
+                for gt, c in value.terms.items():
+                    r = coeffs.get(c)
+                    if r is None:
+                        r = coeffs[c] = c.subst({Var.L: s})
+                    if not r.is_zero:
+                        terms[gt] = r
+                new = values[key] = Element._raw(value.algebra, terms)
+            if not new.is_zero:
+                out[pair] = new
+        renamed[s] = out
+    return out
+
+
+def slot_eval(table: Table, renamed: dict[Poly, Table], x: Element, y: Element,
+              spectral: Union[Var, Poly] = Var.L) -> Element:
     """Evaluate a generator-pair table on x, y by the sesquilinearity slot rule.
 
     For x = p(d) e_i and y = q(d) e_j the result is
     p(-s) * q(d+s) * table[e_i, e_j] with the value's l renamed to s,
     extended bilinearly; absent pairs are zero.  s may itself be a
     polynomial in the spectral variables (needed for the nested
-    identities, e.g. l+m).  Callers check that x and y belong to the
+    identities, e.g. l+m).  The l of a value is renamed once per table and
+    s, not per evaluation: ``renamed`` is the table owner's cache of
+    renamed tables (see _renamed_table), so the table must not change
+    after its first evaluation.  Callers check that x and y belong to the
     table's algebra.
     """
     s = _spectral_poly(spectral)
+    table = _renamed_table(table, renamed, s)
     d_plus_s = Poly.variable(Var.D) + s
     neg_s = -s
     acc: dict[GeneratorId, Poly] = {}
@@ -325,7 +393,7 @@ def slot_eval(table: Mapping[tuple[GeneratorId, GeneratorId], Element],
             if factor.is_zero:
                 continue
             for gt, c in value.terms.items():
-                coeff = factor * c.subst({Var.L: s})
+                coeff = factor * c
                 if coeff.is_zero:
                     continue
                 prev = acc.get(gt)
@@ -336,7 +404,8 @@ def slot_eval(table: Mapping[tuple[GeneratorId, GeneratorId], Element],
 def bracket(x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
     """Evaluate [x_s y]: the algebra's own table under the slot rule."""
     x._require_same_algebra(y)
-    return slot_eval(x.algebra.table, x, y, spectral)
+    alg = x.algebra
+    return slot_eval(alg._table, alg._renamed, x, y, spectral)
 
 
 def second_slot_subst(e: Element, spectral: Var = Var.L) -> Element:

@@ -6,7 +6,8 @@ A bilinear map phi is a table of Element values on generator pairs
 on general elements by the bracket's own kernel, ``algebra.slot_eval``:
 coefficient p(d) on the left enters as p(-s), q(d) on the right as
 q(d+s), and the table value's l is renamed to the requested spectral
-parameter.  The closed-form families (inner, cw_shift, clw_shift) are all
+parameter (once per map and parameter; the table is read-only).  The
+closed-form families (inner, cw_shift, clw_shift) are all
 the algebra's bracket table scaled and index-shifted, plus the
 g-component of clw_shift.
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
@@ -81,10 +83,11 @@ class BilinearMap:
     """Table of Element values phi(e_i, e_j) on generator pairs.
 
     Coefficients are restricted to d, l, b; spectral variables other than
-    l never appear in a table (they only arise inside residuals).
+    l never appear in a table (they only arise inside residuals).  The
+    table is read-only after construction.
     """
 
-    __slots__ = ("algebra", "table")
+    __slots__ = ("algebra", "_table", "_renamed")
 
     def __init__(self, algebra: Algebra, table: Mapping[GenPair, Element]):
         clean: dict[GenPair, Element] = {}
@@ -99,7 +102,13 @@ class BilinearMap:
             if not value.is_zero:
                 clean[(gi, gj)] = value
         self.algebra = algebra
-        self.table = clean
+        self._table = clean
+        self._renamed: dict[Poly, dict] = {}
+
+    @property
+    def table(self) -> Mapping[GenPair, Element]:
+        """Read-only view of the nonzero values on generator pairs."""
+        return MappingProxyType(self._table)
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "BilinearMap":
@@ -163,7 +172,7 @@ def map_eval(phi: BilinearMap, x: Element, y: Element,
     if (x.algebra is not alg and x.algebra != alg) or \
        (y.algebra is not alg and y.algebra != alg):
         raise MapError("mismatched algebras")
-    return slot_eval(phi.table, x, y, spectral)
+    return slot_eval(phi._table, phi._renamed, x, y, spectral)
 
 
 # ---------------------------------------------------------------------------

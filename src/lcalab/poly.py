@@ -63,6 +63,8 @@ Monomial = tuple
 
 UNIT_MONOMIAL: Monomial = (0, 0, 0, 0, 0)
 
+_UNIT_TERMS = {UNIT_MONOMIAL: 1}
+
 
 def _as_scalar(value: Scalar) -> Scalar:
     """The coefficient form of value: an int if it is integral, else a Fraction."""
@@ -208,6 +210,12 @@ class Poly:
             a, b = self.terms, other.terms
             if not a or not b:
                 return ZERO
+            # Poly is immutable, so a product with the unit is the other
+            # operand itself; compared by value, Poly.const(1) qualifies.
+            if a == _UNIT_TERMS:
+                return other
+            if b == _UNIT_TERMS:
+                return self
             out: dict[Monomial, Scalar] = {}
             for m1, c1 in a.items():
                 for m2, c2 in b.items():

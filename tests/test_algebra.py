@@ -19,6 +19,7 @@ from lcalab import (
     parse_poly,
     second_slot_subst,
 )
+from lcalab.algebra import MAX_TABLE_ENTRIES
 from lcalab.poly import B, D, L, M, Poly, Var
 
 from randgen import make_rng, random_element, random_fraction
@@ -29,6 +30,13 @@ def mono(d=0, l=0, m=0, g=0, b=0):
 
 
 # -- catalog ------------------------------------------------------------------
+
+def test_table_size_cap():
+    # (2 families * 100)^2 pairs sit exactly at the cap; one residue more is refused.
+    assert len(make_catalog("clw", 100).table) == MAX_TABLE_ENTRIES == 40_000
+    with pytest.raises(AlgebraError, match="exceeds the cap of 40000"):
+        make_catalog("clw", 101)
+
 
 def test_vir_catalog():
     vir = make_catalog("vir")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lcalab import (
+    Ansatz,
     BilinearMap,
     bracket,
     FamilyError,
@@ -60,6 +61,94 @@ def test_bracket_is_inner_map_with_t_one(kind, m):
         for _ in range(25):
             x, y = random_element(rng, alg), random_element(rng, alg)
             assert bracket(x, y, s) == map_eval(phi, x, y, s)
+
+
+# A per-term slot rule that renames l on every call and keeps no cache: the
+# oracle for bracket and map_eval, whose renamed tables are cached per
+# spectral parameter.
+def oracle_slot_eval(table, x, y, s):
+    alg = x.algebra
+    out = alg.zero_element()
+    for gi, p in x.terms.items():
+        for gj, q in y.terms.items():
+            value = table.get((gi, gj))
+            if value is None:
+                continue
+            for gt, c in value.terms.items():
+                coeff = p.subst({Var.D: -s}) * q.subst({Var.D: D + s}) * c.subst({Var.L: s})
+                out = out + alg.element({gt: coeff})
+    return out
+
+
+def nonzero_element(rng, alg):
+    while True:
+        e = random_element(rng, alg)
+        if not e.is_zero:
+            return e
+
+
+def oracle_maps(alg):
+    """Closed-form and random tables over alg, coefficients in d, l, b."""
+    rng = make_rng(34)
+    gens = alg.generators()
+    raw = {(gi, gj): nonzero_element(rng, alg).subst_coeffs({Var.M: L - B})
+           for gi in gens for gj in gens}
+    maps = [make_family(alg, "inner", t=Fraction(3, 2)), BilinearMap(alg, raw)]
+    if len(alg.families) == 1:
+        maps.append(make_family(alg, "cw_shift", shift=1, a=-2))
+    else:
+        maps.append(make_family(alg, "clw_shift", shift=1, a=Fraction(-9, 4)))
+    return maps
+
+
+ORACLE_SPECTRALS = (L, M, L + M, M + G)
+
+
+@pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 3, None),
+                                        ("clw", 2, None), ("clw", 2, -1)])
+def test_kernel_matches_per_term_oracle(kind, m, b):
+    alg = make_catalog(kind, m, b)
+    rng = make_rng(35)
+    maps = oracle_maps(alg)
+    if b is not None:  # the tagged ansatz map: one distinct b^k per unknown
+        maps = [Ansatz(alg, 1).tagged_map()]
+    for s in ORACLE_SPECTRALS:
+        for _ in range(6):
+            x, y = nonzero_element(rng, alg), nonzero_element(rng, alg)
+            assert bracket(x, y, s) == oracle_slot_eval(alg.table, x, y, s)
+            for phi in maps:
+                assert map_eval(phi, x, y, s) == oracle_slot_eval(phi.table, x, y, s)
+
+
+def test_renamed_tables_do_not_leak_between_maps():
+    clw = make_catalog("clw", 2)
+    rng = make_rng(36)
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4))
+    psi = oracle_maps(clw)[1]
+    x, y = nonzero_element(rng, clw), nonzero_element(rng, clw)
+    # l+m, then m, then l+m again: the cached table for l+m is reused.
+    first = map_eval(phi, x, y, L + M)
+    assert map_eval(phi, x, y, M) == oracle_slot_eval(phi.table, x, y, M)
+    assert map_eval(phi, x, y, L + M) == first == oracle_slot_eval(phi.table, x, y, L + M)
+    # Maps built from phi after its tables were renamed have their own.
+    scaled, den = _integral_multiple(phi)
+    assert den == 4
+    for derived in (2 * phi, phi + psi, scaled):
+        for s in ORACLE_SPECTRALS:
+            assert map_eval(derived, x, y, s) == oracle_slot_eval(derived.table, x, y, s)
+    assert map_eval(scaled, x, y, L + M) == first * den
+
+
+def test_tables_are_read_only():
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "inner", t=1)
+    pair = (clw.gen("L", 0), clw.gen("L", 1))
+    value = clw.element({clw.gen("G", 1): D})
+    with pytest.raises(TypeError):
+        clw.table[pair] = value
+    with pytest.raises(TypeError):
+        phi.table[pair] = value
+    assert clw.table[pair] == phi.table[pair] != value
 
 
 def test_map_eval_zero_table():

@@ -245,8 +245,10 @@ def assert_one_line_error(code, err, fragment):
                  "rules": VIR_RULES}), f"bad b value '{HUGE_EXPONENT}'"),
     ('{"name": "V", "modulus": 1, "families": ["L"], "b": 1' + "0" * 5000 + "}",
      "invalid JSON"),
+    (json.dumps({"name": "V", "modulus": 2000, "families": ["L"], "rules": VIR_RULES}),
+     "exceeds the cap of 40000"),
 ], ids=["garbage", "float-b", "bool-b", "bool-modulus", "deep-parens", "exponent-b",
-        "huge-int"])
+        "huge-int", "huge-modulus"])
 def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -254,6 +256,15 @@ def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
     code, _, err = run(capsys, "check-axioms", "--algebra", str(path))
     assert time.perf_counter() - start < 1.0
     assert_one_line_error(code, err, fragment)
+
+
+def test_catalog_modulus_over_table_cap_is_usage_error(capsys):
+    # 16 million generator pairs; the cap refuses the table before it is built.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-axioms", "--catalog", "clw", "--m", "2000")
+    assert time.perf_counter() - start < 1.0
+    assert out == ""
+    assert_one_line_error(code, err, "exceeds the cap of 40000")
 
 
 @pytest.mark.parametrize("option", ["--algebra", "--map"])

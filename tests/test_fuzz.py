@@ -242,3 +242,18 @@ def test_equal_polys_hash_and_print_alike():
     assert hash(mixed) == hash(Poly.const(3))
     assert str(mixed) == str(Poly.const(3)) == "3"
     assert type(Poly.const(Fraction(6, 3)).terms[UNIT]) is int
+
+
+# Poly.__mul__ hands back the other operand when one side is the unit,
+# compared by value; the last unit holds Fraction(1, 1), as arithmetic
+# results may.
+UNITS = (Poly.one(), Poly.const(1), Poly.const(Fraction(2, 2)),
+         Poly.const(Fraction(1, 2)) * 2)
+
+
+@KERNEL
+@given(term_maps, st.sampled_from(UNITS))
+def test_unit_product_is_the_other_operand(terms, unit):
+    poly = Poly(terms)
+    for product in (unit * poly, poly * unit):
+        assert_matches(product, as_ref(terms))
