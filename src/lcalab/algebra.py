@@ -22,7 +22,8 @@ and s, not per evaluation: each table owner (an Algebra or a bimaps
 BilinearMap) keeps the renamed copies, s -> table, filled on first use.
 Tables are therefore read-only after construction; an owner exposes its
 table as a read-only view.  An algebra's table is capped at
-MAX_TABLE_ENTRIES generator pairs.
+MAX_TABLE_ENTRIES generator pairs, and a residual sweep at
+MAX_SWEEP_RESIDUALS residuals.
 
 Index reduction mod m is a ring map on indices, so all axioms survive the
 quotient; m = 1 recovers the non-loop algebras.
@@ -54,6 +55,10 @@ from .poly import (
 # Largest generator-pair table an Algebra builds: (families * modulus)**2
 # entries.  clw reaches it at m = 100, cw at m = 200.
 MAX_TABLE_ENTRIES = 40_000
+
+# Most residuals one sweep (check_axioms, bimaps.verify_map) evaluates:
+# about 2-3 min at symbolic b.
+MAX_SWEEP_RESIDUALS = 1_000_000
 
 
 class AlgebraError(ValueError):
@@ -470,9 +475,15 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     families are exactly what can fail in a bracket table.  The skew
     residual of a pair (x, y) is [x_l y] + ([y_l x] with l -> -d-l); the
     Jacobi residual of a triple is
-    [x_l [y_m z]] - [[x_l y]_{l+m} z] - [y_m [x_l z]].
+    [x_l [y_m z]] - [[x_l y]_{l+m} z] - [y_m [x_l z]].  The n^2 + n^3
+    residuals of n generators are counted against MAX_SWEEP_RESIDUALS
+    before any is evaluated.
     """
     gens = algebra.generators()
+    count = len(gens) ** 2 + len(gens) ** 3
+    if count > MAX_SWEEP_RESIDUALS:
+        raise AlgebraError(f"axiom check of {count} residuals ({len(gens)} generators) "
+                           f"exceeds the cap of {MAX_SWEEP_RESIDUALS}")
     basis = {g: algebra.gen_element(g) for g in gens}
     lam, mu = Var.L, Var.M
     lam_plus_mu = Poly.variable(lam) + Poly.variable(mu)

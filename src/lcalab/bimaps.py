@@ -39,6 +39,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
+    MAX_SWEEP_RESIDUALS,
     Algebra,
     AlgebraError,
     Element,
@@ -295,10 +296,16 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     Residuals are linear in the map, so the sweep runs on den * phi, whose
     coefficients are ints (see _integral_multiple), and divides only the
     nonzero residuals by den.  The work per tuple then does not depend on
-    whether phi's coefficients are integral.
+    whether phi's coefficients are integral.  The residual count, n^arity
+    per tag for n generators, is checked against MAX_SWEEP_RESIDUALS
+    before any is evaluated.
     """
     tags = normalize_tags(tags)
     gens = phi.algebra.generators()
+    count = sum(len(gens) ** TAG_ARITY[tag] for tag in tags)
+    if count > MAX_SWEEP_RESIDUALS:
+        raise MapError(f"check of {count} residuals ({len(gens)} generators, "
+                       f"{','.join(tags)}) exceeds the cap of {MAX_SWEEP_RESIDUALS}")
     scaled, den = _integral_multiple(phi)
     failures: list[Residual] = []
     checked = 0

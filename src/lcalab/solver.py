@@ -13,19 +13,23 @@ the result; the nullspace of the stacked rows is the solution space.
 Assembly evaluates that residual once per tuple, on the tagged map in
 which unknown k enters as the coefficient b^k: the algebra is b-free and
 residuals never substitute b, so the b^k part of the one residual is the
-column of unknown k.  Every entry is an exact rational, an int or a
-Fraction (never a float), and every division has a Fraction operand or
-is an exact floor division; the reduced row echelon form is unique, so
-the emitted basis is deterministic bit for bit.
+column of unknown k.  The rows stream straight into an incremental
+elimination, so a solve holds only the pivot rows of the reduced row
+echelon form, never the rows; the rows are rebuilt on demand, with their
+provenance, for tests and reports.  Every entry is an exact rational, an
+int or a Fraction (never a float), and every division has a Fraction
+operand or is an exact floor division; the reduced row echelon form is
+unique, so the emitted basis is deterministic bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Algebra, GeneratorId
 from .bimaps import (
@@ -54,6 +58,10 @@ class InternalCheckError(SolverError):
 # and is only ever checked, never assembled.
 ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 
+# Largest ansatz the solver builds, about five times the largest bench
+# ladder case (10,368 unknowns).
+MAX_UNKNOWNS = 50_000
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -80,15 +88,20 @@ class Unknown:
 class Ansatz:
     """Degree-bounded unknown-coefficient general form of a bilinear map.
 
-    Unknown count is (#pairs) * (#generators) * (D+1)(D+2)/2.  Requires a
-    bracket table free of b (numeric b): the constraint rows must be
-    rational numbers, and assembly uses b as the tag of the unknowns (see
-    tagged_map).
+    Unknown count is (#pairs) * (#generators) * (D+1)(D+2)/2, at most
+    MAX_UNKNOWNS.  Requires a bracket table free of b (numeric b): the
+    constraint rows must be rational numbers, and assembly uses b as the
+    tag of the unknowns (see tagged_map).
     """
 
     def __init__(self, algebra: Algebra, degree: int):
         if not isinstance(degree, int) or degree < 0:
             raise SolverError(f"degree must be a non-negative integer, got {degree!r}")
+        n_gens = len(algebra.generators())
+        count = n_gens ** 3 * (degree + 1) * (degree + 2) // 2
+        if count > MAX_UNKNOWNS:
+            raise SolverError(f"ansatz of {count} unknowns ({n_gens} generators, degree "
+                              f"{degree}) exceeds the cap of {MAX_UNKNOWNS}")
         for rule in algebra.rules():
             if Var.B in rule.coeff.variables():
                 raise SolverError(
@@ -173,22 +186,43 @@ class Provenance:
         return f"{self.tag} ({args}) coefficient of {mono} on {self.gen}"
 
 
+Row = dict[int, Fraction]
+
+
 @dataclass
 class ConstraintSystem:
-    """Sparse exact-rational homogeneous system over the ansatz unknowns."""
+    """Sparse exact-rational homogeneous system over the ansatz unknowns.
+
+    It holds the row count and the reduced row echelon form of the rows
+    (pivot column -> row, see _rref), not the rows: ``rows`` and
+    ``provenance`` call ``listing`` on each access, which for an
+    assembled system is one more assembly.
+    """
 
     ansatz: Ansatz
     tags: tuple[str, ...]
-    rows: list[dict[int, Fraction]]
-    provenance: list[Provenance]
+    n_rows: int
+    pivots: dict[int, Row]
+    listing: Callable[[], list[tuple[Provenance, Row]]] = field(repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, ansatz: Ansatz, tags: Iterable[str], rows: Sequence[Row],
+                  provenance: Sequence[Provenance]) -> ConstraintSystem:
+        """A system of explicit rows, eliminated like an assembled one."""
+        listing = list(zip(provenance, rows))
+        return cls(ansatz, tuple(tags), len(rows), _rref(rows), lambda: listing)
 
     @property
     def n_unknowns(self) -> int:
         return self.ansatz.n_unknowns
 
     @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> list[Row]:
+        return [row for _, row in self.listing()]
+
+    @property
+    def provenance(self) -> list[Provenance]:
+        return [prov for prov, _ in self.listing()]
 
     def evaluate(self, vector: Sequence[Fraction]) -> list[Fraction]:
         """Row values at a concrete unknown assignment."""
@@ -199,40 +233,71 @@ class ConstraintSystem:
         return all(v == 0 for v in self.evaluate(vector))
 
 
-def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> ConstraintSystem:
-    """Expand the ansatz residuals into linear rows by coefficient matching.
+def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
+        tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
+    """The rows of each (tag, tuple), unsorted: (tag, args, target ->
+    monomial -> row), from one residual of the tagged map.
 
-    For each tag and generator tuple, the residual of the tagged map
-    (Ansatz.tagged_map) is computed once.  Residuals are linear in the
-    map and never substitute b, and the algebra is b-free, so the residual
-    is Q[b]-linear: its b^k part is unknown k's column.  Each (target
-    generator, monomial in d, l, m, g) of the residual becomes one row
-    {k: coefficient of b^k}; no all-zero row arises.  Row order is (tag,
-    tuple, target, monomial), with unknowns ascending within a row, and
-    is deterministic.
+    Residuals are linear in the map and never substitute b, and the
+    algebra is b-free, so the residual of Ansatz.tagged_map is
+    Q[b]-linear: its b^k part is unknown k's column.  Each (target
+    generator, monomial in d, l, m, g) of the residual is one row
+    {k: coefficient of b^k}; no all-zero row arises.
+    """
+    tagged = ansatz.tagged_map()
+    gens = ansatz.algebra.generators()
+    for tag in tags:
+        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
+            by_target = {}
+            for gt, poly in residual(tagged, tag, args).value.terms.items():
+                rows: dict[Monomial, Row] = {}
+                for (p, q, r, s, k), coeff in poly.terms.items():
+                    rows.setdefault((p, q, r, s, 0), {})[k] = coeff
+                by_target[gt] = rows
+            yield tag, args, by_target
+
+
+def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Row]]:
+    """The assembled rows with their provenance, ordered by (tag, tuple,
+    target, monomial), with unknowns ascending within a row."""
+    sort_key = ansatz.algebra.gen_sort_key
+    listing = []
+    for tag, args, by_target in _tuple_rows(ansatz, tags):
+        for gt in sorted(by_target, key=sort_key):
+            rows = by_target[gt]
+            for mono in sorted(rows):
+                row = rows[mono]
+                listing.append((Provenance(tag, args, gt, mono),
+                                {k: row[k] for k in sorted(row)}))
+    return listing
+
+
+def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> ConstraintSystem:
+    """Expand the ansatz residuals into linear rows by coefficient matching,
+    and eliminate them as they come.
+
+    For each tag and generator tuple, the residual of the tagged map is
+    computed once (see _tuple_rows), and each of its rows goes straight
+    into _rref, so only the pivots are ever held.  The system's ``rows``
+    and ``provenance`` rebuild the rows in the order (tag, tuple, target,
+    monomial), which is deterministic.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
     if bad:
         raise SolverError(f"tag(s) not assemblable as linear constraints: "
                           f"{', '.join(bad)} (lem2 is checked, not solved)")
-    algebra = ansatz.algebra
-    sort_key = algebra.gen_sort_key
-    tagged = ansatz.tagged_map()
+    n_rows = 0
 
-    rows: list[dict[int, Fraction]] = []
-    provenance: list[Provenance] = []
-    for tag in tags:
-        for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
-            coords: dict[tuple[GeneratorId, Monomial], dict[int, Fraction]] = {}
-            for gt, poly in residual(tagged, tag, args).value.terms.items():
-                for (p, q, r, s, k), coeff in poly.terms.items():
-                    coords.setdefault((gt, (p, q, r, s, 0)), {})[k] = coeff
-            for gt, mono in sorted(coords, key=lambda c: (sort_key(c[0]), c[1])):
-                row = coords[(gt, mono)]
-                rows.append({k: row[k] for k in sorted(row)})
-                provenance.append(Provenance(tag, tuple(args), gt, mono))
-    return ConstraintSystem(ansatz, tags, rows, provenance)
+    def stream() -> Iterator[Row]:
+        nonlocal n_rows
+        for _, _, by_target in _tuple_rows(ansatz, tags):
+            for rows in by_target.values():
+                n_rows += len(rows)
+                yield from rows.values()
+
+    pivots = _rref(stream())
+    return ConstraintSystem(ansatz, tags, n_rows, pivots, partial(_listing, ansatz, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +331,56 @@ class SolutionSpace:
     system: ConstraintSystem | None = None
 
 
-def _rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _rref(rows: Iterable[Row]) -> dict[int, Row]:
     """Reduced row echelon form of sparse rows, as pivot-column -> row.
 
-    Each stored row has coefficient 1 on its pivot column and no support
-    on any other pivot column.  RREF is unique, so the result does not
-    depend on the insertion order beyond the rows' span.
+    Rows are taken one at a time (a generator is fine) and only the pivot
+    rows are kept.  Each stored row has coefficient 1 on its pivot column
+    and no support on any other pivot column.  ``holders`` maps each
+    non-pivot column to the pivots of the stored rows that have it, so a
+    new pivot is cleared from exactly those rows.  The RREF is unique, so
+    the result does not depend on the order of the rows, only on their
+    span; int rows stay int as long as every pivot is +-1.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, Row] = {}
+    holders: dict[int, set[int]] = {}
     for row in rows:
         r = dict(row)
-        while True:
-            hit = [c for c in r if c in pivots]
-            if not hit:
-                break
-            for c in hit:
-                factor = r.pop(c)
-                for c2, v2 in pivots[c].items():
-                    if c2 == c:
-                        continue
-                    s = r.get(c2, _ZERO) - factor * v2
+        # Pivot rows have no other pivot column, so one pass reduces r.
+        for c in [c for c in r if c in pivots]:
+            factor = r.pop(c)
+            for c2, v2 in pivots[c].items():
+                if c2 != c:
+                    s = r.get(c2, 0) - factor * v2
                     if s:
                         r[c2] = s
                     else:
-                        r.pop(c2, None)
+                        del r[c2]
         if not r:
             continue
         lead = min(r)
-        # Fraction / (int or Fraction) is exact; int / int would be a float.
-        inv = _ONE / r[lead]
-        r = {c: v * inv for c, v in r.items()}
-        for prow in pivots.values():
-            factor = prow.get(lead)
-            if factor is None:
-                continue
-            for c2, v2 in r.items():
-                s = prow.get(c2, _ZERO) - factor * v2
+        scale = r[lead]
+        if scale == -1:
+            r = {c: -v for c, v in r.items()}
+        elif scale != 1:
+            # Fraction / (int or Fraction) is exact; int / int would be a float.
+            inv = _ONE / scale
+            r = {c: v * inv for c, v in r.items()}
+        tail = [(c, v) for c, v in r.items() if c != lead]
+        for p in holders.pop(lead, ()):
+            prow = pivots[p]
+            factor = prow.pop(lead)
+            for c2, v2 in tail:
+                s = prow.get(c2, 0) - factor * v2
                 if s:
+                    if c2 not in prow:
+                        holders.setdefault(c2, set()).add(p)
                     prow[c2] = s
                 else:
-                    prow.pop(c2, None)
+                    del prow[c2]
+                    holders[c2].discard(p)
+        for c, _ in tail:
+            holders.setdefault(c, set()).add(lead)
         pivots[lead] = r
     return pivots
 
@@ -318,7 +393,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     entry, so identical inputs give bit-identical bases.
     """
     n = system.n_unknowns
-    pivots = _rref(system.rows)
+    pivots = system.pivots
     free = [c for c in range(n) if c not in pivots]
     vectors = []
     for f in free:

@@ -19,7 +19,7 @@ from lcalab import (
     parse_poly,
     second_slot_subst,
 )
-from lcalab.algebra import MAX_TABLE_ENTRIES
+from lcalab.algebra import MAX_SWEEP_RESIDUALS, MAX_TABLE_ENTRIES
 from lcalab.poly import B, D, L, M, Poly, Var
 
 from randgen import make_rng, random_element, random_fraction
@@ -36,6 +36,13 @@ def test_table_size_cap():
     assert len(make_catalog("clw", 100).table) == MAX_TABLE_ENTRIES == 40_000
     with pytest.raises(AlgebraError, match="exceeds the cap of 40000"):
         make_catalog("clw", 101)
+
+
+def test_axiom_check_budget():
+    # clw m=50 has 100 generators: 100^2 + 100^3 residuals, just over the cap
+    assert MAX_SWEEP_RESIDUALS == 1_000_000
+    with pytest.raises(AlgebraError, match="1010000 residuals .* exceeds the cap"):
+        check_axioms(make_catalog("clw", 50))
 
 
 def test_vir_catalog():

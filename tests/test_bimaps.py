@@ -427,3 +427,14 @@ def test_map_bad_entries():
     bad["entries"].append(bad["entries"][0])
     with pytest.raises(MapError, match="duplicate"):
         map_from_dict(bad, vir)
+
+
+def test_verify_map_budget():
+    # lem2 makes n^4 residuals: 32^4 = 1,048,576 exceed the sweep cap;
+    # all four tags count 32^2 + 2 * 32^3 + 32^4
+    phi = make_family(make_catalog("cw", 32), "inner", t=1)
+    with pytest.raises(MapError, match="1048576 residuals .* exceeds the cap"):
+        verify_map(phi, ["lem2"])
+    with pytest.raises(MapError, match="1115136 residuals"):
+        verify_map(phi)
+

@@ -267,6 +267,22 @@ def test_catalog_modulus_over_table_cap_is_usage_error(capsys):
     assert_one_line_error(code, err, "exceeds the cap of 40000")
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    # 40^3 * 6 = 384,000 unknowns against the solver's cap
+    (["solve-bider", "--catalog", "clw", "--m", "20", "--degree", "2"],
+     "ansatz of 384000 unknowns (40 generators, degree 2) exceeds the cap of 50000"),
+    # 200^2 + 200^3 residuals, with a table the table cap admits
+    (["check-axioms", "--catalog", "clw", "--m", "100"],
+     "axiom check of 8040000 residuals (200 generators) exceeds the cap of 1000000"),
+], ids=["solve-bider-unknowns", "check-axioms-residuals"])
+def test_run_over_budget_is_usage_error(capsys, argv, fragment):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert out == ""
+    assert_one_line_error(code, err, fragment)
+
+
 @pytest.mark.parametrize("option", ["--algebra", "--map"])
 def test_undecodable_file_is_usage_error(capsys, tmp_path, option):
     path = tmp_path / "binary.json"
@@ -302,7 +318,7 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     # solved identities; the re-check must blame the solver, not the user
     def assemble_dropping_rows(ansatz, tags):
         system = assemble(ansatz, tags)
-        return ConstraintSystem(ansatz, system.tags, [], [])
+        return ConstraintSystem.from_rows(ansatz, system.tags, [], [])
 
     assemble = lcalab.solver.assemble
     monkeypatch.setattr(lcalab.solver, "assemble", assemble_dropping_rows)

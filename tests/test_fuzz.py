@@ -1,4 +1,5 @@
-"""Fuzzing of the input boundary and property tests of the Poly kernel.
+"""Fuzzing of the input boundary, and property tests of the Poly kernel
+and of the solver's sparse elimination.
 
 parse_poly may raise only ParseError, algebra_from_dict only AlgebraError
 and map_from_dict only MapError, whatever the input; anything else (a
@@ -26,6 +27,7 @@ from lcalab import (  # noqa: E402
     parse_poly,
 )
 from lcalab.poly import B, D, G, L, M  # noqa: E402
+from lcalab.solver import _rref  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -257,3 +259,66 @@ def test_unit_product_is_the_other_operand(terms, unit):
     poly = Poly(terms)
     for product in (unit * poly, poly * unit):
         assert_matches(product, as_ref(terms))
+
+
+# -- the sparse elimination against a dense Gauss-Jordan ---------------------------
+#
+# dense_rref shares no code with solver._rref: it reduces a full Fraction
+# matrix column by column and reads the pivot rows off the result.
+
+def dense_rref(n_cols, rows):
+    matrix = [[Fraction(row.get(c, 0)) for c in range(n_cols)] for row in rows]
+    pivots = {}
+    for c in range(n_cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if pick is None:
+            continue
+        matrix[r], matrix[pick] = matrix[pick], matrix[r]
+        lead = matrix[r][c]
+        matrix[r] = [v / lead for v in matrix[r]]
+        for i, other in enumerate(matrix):
+            if i != r and other[c]:
+                factor = other[c]
+                matrix[i] = [a - factor * b for a, b in zip(other, matrix[r])]
+        pivots[c] = r
+    return {c: {k: v for k, v in enumerate(matrix[r]) if v} for c, r in pivots.items()}
+
+
+scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3,
+                                                     max_denominator=5))
+nonzero_scalars = scalars.filter(bool)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Random sparse rows over a few columns, with duplicate rows, scalar
+    multiples and combinations of earlier rows, which reduce to zero."""
+    n_cols = draw(st.integers(1, 8))
+    entries = st.dictionaries(st.integers(0, n_cols - 1), nonzero_scalars, max_size=n_cols)
+    rows = draw(st.lists(entries, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 5))):
+        first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(nonzero_scalars), draw(st.sampled_from([0, 1, -2]))
+        combined = {c: x * first.get(c, 0) + y * second.get(c, 0)
+                    for c in set(first) | set(second)}
+        rows.append({c: v for c, v in combined.items() if v})
+    return n_cols, rows
+
+
+@KERNEL
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_rref_matches_dense_gauss_jordan(system, rng):
+    n_cols, rows = system
+    snapshot = [dict(row) for row in rows]
+    pivots = _rref(rows)
+    assert rows == snapshot
+    assert pivots == dense_rref(n_cols, rows)
+    for lead, row in pivots.items():
+        assert row[lead] == 1
+        assert all(c == lead or c not in pivots for c in row)
+        assert all(v and type(v) in (int, Fraction) for v in row.values())
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert _rref(iter(shuffled)) == pivots
+

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from lcalab import (
 )
 from lcalab.bimaps import TAG_ARITY
 from lcalab.poly import D, L, Poly
-from lcalab.solver import Provenance, _normalize_vector
+from lcalab.solver import MAX_UNKNOWNS, Provenance, _normalize_vector
 
 from randgen import make_rng, random_fraction
 
@@ -53,6 +54,14 @@ def test_ansatz_rejects_symbolic_b():
 def test_ansatz_rejects_negative_degree():
     with pytest.raises(SolverError):
         Ansatz(make_catalog("vir"), -1)
+
+
+def test_ansatz_size_cap():
+    # 40 generators at degree 2: 40^3 * 6 unknowns, refused before any is built
+    assert MAX_UNKNOWNS == 50_000
+    with pytest.raises(SolverError, match="384000 unknowns .* exceeds the cap of 50000"):
+        Ansatz(make_catalog("clw", 20, -1), 2)
+    assert Ansatz(make_catalog("clw", 6, -1), 2).n_unknowns == 10_368
 
 
 def test_vector_map_round_trip():
@@ -179,6 +188,30 @@ def test_assemble_matches_per_unknown_oracle(algebra, degree, tags):
     assert system.provenance == provenance
 
 
+def test_assembly_holds_only_the_pivots():
+    # the rows stream into the elimination; storing every row with its
+    # provenance took the peak to about 11 MB here
+    tracemalloc.start()
+    try:
+        space = nullspace(assemble(Ansatz(make_catalog("clw", 3, -1), 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    assert space.dimension == 6
+    system = space.system
+    assert system.n_rows == len(system.rows) == 21_852
+
+
+def test_rows_regenerate_identically():
+    system = assemble(Ansatz(make_catalog("cw", 2), 2))
+    rows = system.rows
+    assert system.n_rows == len(rows) == 320
+    assert system.rows == rows
+    assert [list(row) for row in system.rows] == [list(row) for row in rows]
+    assert system.provenance == system.provenance
+
+
 # -- nullspace -----------------------------------------------------------------------
 
 def test_nullspace_vir_skew():
@@ -192,14 +225,15 @@ def test_nullspace_vir_skew():
 
 def test_nullspace_identity_system():
     ansatz = Ansatz(make_catalog("vir"), 0)
-    system = ConstraintSystem(ansatz, ("def1a",),
-                              [{0: Fraction(1)}], [None])
+    system = ConstraintSystem.from_rows(ansatz, ("def1a",), [{0: Fraction(1)}], [None])
+    assert system.n_rows == 1 and system.rows == [{0: Fraction(1)}]
     assert nullspace(system).dimension == 0
 
 
 def test_nullspace_empty_system():
     ansatz = Ansatz(make_catalog("vir"), 1)
-    system = ConstraintSystem(ansatz, ("def1a",), [], [])
+    system = ConstraintSystem.from_rows(ansatz, ("def1a",), [], [])
+    assert system.n_rows == 0 and system.rows == []
     space = nullspace(system)
     assert space.dimension == ansatz.n_unknowns
     # free-column basis: one elementary vector per unknown
