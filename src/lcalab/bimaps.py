@@ -49,13 +49,18 @@ from .algebra import (
     second_slot_subst,
     slot_eval,
 )
-from .poly import ParseError, Poly, Scalar, Var, parse_poly
+from .poly import ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
 
 TAGS = ("def1a", "def1b", "lem1", "lem2")
 
 TAG_ARITY = {"def1a": 2, "def1b": 3, "lem1": 3, "lem2": 4}
 
 _TABLE_VARS = frozenset({Var.D, Var.L, Var.B})
+
+# The spectral sums of the nested identities, built once: each table
+# owner's cache finds them by identity.
+_L_PLUS_M = Poly.variable(Var.L) + Poly.variable(Var.M)
+_M_PLUS_G = Poly.variable(Var.M) + Poly.variable(Var.G)
 
 
 class MapError(ValueError):
@@ -88,7 +93,7 @@ class BilinearMap:
     table is read-only after construction.
     """
 
-    __slots__ = ("algebra", "_table", "_renamed")
+    __slots__ = ("algebra", "_table", "_terms", "_renamed")
 
     def __init__(self, algebra: Algebra, table: Mapping[GenPair, Element]):
         clean: dict[GenPair, Element] = {}
@@ -104,7 +109,9 @@ class BilinearMap:
                 clean[(gi, gj)] = value
         self.algebra = algebra
         self._table = clean
-        self._renamed: dict[Poly, dict] = {}
+        # The table as slot_eval reads it: the terms of each value.
+        self._terms = {pair: value.terms for pair, value in clean.items()}
+        self._renamed: dict = {}
 
     @property
     def table(self) -> Mapping[GenPair, Element]:
@@ -140,7 +147,7 @@ class BilinearMap:
         return BilinearMap(self.algebra, out)
 
     def __mul__(self, factor: Scalar) -> "BilinearMap":
-        c = Fraction(factor)
+        c = exact_scalar(factor, MapError, "factor")
         if not c:
             return BilinearMap(self.algebra, {})
         return BilinearMap(self.algebra,
@@ -173,7 +180,7 @@ def map_eval(phi: BilinearMap, x: Element, y: Element,
     if (x.algebra is not alg and x.algebra != alg) or \
        (y.algebra is not alg and y.algebra != alg):
         raise MapError("mismatched algebras")
-    return slot_eval(phi._table, phi._renamed, x, y, spectral)
+    return slot_eval(phi._terms, phi._renamed, x, y, spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residua
         raise MapError(f"{tag} takes {TAG_ARITY[tag]} generators, got {len(args)}")
     alg = phi.algebra
     e = [alg.gen_element(g) for g in args]
-    lam, mu, gam = Var.L, Var.M, Var.G
+    lam, mu = Var.L, Var.M
 
     if tag == "def1a":
         x, y = e
@@ -213,21 +220,18 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residua
             + second_slot_subst(map_eval(phi, y, x, lam), lam)
     elif tag == "def1b":
         x, y, z = e
-        lam_plus_mu = Poly.variable(lam) + Poly.variable(mu)
         value = map_eval(phi, x, bracket(y, z, mu), lam) \
-            - bracket(map_eval(phi, x, y, lam), z, lam_plus_mu) \
+            - bracket(map_eval(phi, x, y, lam), z, _L_PLUS_M) \
             - bracket(y, map_eval(phi, x, z, lam), mu)
     elif tag == "lem1":
         x, y, z = e
-        lam_plus_mu = Poly.variable(lam) + Poly.variable(mu)
-        value = map_eval(phi, bracket(x, y, mu), z, lam_plus_mu) \
+        value = map_eval(phi, bracket(x, y, mu), z, _L_PLUS_M) \
             - bracket(x, map_eval(phi, y, z, lam), mu) \
             + bracket(y, map_eval(phi, x, z, mu), lam)
     else:  # lem2
         x, y, u, v = e
-        mu_plus_gam = Poly.variable(mu) + Poly.variable(gam)
-        value = bracket(map_eval(phi, x, y, mu), bracket(u, v, lam), mu_plus_gam) \
-            - bracket(bracket(x, y, mu), map_eval(phi, u, v, lam), mu_plus_gam)
+        value = bracket(map_eval(phi, x, y, mu), bracket(u, v, lam), _M_PLUS_G) \
+            - bracket(bracket(x, y, mu), map_eval(phi, u, v, lam), _M_PLUS_G)
 
     return Residual(tag, tuple(args), value)
 
@@ -324,7 +328,7 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
 # Closed-form families
 # ---------------------------------------------------------------------------
 
-def _shifted_table(algebra: Algebra, shift: int, a: Fraction) -> dict[GenPair, Element]:
+def _shifted_table(algebra: Algebra, shift: int, a: Scalar) -> dict[GenPair, Element]:
     """The bracket table scaled by a, with every target index moved by shift."""
     return {pair: algebra.element({algebra.gen(gt.family, gt.index + shift): c * a
                                    for gt, c in value.terms.items()})
@@ -345,9 +349,15 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     clw_shift  the two-family version of the same shifted table; the
                g-component additionally routes g (d+2l) G_{i+j+shift}
                into the (L, L) entries and exists only at b = -1.
+
+    t, a and g must be ints or Fractions, and shift an int.
     """
+    t, a, g = (exact_scalar(value, FamilyError, name)
+               for value, name in ((t, "t"), (a, "a"), (g, "g")))
+    if isinstance(shift, bool) or not isinstance(shift, int):
+        raise FamilyError(f"shift must be an int, got {type(shift).__name__}")
     if kind == "inner":
-        return BilinearMap(algebra, _shifted_table(algebra, 0, Fraction(t)))
+        return BilinearMap(algebra, _shifted_table(algebra, 0, t))
 
     if kind == "cw_shift":
         if len(algebra.families) != 1:
@@ -355,12 +365,11 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
         fam = algebra.families[0]
         if algebra.rule(fam, fam).target != fam:
             raise FamilyError("cw_shift requires the family to close on itself")
-        return BilinearMap(algebra, _shifted_table(algebra, shift, Fraction(a)))
+        return BilinearMap(algebra, _shifted_table(algebra, shift, a))
 
     if kind == "clw_shift":
         if algebra.families != ("L", "G"):
             raise FamilyError("clw_shift requires families L, G")
-        a, g = Fraction(a), Fraction(g)
         if g and algebra.b_value != Fraction(-1):
             raise FamilyError("the g-component exists only at b = -1")
         table = _shifted_table(algebra, shift, a)

@@ -18,7 +18,11 @@ mix canonical: ``3 == Fraction(3)``, their hashes agree and both print as
 ``3``.  Coefficients are exact, so equality is exact and "residual == 0"
 is a decidable check.
 Values are immutable after construction and every operation is a pure
-function; they may be shared freely between threads.
+function; they may be shared freely between threads.  The one thing a
+value fills after construction is its private memo of d-substitutions
+(``_subst_d``, the slot rule's p(-s) and q(d+s)): a cache of pure results
+that never shows in ==, hash, str or ``terms``.  Filling it is idempotent,
+so two threads filling it at once only repeat the work.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -77,6 +82,20 @@ def _as_scalar(value: Scalar) -> Scalar:
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def exact_scalar(value: Scalar, error: type[Exception], name: str) -> Scalar:
+    """value as _as_scalar stores it; a bool, float, str or anything else
+    that is not an int or a Fraction raises ``error``, naming ``name``.
+
+    Every scalar argument of the Python API passes through here, so a
+    float cannot turn into a binary rational on its way in.
+    """
+    try:
+        return _as_scalar(value)
+    except TypeError:
+        raise error(f"{name} must be an int or a Fraction, "
+                    f"got {type(value).__name__}") from None
+
+
 class Poly:
     """Immutable sparse polynomial in Q[d, l, m, g, b].
 
@@ -86,7 +105,7 @@ class Poly:
     maps (canonical form).
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_memo")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Scalar] = {}
@@ -99,6 +118,7 @@ class Poly:
                     clean[tuple(mono)] = c
         self.terms = clean
         self._hash = None
+        self._memo = None
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, Scalar]) -> "Poly":
@@ -106,6 +126,7 @@ class Poly:
         p = object.__new__(cls)
         p.terms = terms
         p._hash = None
+        p._memo = None
         return p
 
     @classmethod
@@ -286,6 +307,33 @@ class Poly:
                 out[target] = coeff * c2 if s is None else s + coeff * c2
         return Poly._raw({m: c for m, c in out.items() if c})
 
+    def _subst_d(self, replacement: "Poly") -> "Poly":
+        """self with d replaced by replacement, memoized on self.
+
+        The slot rule substitutes each operand coefficient at d -> -s and
+        d -> d + s for the few spectral parameters s of a sweep, many
+        times over; the memo maps each replacement to its result.  A
+        coefficient without d is its own substitution: it is marked
+        _D_FREE and gets no entry.  The module constants never get one
+        either, so a memo lives and dies with its operand.
+        """
+        memo = self._memo
+        if memo is _D_FREE:
+            return self
+        if memo:
+            out = memo.get(replacement)
+            if out is not None:
+                return out
+        out = self.subst({Var.D: replacement})
+        if memo is None:
+            if out is self:
+                self._memo = _D_FREE
+            else:
+                self._memo = {replacement: out}
+        elif memo is not _SHARED:
+            memo[replacement] = out
+        return out
+
     def coefficients(self, split_vars: Iterable[Var]) -> dict[Monomial, "Poly"]:
         """Group terms by their monomial in ``split_vars``.
 
@@ -360,6 +408,15 @@ _VAR_POLYS = {
     var: Poly._raw({tuple(1 if i == var.slot else 0 for i in range(5)): 1})
     for var in VARS
 }
+
+# Memos that stay empty: _D_FREE marks a polynomial without d, which
+# every d-substitution leaves as it is, and _SHARED the variable d, a
+# module constant that outlives every sweep substituting into it.
+_D_FREE = MappingProxyType({})
+_SHARED = MappingProxyType({})
+for _constant in (ZERO, ONE, *_VAR_POLYS.values()):
+    _constant._memo = _SHARED if _constant is _VAR_POLYS[Var.D] else _D_FREE
+del _constant
 
 # Convenience instances for building expressions in code: D + 2 * L etc.
 D = _VAR_POLYS[Var.D]

@@ -1,6 +1,8 @@
 """Unit tests for bracket tables, evaluation, axiom checks and files."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,21 @@ def test_table_size_cap():
     assert len(make_catalog("clw", 100).table) == MAX_TABLE_ENTRIES == 40_000
     with pytest.raises(AlgebraError, match="exceeds the cap of 40000"):
         make_catalog("clw", 101)
+
+
+def test_algebra_is_freed_without_the_cyclic_collector():
+    # The table, the renamed tables and the coefficient memos refer to no
+    # Element, so a swept algebra holds no reference cycle.
+    gc.disable()
+    try:
+        clw = make_catalog("clw", 2)
+        assert check_axioms(clw).passed
+        assert bracket(clw.gen_element(("L", 0)) * D, clw.gen_element(("G", 1)), L + M)
+        alive = weakref.ref(clw)
+        del clw
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_axiom_check_budget():
@@ -89,6 +106,29 @@ def test_catalog_rejects_bad_parameters():
         make_catalog("clw", 0)
     with pytest.raises(AlgebraError):
         make_catalog("w_infinity")
+
+
+# A float would enter as a binary rational (0.1 is 3602879701896397/2**55):
+# only ints and Fractions are scalars.
+NOT_SCALARS = (0.5, 0.1, -1.0, True, False, "1/2", "-1")
+
+
+def test_b_accepts_exact_scalars():
+    for b in (-1, 3, Fraction(1, 2), Fraction(-4, 2)):
+        clw = make_catalog("clw", 2, b)
+        assert clw.b_value == Fraction(b)
+        assert clw.name == f"CLW(m=2, b={Fraction(b)})"
+        rules = [BracketRule("L", "L", "L", D + 2 * L + B)]
+        assert Algebra("X", 1, ["L"], rules, b=b).b_value == Fraction(b)
+    assert make_catalog("clw", 2, 3) == make_catalog("clw", 2, Fraction(6, 2))
+
+
+@pytest.mark.parametrize("b", NOT_SCALARS)
+def test_b_rejects_inexact_scalars(b):
+    with pytest.raises(AlgebraError, match="b must be an int or a Fraction"):
+        make_catalog("clw", 2, b)
+    with pytest.raises(AlgebraError, match="b must be an int or a Fraction"):
+        Algebra("X", 1, ["L"], [BracketRule("L", "L", "L", D + 2 * L)], b=b)
 
 
 # -- bracket evaluation ---------------------------------------------------------

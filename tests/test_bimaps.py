@@ -9,7 +9,10 @@ import pytest
 from lcalab import (
     Ansatz,
     BilinearMap,
+    Poly,
+    VARS,
     bracket,
+    check_axioms,
     FamilyError,
     MapError,
     TAGS,
@@ -103,6 +106,10 @@ def oracle_maps(alg):
 
 ORACLE_SPECTRALS = (L, M, L + M, M + G)
 
+# Each spectral parameter twice, as a Var or as a Poly, and l + m and
+# m + g as two distinct but equal Poly objects each.
+MEMO_SPECTRALS = (Var.L, L + M, M, L, M + G, Var.M, M + L, G + M)
+
 
 @pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 3, None),
                                         ("clw", 2, None), ("clw", 2, -1)])
@@ -118,6 +125,16 @@ def test_kernel_matches_per_term_oracle(kind, m, b):
             assert bracket(x, y, s) == oracle_slot_eval(alg.table, x, y, s)
             for phi in maps:
                 assert map_eval(phi, x, y, s) == oracle_slot_eval(phi.table, x, y, s)
+    # The same operand objects again, under every spectral parameter twice
+    # and in alternating order: later evaluations read the substitutions
+    # that earlier ones left in the operands' memos.
+    operands = [(nonzero_element(rng, alg), nonzero_element(rng, alg)) for _ in range(4)]
+    for s in MEMO_SPECTRALS:
+        s_poly = Poly.variable(s) if isinstance(s, Var) else s
+        for x, y in operands:
+            assert bracket(x, y, s) == oracle_slot_eval(alg.table, x, y, s_poly)
+            for phi in maps:
+                assert map_eval(phi, x, y, s) == oracle_slot_eval(phi.table, x, y, s_poly)
 
 
 def test_renamed_tables_do_not_leak_between_maps():
@@ -137,6 +154,29 @@ def test_renamed_tables_do_not_leak_between_maps():
         for s in ORACLE_SPECTRALS:
             assert map_eval(derived, x, y, s) == oracle_slot_eval(derived.table, x, y, s)
     assert map_eval(scaled, x, y, L + M) == first * den
+
+
+def test_memo_leaves_operands_and_constants_unchanged():
+    clw = make_catalog("clw", 2)
+    l0, g1 = clw.gen("L", 0), clw.gen("G", 1)
+    x = clw.element({l0: D + M, g1: D * D - 3 * B})
+    y = clw.element({l0: 2 * D * M - 1, g1: M})
+    coeffs = list(x.terms.values()) + list(y.terms.values())
+    copies = [Poly(c.terms) for c in coeffs]
+    seen = [(c.terms.copy(), hash(c), str(c)) for c in coeffs]
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4))
+    for s in MEMO_SPECTRALS:
+        bracket(x, y, s)
+        map_eval(phi, x, y, s)
+    assert all(c._memo for c in coeffs[:3])  # the three coefficients with d
+    assert [(c.terms, hash(c), str(c)) for c in coeffs] == seen
+    assert coeffs == copies
+    assert [hash(c) for c in coeffs] == [hash(c) for c in copies]
+    # Full sweeps leave no memo on the module constants.
+    assert verify_map(phi).passed
+    assert check_axioms(clw).passed
+    for constant in (Poly.zero(), Poly.one(), *(Poly.variable(v) for v in VARS)):
+        assert not constant._memo
 
 
 def test_tables_are_read_only():
@@ -310,6 +350,40 @@ def test_family_kind_validation():
         make_family(clw, "cw_shift")
     with pytest.raises(FamilyError, match="unknown family kind"):
         make_family(vir, "outer")
+
+
+NOT_SCALARS = (0.5, 0.1, 1.0, True, False, "3/2")
+
+
+def test_scalar_parameters_accept_ints_and_fractions():
+    clw = make_catalog("clw", 2, -1)
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(3, 2), g=2)
+    assert make_family(clw, "clw_shift", shift=1, a=Fraction(6, 4), g=Fraction(4, 2)) == phi
+    assert 2 * phi == phi * Fraction(2) == phi + phi
+    assert (phi * Fraction(2, 3)) * 3 == 2 * phi
+    assert make_family(clw, "inner", t=Fraction(3, 2)) == \
+        make_family(clw, "clw_shift", a=Fraction(3, 2)) == \
+        3 * make_family(clw, "inner", t=1) * Fraction(1, 2)
+    cw = make_catalog("cw", 3)
+    assert make_family(cw, "cw_shift", shift=2, a=-2) == \
+        make_family(cw, "cw_shift", shift=2, a=Fraction(-2))
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS)
+def test_scalar_parameters_reject_inexact_values(value):
+    clw = make_catalog("clw", 2, -1)
+    phi = make_family(clw, "inner", t=1)
+    for name in ("t", "a", "g"):
+        with pytest.raises(FamilyError, match=f"{name} must be an int or a Fraction"):
+            make_family(clw, "clw_shift" if name != "t" else "inner", **{name: value})
+    with pytest.raises(FamilyError, match="a must be an int or a Fraction"):
+        make_family(make_catalog("cw", 2), "cw_shift", a=value)
+    with pytest.raises(MapError, match="factor must be an int or a Fraction"):
+        phi * value
+    with pytest.raises(MapError, match="factor must be an int or a Fraction"):
+        value * phi
+    with pytest.raises(FamilyError, match="shift must be an int"):
+        make_family(clw, "clw_shift", shift=value)
 
 
 def test_families_skew_coherent_symbolic():

@@ -261,6 +261,29 @@ def test_unit_product_is_the_other_operand(terms, unit):
         assert_matches(product, as_ref(terms))
 
 
+# The slot rule's memoized substitutions p(-s) and p(d+s), against a fresh
+# subst on an equal polynomial without a memo.
+spectral_terms = st.dictionaries(
+    st.tuples(st.just(0), *[st.integers(0, 2)] * 3, st.just(0)), coefficients,
+    min_size=1, max_size=3)
+
+
+@KERNEL
+@given(term_maps, st.lists(spectral_terms, min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_memoized_slot_substitution_matches_fresh_subst(terms, spectrals, rng):
+    poly = Poly(terms)
+    seen = (dict(poly.terms), hash(poly), str(poly))
+    replacements = [r for s in map(Poly, spectrals) for r in (-s, D + s)]
+    for replacement in rng.sample(replacements * 2, 2 * len(replacements)):
+        expected = Poly(terms).subst({Var.D: replacement})
+        assert_matches(poly._subst_d(replacement), expected.terms)
+        # An equal replacement built apart finds the same entry.
+        assert poly._subst_d(Poly(replacement.terms)) == expected
+    assert (poly.terms, hash(poly), str(poly)) == seen
+    assert bool(poly._memo) == any(mono[0] for mono in poly.terms)
+
+
 # -- the sparse elimination against a dense Gauss-Jordan ---------------------------
 #
 # dense_rref shares no code with solver._rref: it reduces a full Fraction

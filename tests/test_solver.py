@@ -1,9 +1,11 @@
 """Unit tests for the classification solver."""
 
+import hashlib
 import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from lcalab import (
     solver_report,
     verify_map,
 )
+from lcalab import cli
 from lcalab.bimaps import TAG_ARITY
 from lcalab.poly import D, L, Poly
 from lcalab.solver import MAX_UNKNOWNS, Provenance, _normalize_vector
@@ -399,3 +402,37 @@ def test_solver_report_shape():
     assert report["dimension"] == 2
     assert len(report["basis"]) == 2
     assert report["unmatched"] == []
+
+
+# -- bit-identical reports ----------------------------------------------------------
+#
+# bench/golden.json pins the sha256 of the canonical solver_report of fixed
+# solves; any change in rows, basis, normalization or printing moves it.
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                    .read_text())["reports"]
+
+
+def canonical_sha256(report: dict) -> str:
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, kind, m, b, tags", [
+    ("vir-d2", "vir", 1, None, ("def1a", "def1b")),
+    ("cw2-d2", "cw", 2, None, ("def1a", "def1b")),
+    ("cw4-d2", "cw", 4, None, ("def1a", "def1b")),
+    ("clw3-bm1-d2", "clw", 3, -1, ("def1a", "def1b")),
+    ("clw2-bm1-all-d2", "clw", 2, -1, ("def1a", "def1b", "lem1")),
+])
+def test_solver_report_matches_golden_hash(name, kind, m, b, tags):
+    space = solve_bider(make_catalog(kind, m, b), 2, tags)
+    assert canonical_sha256(solver_report(space, match_templates(space))) == GOLDEN[name]
+
+
+def test_cli_match_report_matches_golden_hash(tmp_path):
+    out = tmp_path / "report.json"
+    algebra_file = Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"
+    assert cli.main(["match", "--algebra", str(algebra_file), "--degree", "2",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
