@@ -25,7 +25,9 @@ an operand coefficient are memoized on the coefficient itself
 (poly.Poly._subst_d).  Tables are therefore read-only after
 construction; an owner exposes its table as a read-only view.  An
 algebra's table is capped at MAX_TABLE_ENTRIES generator pairs, and a
-residual sweep at MAX_SWEEP_RESIDUALS residuals.
+residual sweep at MAX_SWEEP_RESIDUALS residuals.  Skew-symmetry and
+Jacobi are def1a and def1b of the bracket itself (bimaps' inner map,
+t = 1), so check_axioms is bimaps.verify_map of that map on those tags.
 
 Index reduction mod m is a ring map on indices, so all axioms survive the
 quotient; m = 1 recovers the non-loop algebras.
@@ -33,13 +35,12 @@ quotient; m = 1 recovers the non-loop algebras.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .poly import (
     ParseError,
@@ -68,9 +69,12 @@ class AlgebraError(ValueError):
     """Invalid algebra definition, element, or evaluation request."""
 
 
-@dataclass(frozen=True)
-class GeneratorId:
-    """A graded generator: family name plus index reduced mod m."""
+class GeneratorId(NamedTuple):
+    """A graded generator: family name plus index reduced mod m.
+
+    A tuple, so it hashes and compares in C, and equals the plain tuple
+    (family, index); print orders go through Algebra.gen_sort_key.
+    """
 
     family: str
     index: int
@@ -263,6 +267,10 @@ class Algebra:
         self.families = families
         self.b_value = b_value
         self._rules = table
+        # Every generator id keyed by itself, so gen finds an in-range
+        # (family, index) pair, GeneratorId or plain tuple, by one lookup.
+        self._gens = {g: g for g in (GeneratorId(f, i) for f in families
+                                     for i in range(modulus))}
         # The bracket on generator pairs in the form slot_eval reads, the
         # terms of each value: (x_i, y_j) -> {target_{i+j mod m}: coeff},
         # empty if zero.  Plain dicts, not Elements: an Element refers to
@@ -297,12 +305,15 @@ class Algebra:
         return sorted(self._rules.values(), key=lambda r: (order[r.left], order[r.right]))
 
     def gen(self, family: str, index: int) -> GeneratorId:
-        if family not in self.families:
-            raise AlgebraError(f"unknown family {family!r}")
-        return GeneratorId(family, index % self.modulus)
+        gid = self._gens.get((family, index))
+        if gid is None:
+            if family not in self.families:
+                raise AlgebraError(f"unknown family {family!r}")
+            gid = GeneratorId(family, index % self.modulus)
+        return gid
 
     def generators(self) -> list[GeneratorId]:
-        return [GeneratorId(f, i) for f in self.families for i in range(self.modulus)]
+        return list(self._gens)
 
     def gen_sort_key(self, gid: GeneratorId):
         return (self.families.index(gid.family), gid.index)
@@ -313,11 +324,7 @@ class Algebra:
         return Element(self, terms)
 
     def gen_element(self, gid: GeneratorId | tuple[str, int]) -> Element:
-        if isinstance(gid, tuple):
-            gid = self.gen(*gid)
-        else:
-            gid = self.gen(gid.family, gid.index)
-        return Element._raw(self, {gid: Poly.one()})
+        return Element._raw(self, {self.gen(*gid): Poly.one()})
 
     def zero_element(self) -> Element:
         return Element._raw(self, {})
@@ -462,29 +469,30 @@ def second_slot_subst(e: Element, spectral: Var = Var.L) -> Element:
 # Axiom checking
 # ---------------------------------------------------------------------------
 
+_AXIOM_NAMES = {"def1a": "skew", "def1b": "jacobi"}
+
+
 @dataclass
 class AxiomReport:
-    """Skew and Jacobi residuals for every generator pair / triple."""
+    """The failing skew and Jacobi residuals of a bracket table, under the
+    axioms' names: the def1a and def1b failures of check_axioms' sweep."""
 
     algebra: str
-    skew: list[tuple[tuple[GeneratorId, GeneratorId], Element]]
-    jacobi: list[tuple[tuple[GeneratorId, GeneratorId, GeneratorId], Element]]
+    checked: dict[str, int]
+    residuals: list  # the failing bimaps.Residuals, ordered by (tag, tuple)
 
     @property
     def passed(self) -> bool:
-        return all(r.is_zero for _, r in self.skew) and \
-            all(r.is_zero for _, r in self.jacobi)
+        return not self.residuals
 
     def failures(self) -> list[tuple[str, tuple, Element]]:
-        out = [("skew", args, r) for args, r in self.skew if not r.is_zero]
-        out += [("jacobi", args, r) for args, r in self.jacobi if not r.is_zero]
-        return out
+        return [(_AXIOM_NAMES[r.tag], r.args, r.value) for r in self.residuals]
 
     def to_json(self) -> dict:
         return {
             "algebra": self.algebra,
             "passed": self.passed,
-            "checked": {"skew": len(self.skew), "jacobi": len(self.jacobi)},
+            "checked": dict(self.checked),
             "failures": [
                 {"identity": kind, "args": [str(g) for g in args], "residual": str(r)}
                 for kind, args, r in self.failures()
@@ -492,9 +500,8 @@ class AxiomReport:
         }
 
     def to_text(self) -> str:
-        lines = [f"algebra {self.algebra}",
-                 f"skew residuals: {len(self.skew)} checked",
-                 f"jacobi residuals: {len(self.jacobi)} checked"]
+        lines = [f"algebra {self.algebra}"]
+        lines += [f"{kind} residuals: {n} checked" for kind, n in self.checked.items()]
         for kind, args, r in self.failures():
             lines.append(f"FAIL {kind} ({', '.join(str(g) for g in args)}): {r}")
         lines.append("PASS" if self.passed else "FAIL")
@@ -505,41 +512,21 @@ def check_axioms(algebra: Algebra) -> AxiomReport:
     """Residual check of skew-symmetry and the Jacobi identity.
 
     Sesquilinearity is built into evaluation, so these two residual
-    families are exactly what can fail in a bracket table.  The skew
-    residual of a pair (x, y) is [x_l y] + ([y_l x] with l -> -d-l); the
-    Jacobi residual of a triple is
-    [x_l [y_m z]] - [[x_l y]_{l+m} z] - [y_m [x_l z]].  The n^2 + n^3
+    families are exactly what can fail in a bracket table.  For the inner
+    map phi = [._l .] they are def1a, [x_l y] + ([y_l x] with l -> -d-l),
+    and def1b, [x_l [y_m z]] - [[x_l y]_{l+m} z] - [y_m [x_l z]], so the
+    check is bimaps.verify_map of that map on those tags.  The n^2 + n^3
     residuals of n generators are counted against MAX_SWEEP_RESIDUALS
     before any is evaluated.
     """
-    gens = algebra.generators()
-    count = len(gens) ** 2 + len(gens) ** 3
+    from . import bimaps  # imported here: bimaps imports this module
+    n = len(algebra.generators())
+    count = n ** 2 + n ** 3
     if count > MAX_SWEEP_RESIDUALS:
-        raise AlgebraError(f"axiom check of {count} residuals ({len(gens)} generators) "
+        raise AlgebraError(f"axiom check of {count} residuals ({n} generators) "
                            f"exceeds the cap of {MAX_SWEEP_RESIDUALS}")
-    basis = {g: algebra.gen_element(g) for g in gens}
-    lam, mu = Var.L, Var.M
-    lam_plus_mu = Poly.variable(lam) + Poly.variable(mu)
-
-    lam_table = {(gi, gj): bracket(basis[gi], basis[gj], lam)
-                 for gi in gens for gj in gens}
-    mu_table = {(gi, gj): bracket(basis[gi], basis[gj], mu)
-                for gi in gens for gj in gens}
-
-    skew = []
-    for gi in gens:
-        for gj in gens:
-            r = lam_table[(gi, gj)] + second_slot_subst(lam_table[(gj, gi)], lam)
-            skew.append(((gi, gj), r))
-
-    jacobi = []
-    for gi, gj, gk in itertools.product(gens, repeat=3):
-        t1 = bracket(basis[gi], mu_table[(gj, gk)], lam)
-        t2 = bracket(lam_table[(gi, gj)], basis[gk], lam_plus_mu)
-        t3 = bracket(basis[gj], bracket(basis[gi], basis[gk], lam), mu)
-        jacobi.append(((gi, gj, gk), t1 - t2 - t3))
-
-    return AxiomReport(algebra.name, skew, jacobi)
+    report = bimaps.verify_map(bimaps.make_family(algebra, "inner"), ("def1a", "def1b"))
+    return AxiomReport(algebra.name, {"skew": n ** 2, "jacobi": n ** 3}, report.failures)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ identically:
 
 def1b and lem1 are equivalent forms of the Leibniz rule for maps that
 satisfy def1a; lem2 is a consequence of def1a + def1b.  Both facts are
-exercised by the test suite rather than assumed.
+exercised by the test suite rather than assumed.  For the bracket itself
+(inner, t = 1) def1a is skew-symmetry and def1b the Jacobi identity:
+algebra.check_axioms is verify_map of that map on those two tags.
 
 Residuals are linear in the map, which is what the classification solver
 builds on.
@@ -73,6 +75,9 @@ class FamilyError(ValueError):
 
 def normalize_tags(tags: Iterable[str]) -> tuple[str, ...]:
     """Validate identity tags and return them in canonical order."""
+    if isinstance(tags, str):
+        raise MapError(f"identity tags must be a collection of tags such as "
+                       f"({tags!r},), not the bare string {tags!r}")
     tags = set(tags)
     bad = tags - set(TAGS)
     if bad:
@@ -211,6 +216,7 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residua
     if len(args) != TAG_ARITY[tag]:
         raise MapError(f"{tag} takes {TAG_ARITY[tag]} generators, got {len(args)}")
     alg = phi.algebra
+    args = tuple(alg.gen(*g) for g in args)
     e = [alg.gen_element(g) for g in args]
     lam, mu = Var.L, Var.M
 
@@ -233,7 +239,7 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residua
         value = bracket(map_eval(phi, x, y, mu), bracket(u, v, lam), _M_PLUS_G) \
             - bracket(bracket(x, y, mu), map_eval(phi, u, v, lam), _M_PLUS_G)
 
-    return Residual(tag, tuple(args), value)
+    return Residual(tag, args, value)
 
 
 @dataclass

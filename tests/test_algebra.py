@@ -1,9 +1,11 @@
 """Unit tests for bracket tables, evaluation, axiom checks and files."""
 
 import gc
+import itertools
 import json
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,7 +251,7 @@ def test_tampered_rule_fails_skew():
     report = check_axioms(bad)
     assert not report.passed
     # skew residual: (d+l) + (d + (-d-l)) = d
-    (args, value), = [(a, r) for a, r in report.skew if not r.is_zero]
+    (args, value), = [(a, r) for kind, a, r in report.failures() if kind == "skew"]
     assert args == (bad.gen("L", 0), bad.gen("L", 0))
     assert value == bad.element({bad.gen("L", 0): D})
     assert "FAIL" in report.to_text()
@@ -258,9 +260,71 @@ def test_tampered_rule_fails_skew():
 
 def test_report_counts():
     report = check_axioms(make_catalog("cw", 2))
-    assert len(report.skew) == 4
-    assert len(report.jacobi) == 8
+    assert report.checked == {"skew": 4, "jacobi": 8}
     assert report.to_json()["checked"] == {"skew": 4, "jacobi": 8}
+
+
+def oracle_axiom_failures(algebra):
+    """The failing skew and Jacobi residuals as (kind, args, residual), in
+    check_axioms' order, swept with bracket alone: an oracle that shares
+    no code with bimaps.verify_map."""
+    gens = algebra.generators()
+    basis = {g: algebra.gen_element(g) for g in gens}
+    out = []
+    for gi, gj in itertools.product(gens, repeat=2):
+        x, y = basis[gi], basis[gj]
+        r = bracket(x, y, Var.L) + second_slot_subst(bracket(y, x, Var.L), Var.L)
+        if not r.is_zero:
+            out.append(("skew", (gi, gj), r))
+    for gi, gj, gk in itertools.product(gens, repeat=3):
+        x, y, z = basis[gi], basis[gj], basis[gk]
+        r = bracket(x, bracket(y, z, Var.M), Var.L) \
+            - bracket(bracket(x, y, Var.L), z, L + M) \
+            - bracket(y, bracket(x, z, Var.L), Var.M)
+        if not r.is_zero:
+            out.append(("jacobi", (gi, gj, gk), r))
+    return out
+
+
+def assert_axioms_match_oracle(algebra):
+    report = check_axioms(algebra)
+    n = len(algebra.generators())
+    assert report.checked == {"skew": n ** 2, "jacobi": n ** 3}
+    failures = report.failures()
+    expected = oracle_axiom_failures(algebra)
+    assert failures == expected
+    assert [str(r) for _, _, r in failures] == [str(r) for _, _, r in expected]
+    assert report.passed == (not expected)
+
+
+def bad_clw_rules(b):
+    # [G_l L] drops the -l of the CLW rule, and [L_l L] halves its d
+    return algebra_from_dict({
+        "name": "BadCLW", "modulus": 2, "families": ["L", "G"], "b": b,
+        "rules": [
+            {"left": "L", "right": "L", "target": "L", "coeff": "1/2*d + 2*l"},
+            {"left": "L", "right": "G", "target": "G", "coeff": "d + l - b*l"},
+            {"left": "G", "right": "L", "target": "G", "coeff": "-(b*d + b*l)"},
+        ]})
+
+
+AXIOM_ORACLE_CASES = {
+    "vir": lambda: make_catalog("vir"),
+    "cw3": lambda: make_catalog("cw", 3),
+    "clw2-symbolic": lambda: make_catalog("clw", 2),
+    "clw3-b2": lambda: make_catalog("clw", 3, 2),
+    "clw2-b3/2": lambda: make_catalog("clw", 2, Fraction(3, 2)),
+    "inhomogeneous-clw": lambda: load_algebra(
+        Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"),
+    "tampered-vir": lambda: Algebra("BadVir", 1, ["L"], [BracketRule("L", "L", "L", D + L)]),
+    "bad-clw-symbolic": lambda: bad_clw_rules("symbolic"),
+    "bad-clw-b2/3": lambda: bad_clw_rules("2/3"),
+}
+
+
+@pytest.mark.parametrize("case", AXIOM_ORACLE_CASES)
+def test_check_axioms_matches_bracket_oracle(case):
+    assert_axioms_match_oracle(AXIOM_ORACLE_CASES[case]())
 
 
 # -- elements ----------------------------------------------------------------------

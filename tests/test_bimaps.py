@@ -11,9 +11,11 @@ from lcalab import (
     BilinearMap,
     Poly,
     VARS,
+    assemble,
     bracket,
     check_axioms,
     FamilyError,
+    GeneratorId,
     MapError,
     TAGS,
     load_map,
@@ -268,6 +270,31 @@ def test_residual_arity_and_tag_validation():
         residual(phi, "jacobi", (gid, gid))
     with pytest.raises(MapError):
         normalize_tags(["def1a", "nope"])
+
+
+def test_bare_string_tags_rejected():
+    # a str is an iterable of characters, not of tags
+    phi = make_family(make_catalog("vir"), "inner", t=1)
+    expected = r"identity tags must be a collection of tags such as \('def1b',\)"
+    for call in (normalize_tags, lambda tags: verify_map(phi, tags),
+                 lambda tags: assemble(Ansatz(make_catalog("vir"), 1), tags)):
+        with pytest.raises(MapError, match=expected):
+            call("def1b")
+    assert verify_map(phi, ("def1b",)).checked == 1
+
+
+def test_residual_stores_validated_generators():
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "inner", t=1)
+    r = residual(phi, "def1a", [clw.gen("L", 0), ("G", 1)])
+    assert r.args == (clw.gen("L", 0), clw.gen("G", 1))
+    assert all(type(g) is GeneratorId for g in r.args)
+    assert str(r) == "def1a (L:0, G:1): 0"
+    # an index past the modulus is reduced mod m, in the residual too
+    r = residual(phi, "def1b", [("L", 5), ("G", 2), clw.gen("L", 3)])
+    assert r.args == (clw.gen("L", 1), clw.gen("G", 0), clw.gen("L", 1))
+    assert r.value == residual(phi, "def1b", r.args).value
+    assert str(r).startswith("def1b (L:1, G:0, L:1): ")
 
 
 def test_residual_linearity():

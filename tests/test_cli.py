@@ -65,6 +65,45 @@ def test_check_axioms_failure_is_exit_1(capsys, tampered_algebra_file):
     assert "(d)*L:0" in out
 
 
+# The check-axioms reports below are pinned byte for byte.
+PINNED_AXIOM_REPORTS = {
+    "tampered": (1, {
+        "algebra": "BadVir",
+        "passed": False,
+        "checked": {"skew": 1, "jacobi": 1},
+        "failures": [
+            {"identity": "skew", "args": ["L:0", "L:0"], "residual": "(d)*L:0"},
+            {"identity": "jacobi", "args": ["L:0", "L:0", "L:0"],
+             "residual": "(d*l + l*l + l*m)*L:0"},
+        ],
+    }, "algebra BadVir\n"
+       "skew residuals: 1 checked\n"
+       "jacobi residuals: 1 checked\n"
+       "FAIL skew (L:0, L:0): (d)*L:0\n"
+       "FAIL jacobi (L:0, L:0, L:0): (d*l + l*l + l*m)*L:0\n"
+       "FAIL\n"),
+    "clw2": (0, {
+        "algebra": "CLW(m=2, b=symbolic)",
+        "passed": True,
+        "checked": {"skew": 16, "jacobi": 64},
+        "failures": [],
+    }, "algebra CLW(m=2, b=symbolic)\n"
+       "skew residuals: 16 checked\n"
+       "jacobi residuals: 64 checked\n"
+       "PASS\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_AXIOM_REPORTS))
+def test_check_axioms_output_is_pinned(capsys, tampered_algebra_file, case):
+    source = (["--algebra", tampered_algebra_file] if case == "tampered"
+              else ["--catalog", "clw", "--m", "2"])
+    expected_code, expected_json, expected_text = PINNED_AXIOM_REPORTS[case]
+    assert run(capsys, "check-axioms", *source) == (expected_code, expected_text, "")
+    assert run(capsys, "check-axioms", *source, "--format", "json") == \
+        (expected_code, json.dumps(expected_json, indent=2) + "\n", "")
+
+
 # -- verify-family ------------------------------------------------------------------
 
 def test_verify_family_cw_shift(capsys):

@@ -1,5 +1,5 @@
-"""Fuzzing of the input boundary, and property tests of the Poly kernel
-and of the solver's sparse elimination.
+"""Fuzzing of the input boundary, and property tests of the Poly kernel,
+of the axiom check and of the solver's sparse elimination.
 
 parse_poly may raise only ParseError, algebra_from_dict only AlgebraError
 and map_from_dict only MapError, whatever the input; anything else (a
@@ -15,7 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lcalab import (  # noqa: E402
+    Algebra,
     AlgebraError,
+    BracketRule,
     MapError,
     ParseError,
     Poly,
@@ -28,6 +30,7 @@ from lcalab import (  # noqa: E402
 )
 from lcalab.poly import B, D, G, L, M  # noqa: E402
 from lcalab.solver import _rref  # noqa: E402
+from test_algebra import assert_axioms_match_oracle  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -282,6 +285,32 @@ def test_memoized_slot_substitution_matches_fresh_subst(terms, spectrals, rng):
         assert poly._subst_d(Poly(replacement.terms)) == expected
     assert (poly.terms, hash(poly), str(poly)) == seen
     assert bool(poly._memo) == any(mono[0] for mono in poly.terms)
+
+
+# -- the axiom check against the bracket-only oracle of test_algebra ----------------
+
+rule_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0), st.just(0),
+              st.integers(0, 1)),
+    st.integers(-3, 3), max_size=3).map(Poly)
+
+
+@st.composite
+def random_rule_algebras(draw):
+    """One or two families, m <= 2, a random target and d, l, b coefficient
+    per family pair: mostly not a Lie conformal algebra."""
+    families = draw(st.sampled_from([("L",), ("L", "G")]))
+    rules = [BracketRule(left, right, draw(st.sampled_from(families + (None,))),
+                         draw(rule_coeffs))
+             for left in families for right in families]
+    return Algebra("Random", draw(st.integers(1, 2)), families, rules,
+                   b=draw(st.sampled_from([None, -1, Fraction(3, 2)])))
+
+
+@KERNEL
+@given(random_rule_algebras())
+def test_check_axioms_matches_bracket_oracle_on_random_rules(algebra):
+    assert_axioms_match_oracle(algebra)
 
 
 # -- the sparse elimination against a dense Gauss-Jordan ---------------------------
