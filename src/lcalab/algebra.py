@@ -105,7 +105,7 @@ class Element:
         clean: dict[GeneratorId, Poly] = {}
         if terms:
             for gid, coeff in terms.items():
-                gid = algebra.gen(gid.family, gid.index)
+                gid = algebra.gen_of(gid)
                 poly = as_poly(coeff)
                 if poly.is_zero:
                     continue
@@ -309,8 +309,19 @@ class Algebra:
         if gid is None:
             if family not in self.families:
                 raise AlgebraError(f"unknown family {family!r}")
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise AlgebraError(f"generator index must be an int, got {index!r}")
             gid = GeneratorId(family, index % self.modulus)
         return gid
+
+    def gen_of(self, key) -> GeneratorId:
+        """gen(*key) for a (family, index) pair, a GeneratorId or a plain
+        tuple; anything else raises AlgebraError."""
+        try:
+            return self.gen(*key)
+        except TypeError:
+            raise AlgebraError(f"bad generator {key!r}, expected a (family, index) "
+                               f"pair") from None
 
     def generators(self) -> list[GeneratorId]:
         return list(self._gens)

@@ -526,11 +526,19 @@ class MatchReport:
 
 def match_templates(space: SolutionSpace) -> MatchReport:
     """Try to express every basis vector as a rational combination of the
-    family templates; anything that fails is reported verbatim."""
+    family templates; anything that fails is reported verbatim.
+
+    A template that does not fit the ansatz (its degree is above the
+    ansatz degree) is left out: no solution can use it.
+    """
     ansatz = space.ansatz
-    templates = family_templates(ansatz.algebra)
-    names = [name for name, _ in templates]
-    columns = [ansatz.vector_of(phi) for _, phi in templates]
+    names, columns = [], []
+    for name, phi in family_templates(ansatz.algebra):
+        try:
+            columns.append(ansatz.vector_of(phi))
+        except SolverError:
+            continue
+        names.append(name)
     entries = []
     for i, vec in enumerate(space.vectors):
         coords = express_in_span(columns, vec) if columns else None

@@ -341,6 +341,21 @@ def test_element_rejects_unknown_family():
         cw.element({GeneratorId("X", 0): D})
 
 
+def test_element_accepts_plain_tuple_keys():
+    clw = make_catalog("clw", 2)
+    e = clw.element({("L", 0): 1, ("G", 3): D})
+    assert e == clw.element({clw.gen("L", 0): Poly.one(), clw.gen("G", 1): D})
+    assert all(type(g) is GeneratorId for g in e.terms)
+
+
+@pytest.mark.parametrize("key", ["L:0", "L0", 5, ("L", 0, 1), ("L",), ("L", "0"),
+                                 ("L", 1.5), ("X", 0)])
+def test_element_rejects_non_generator_keys(key):
+    clw = make_catalog("clw", 2)
+    with pytest.raises(AlgebraError):
+        clw.element({key: D})
+
+
 def test_element_str():
     clw = make_catalog("clw", 2)
     e = clw.element({clw.gen("G", 1): D, clw.gen("L", 0): Poly.one()})

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lcalab import (
+    AlgebraError,
     Ansatz,
     BilinearMap,
     Poly,
@@ -18,6 +19,7 @@ from lcalab import (
     GeneratorId,
     MapError,
     TAGS,
+    algebra_from_dict,
     load_map,
     make_catalog,
     make_family,
@@ -28,7 +30,8 @@ from lcalab import (
     residual,
     verify_map,
 )
-from lcalab.bimaps import TAG_ARITY, _integral_multiple
+from lcalab import bimaps
+from lcalab.bimaps import TAG_ARITY, SweepMemo, _integral_multiple
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
@@ -191,6 +194,25 @@ def test_tables_are_read_only():
     with pytest.raises(TypeError):
         phi.table[pair] = value
     assert clw.table[pair] == phi.table[pair] != value
+
+
+def test_map_table_accepts_plain_tuple_keys():
+    clw = make_catalog("clw", 2)
+    value = clw.element({("G", 1): D + 2 * L})
+    phi = BilinearMap(clw, {(("L", 0), ("L", 3)): value})
+    assert phi == BilinearMap(clw, {(clw.gen("L", 0), clw.gen("L", 1)): value})
+    assert all(type(g) is GeneratorId for pair in phi.table for g in pair)
+
+
+@pytest.mark.parametrize("key, error", [
+    (5, MapError), ("ab", MapError), ((("L", 0),) * 3, MapError),
+    (("L", ("G", 1)), AlgebraError), ((("L", 0), "G:1"), AlgebraError),
+    ((("L", 0), ("X", 1)), AlgebraError),
+])
+def test_map_table_rejects_non_pair_keys(key, error):
+    clw = make_catalog("clw", 2)
+    with pytest.raises(error):
+        BilinearMap(clw, {key: clw.gen_element(("L", 0))})
 
 
 def test_map_eval_zero_table():
@@ -438,24 +460,107 @@ def test_verify_zero_map_all_tags():
     assert report.passed
 
 
+# -- the sweep memo ------------------------------------------------------------------
+
+def memo_free_sweep(phi, tags=TAGS):
+    """(checked, failures) of a sweep of phi: one residual per tuple, no memo."""
+    gens = phi.algebra.generators()
+    results = [residual(phi, tag, args) for tag in normalize_tags(tags)
+               for args in itertools.product(gens, repeat=TAG_ARITY[tag])]
+    return len(results), [r for r in results if not r.is_zero]
+
+
+def assert_sweep_matches_memo_free(phi, tags=TAGS):
+    report = verify_map(phi, tags)
+    checked, failures = memo_free_sweep(phi, tags)
+    assert report.checked == checked
+    assert [(r.tag, r.args, r.value) for r in report.failures] == \
+        [(r.tag, r.args, r.value) for r in failures]
+    assert [str(r) for r in report.failures] == [str(r) for r in failures]
+    return report
+
+
+def g_component_map(clw, shift=0):
+    """The g-component of clw_shift alone, built from a raw table, so that
+    it exists at any b: a biderivation only at b = -1."""
+    ls = [g for g in clw.generators() if g.family == "L"]
+    return BilinearMap(clw, {(x, y): clw.element({clw.gen("G", x.index + y.index + shift):
+                                                  D + 2 * L})
+                             for x in ls for y in ls})
+
+
+TAMPERED = {"name": "BadVir", "modulus": 1, "families": ["L"], "b": "symbolic",
+            "rules": [{"left": "L", "right": "L", "target": "L", "coeff": "d + l"}]}
+
+SWEEP_CASES = {
+    "vir-inner": (lambda: make_family(make_catalog("vir"), "inner", t=1), True),
+    "cw3-inner": (lambda: make_family(make_catalog("cw", 3), "inner", t=-2), True),
+    "cw3-shift": (lambda: make_family(make_catalog("cw", 3), "cw_shift", shift=1, a=3), True),
+    "clw2-inner-symbolic": (lambda: make_family(make_catalog("clw", 2), "inner", t=1), True),
+    "clw2-shift-symbolic": (lambda: make_family(make_catalog("clw", 2), "clw_shift",
+                                                shift=1, a=2), True),
+    "clw2-shift-b3/2": (lambda: make_family(make_catalog("clw", 2, Fraction(3, 2)),
+                                            "clw_shift", shift=1, a=5), True),
+    "clw2-shift-g-bm1": (lambda: make_family(make_catalog("clw", 2, -1), "clw_shift",
+                                             shift=1, a=2, g=1), True),
+    "tampered-inner": (lambda: make_family(algebra_from_dict(TAMPERED), "inner", t=1), False),
+    "clw2-g-symbolic": (lambda: g_component_map(make_catalog("clw", 2), shift=1), False),
+    "clw1-random-rational": (lambda: oracle_maps(make_catalog("clw", 1))[1], False),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_verify_map_matches_memo_free_residuals(case):
+    build, passes = SWEEP_CASES[case]
+    phi = build()
+    report = assert_sweep_matches_memo_free(phi)
+    assert report.passed == passes
+    if case.endswith("rational"):
+        assert _integral_multiple(phi)[1] != 1
+
+
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-6, 5), Fraction(6, 3), 1])
 def test_verify_map_rational_map_matches_residuals(scale):
     # verify_map sweeps an integral multiple of the map; the failures it
     # reports are still the map's own residuals, value and string alike.
     clw = make_catalog("clw", 2)  # symbolic b: the g-component fails def1b
-    ls = [g for g in clw.generators() if g.family == "L"]
-    g_part = BilinearMap(clw, {(x, y): clw.element({clw.gen("G", x.index + y.index): D + 2 * L})
-                               for x in ls for y in ls})
-    phi = (make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)) + g_part) * scale
-    report = verify_map(phi, TAGS)
-    expected = [r for tag in TAGS for r in (residual(phi, tag, args)
-                for args in itertools.product(clw.generators(), repeat=TAG_ARITY[tag]))
-                if not r.is_zero]
-    assert expected and not report.passed
-    assert [(r.tag, r.args, r.value) for r in report.failures] == \
-        [(r.tag, r.args, r.value) for r in expected]
-    assert [str(r) for r in report.failures] == [str(r) for r in expected]
+    phi = (make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4))
+           + g_component_map(clw)) * scale
+    assert not assert_sweep_matches_memo_free(phi).passed
     assert verify_map(make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)), TAGS).passed
+
+
+def test_memo_of_another_map_is_refused():
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "inner", t=1)
+    psi = g_component_map(clw)
+    memo = SweepMemo(phi)
+    x, y, z = clw.gen("L", 0), clw.gen("L", 1), clw.gen("L", 0)
+    assert residual(phi, "def1b", (x, y, z), memo).is_zero
+    # psi's residual at the same tuple is not zero; phi's entries must not
+    # answer for it, and an equal copy of phi is another map too.
+    assert not residual(psi, "def1b", (x, y, z)).is_zero
+    for other in (psi, make_family(clw, "inner", t=1)):
+        with pytest.raises(MapError, match="memo belongs to another map"):
+            residual(other, "def1b", (x, y, z), memo)
+    assert residual(phi, "def1b", (x, y, z), memo).is_zero
+
+
+def test_consecutive_sweeps_do_not_share_entries(monkeypatch):
+    memos = []
+
+    class RecordingMemo(SweepMemo):
+        def __init__(self, phi):
+            super().__init__(phi)
+            memos.append(self)
+
+    monkeypatch.setattr(bimaps, "SweepMemo", RecordingMemo)
+    clw = make_catalog("clw", 2)
+    phi, psi = make_family(clw, "inner", t=1), g_component_map(clw)
+    assert assert_sweep_matches_memo_free(phi).passed
+    assert not assert_sweep_matches_memo_free(psi).passed
+    assert len(memos) == 2 and memos[0] is not memos[1]
+    assert [memo.phi for memo in memos] == [phi, psi]
 
 
 def test_integral_multiple_has_int_coefficients():

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,25 @@ def test_match_fails_without_templates(capsys, tmp_path):
     code, out, _ = run(capsys, "match", "--algebra", str(path), "--degree", "1")
     assert code == 1
     assert "UNMATCHED" in out
+
+
+INHOMOGENEOUS = str(Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json")
+
+
+@pytest.mark.parametrize("verb", ["solve-bider", "match"])
+@pytest.mark.parametrize("source", [
+    ["--catalog", "vir"],
+    ["--catalog", "clw", "--m", "2", "--b=-1"],
+    ["--algebra", INHOMOGENEOUS],
+], ids=["vir", "clw2-bm1", "inhomogeneous-clw"])
+def test_degree_zero_leaves_out_templates_above_the_ansatz(capsys, verb, source):
+    # Every family template has degree 1, so none fits a degree-0 ansatz;
+    # the solution space is 0 there, which is a full match.
+    code, out, err = run(capsys, verb, *source, "--degree", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["dimension"], report["basis"]) == (0, [])
+    assert (report["matched"], report["unmatched"]) == ([], [])
 
 
 # -- usage errors -------------------------------------------------------------------

@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lcalab import (  # noqa: E402
     Algebra,
     AlgebraError,
+    BilinearMap,
     BracketRule,
     MapError,
     ParseError,
     Poly,
+    TAGS,
     VARS,
     Var,
     algebra_from_dict,
@@ -31,6 +33,7 @@ from lcalab import (  # noqa: E402
 from lcalab.poly import B, D, G, L, M  # noqa: E402
 from lcalab.solver import _rref  # noqa: E402
 from test_algebra import assert_axioms_match_oracle  # noqa: E402
+from test_bimaps import assert_sweep_matches_memo_free  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 
@@ -311,6 +314,36 @@ def random_rule_algebras(draw):
 @given(random_rule_algebras())
 def test_check_axioms_matches_bracket_oracle_on_random_rules(algebra):
     assert_axioms_match_oracle(algebra)
+
+
+# -- verify_map's sweep memo against memo-free residuals ----------------------------
+
+map_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0),
+              st.integers(0, 1)),
+    coefficients, max_size=2).map(Poly)
+
+
+@st.composite
+def random_maps(draw):
+    """A random rule table, a random map on it (a d, l, b coefficient on a
+    random target per generator pair, or nothing) and random tags."""
+    algebra = draw(random_rule_algebras())
+    gens = algebra.generators()
+    table = {}
+    for gi in gens:
+        for gj in gens:
+            target = draw(st.sampled_from(gens + [None]))
+            if target is not None:
+                table[(gi, gj)] = algebra.element({target: draw(map_coeffs)})
+    return BilinearMap(algebra, table), draw(st.sets(st.sampled_from(TAGS), min_size=1))
+
+
+@KERNEL
+@given(random_maps())
+def test_verify_map_matches_memo_free_residuals_on_random_maps(case):
+    phi, tags = case
+    assert_sweep_matches_memo_free(phi, tags)
 
 
 # -- the sparse elimination against a dense Gauss-Jordan ---------------------------
