@@ -204,7 +204,8 @@ class BracketRule:
     coeff: Poly
 
 
-_RULE_VARS = frozenset({Var.D, Var.L, Var.B})
+# The variables of a table coefficient, in bracket rules and map tables alike.
+TABLE_VARS = frozenset({Var.D, Var.L, Var.B})
 
 
 class Algebra:
@@ -250,7 +251,7 @@ class Algebra:
             if key in table:
                 raise AlgebraError(f"duplicate rule for pair ({rule.left},{rule.right})")
             coeff = rule.coeff
-            if any(v not in _RULE_VARS for v in coeff.variables()):
+            if any(v not in TABLE_VARS for v in coeff.variables()):
                 raise AlgebraError(f"rule ({rule.left},{rule.right}): coefficient may "
                                    f"use only d, l, b")
             if b_value is not None:
@@ -305,7 +306,8 @@ class Algebra:
         return sorted(self._rules.values(), key=lambda r: (order[r.left], order[r.right]))
 
     def gen(self, family: str, index: int) -> GeneratorId:
-        gid = self._gens.get((family, index))
+        # Only an int may take the lookup: 1.0, True, Fraction(1) equal 1.
+        gid = self._gens.get((family, index)) if type(index) is int else None
         if gid is None:
             if family not in self.families:
                 raise AlgebraError(f"unknown family {family!r}")
@@ -642,17 +644,22 @@ def algebra_from_dict(data: dict) -> Algebra:
     return Algebra(name, modulus, families, rules, b=b)
 
 
-def load_algebra(path: str | Path) -> Algebra:
-    """Load and validate an algebra definition file (JSON)."""
+def read_json(path: str | Path, error: type[Exception]):
+    """Parsed JSON of a file, the one reader of algebra and map files; an
+    unreadable file or malformed JSON raises ``error`` naming the path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise AlgebraError(f"cannot read {path}: {exc}") from None
+        raise error(f"cannot read {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer past the digit limit
-        raise AlgebraError(f"invalid JSON in {path}: {exc}") from None
-    return algebra_from_dict(data)
+        raise error(f"invalid JSON in {path}: {exc}") from None
+
+
+def load_algebra(path: str | Path) -> Algebra:
+    """Load and validate an algebra definition file (JSON)."""
+    return algebra_from_dict(read_json(path, AlgebraError))
 
 
 def algebra_to_dict(algebra: Algebra) -> dict:

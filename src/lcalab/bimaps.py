@@ -44,7 +44,6 @@ peak RSS from 24.2 to 30.4 MB, with no gain in time).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -55,12 +54,14 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import (
     MAX_SWEEP_RESIDUALS,
+    TABLE_VARS,
     Algebra,
     AlgebraError,
     Element,
     GeneratorId,
     bracket,
     parse_generator,
+    read_json,
     second_slot_subst,
     slot_eval,
 )
@@ -69,8 +70,6 @@ from .poly import ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
 TAGS = ("def1a", "def1b", "lem1", "lem2")
 
 TAG_ARITY = {"def1a": 2, "def1b": 3, "lem1": 3, "lem2": 4}
-
-_TABLE_VARS = frozenset({Var.D, Var.L, Var.B})
 
 # The spectral sums of the nested identities, built once: each table
 # owner's cache finds them by identity.
@@ -122,7 +121,7 @@ class BilinearMap:
             if value.algebra is not algebra and value.algebra != algebra:
                 raise MapError("table value over a different algebra")
             for coeff in value.terms.values():
-                if any(v not in _TABLE_VARS for v in coeff.variables()):
+                if any(v not in TABLE_VARS for v in coeff.variables()):
                     raise MapError(f"entry ({gi},{gj}): coefficients may use only d, l, b")
             if not value.is_zero:
                 clean[(gi, gj)] = value
@@ -430,12 +429,24 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
                g-component additionally routes g (d+2l) G_{i+j+shift}
                into the (L, L) entries and exists only at b = -1.
 
-    t, a and g must be ints or Fractions, and shift an int.
+    These checks are the one record of which families an algebra carries
+    (solver.family_templates keeps what they let through).  t, a and g
+    must be ints or Fractions, shift an int, and a parameter the kind does
+    not take (shift, a, g for inner; t, g for cw_shift; t for clw_shift)
+    must keep its default.
     """
     t, a, g = (exact_scalar(value, FamilyError, name)
                for value, name in ((t, "t"), (a, "a"), (g, "g")))
     if isinstance(shift, bool) or not isinstance(shift, int):
         raise FamilyError(f"shift must be an int, got {type(shift).__name__}")
+    unused = {"inner": (("shift", shift, 0), ("a", a, 1), ("g", g, 0)),
+              "cw_shift": (("t", t, 1), ("g", g, 0)),
+              "clw_shift": (("t", t, 1),)}.get(kind)
+    if unused is None:
+        raise FamilyError(f"unknown family kind {kind!r}; expected inner, cw_shift or clw_shift")
+    for name, value, default in unused:
+        if value != default:
+            raise FamilyError(f"{kind} takes no {name} (got {value})")
     if kind == "inner":
         return BilinearMap(algebra, _shifted_table(algebra, 0, t))
 
@@ -447,21 +458,19 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
             raise FamilyError("cw_shift requires the family to close on itself")
         return BilinearMap(algebra, _shifted_table(algebra, shift, a))
 
-    if kind == "clw_shift":
-        if algebra.families != ("L", "G"):
-            raise FamilyError("clw_shift requires families L, G")
-        if g and algebra.b_value != Fraction(-1):
-            raise FamilyError("the g-component exists only at b = -1")
-        table = _shifted_table(algebra, shift, a)
-        if g:
-            coeff = algebra.rule("L", "L").coeff * g
-            for gi, gj in table:
-                if gi.family == gj.family == "L":
-                    tgt = algebra.gen("G", gi.index + gj.index + shift)
-                    table[(gi, gj)] = table[(gi, gj)] + algebra.element({tgt: coeff})
-        return BilinearMap(algebra, table)
-
-    raise FamilyError(f"unknown family kind {kind!r}; expected inner, cw_shift or clw_shift")
+    # clw_shift
+    if algebra.families != ("L", "G"):
+        raise FamilyError("clw_shift requires families L, G")
+    if g and algebra.b_value != Fraction(-1):
+        raise FamilyError("the g-component exists only at b = -1")
+    table = _shifted_table(algebra, shift, a)
+    if g:
+        coeff = algebra.rule("L", "L").coeff * g
+        for gi, gj in table:
+            if gi.family == gj.family == "L":
+                tgt = algebra.gen("G", gi.index + gj.index + shift)
+                table[(gi, gj)] = table[(gi, gj)] + algebra.element({tgt: coeff})
+    return BilinearMap(algebra, table)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +541,4 @@ def map_from_dict(data: dict, algebra: Algebra) -> BilinearMap:
 
 def load_map(path: str | Path, algebra: Algebra) -> BilinearMap:
     """Load a bilinear map file (JSON) against a known algebra."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MapError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
-        raise MapError(f"invalid JSON in {path}: {exc}") from None
-    return map_from_dict(data, algebra)
+    return map_from_dict(read_json(path, MapError), algebra)

@@ -24,6 +24,7 @@ from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
 from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, verify_map
 from .poly import ParseError, Scalar, parse_rational
 from .solver import (
+    ASSEMBLE_TAGS,
     InternalCheckError,
     SolverError,
     match_templates,
@@ -83,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-bider", help="classify biderivations by exact "
                                            "nullspace computation")
     add_common(p, degree=True)
-    p.add_argument("--eq", choices=["def1a", "def1b", "lem1", "all"], default="def1b",
+    p.add_argument("--eq", choices=list(ASSEMBLE_TAGS) + ["all"], default="def1b",
                    help="constraints beyond skew-symmetry (def1a always included)")
 
     p = sub.add_parser("match", help="solve, then require a full match against "
                                      "the family templates")
     add_common(p, degree=True)
-    p.add_argument("--eq", choices=["def1a", "def1b", "lem1", "all"], default="def1b")
+    p.add_argument("--eq", choices=list(ASSEMBLE_TAGS) + ["all"], default="def1b")
 
     return parser
 
@@ -121,7 +122,7 @@ def _build_algebra(args):
 
 def _solver_tags(eq: str) -> tuple[str, ...]:
     if eq == "all":
-        return ("def1a", "def1b", "lem1")
+        return ASSEMBLE_TAGS
     if eq == "def1a":
         return ("def1a",)
     return ("def1a", eq)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import sys
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -271,38 +270,33 @@ class Poly:
 
         Variables absent from ``assignments`` are left alone.  This is a
         ring homomorphism: subst distributes over + and *.
+
+        Each term c * x^mono becomes c * x^rest * prod(replacement ** e),
+        e its exponents in the substituted slots (one power per (slot, e)),
+        expanded straight into one output dict: a sum of Polys would copy
+        the growing sum once per term.
         """
         if not assignments or not self.terms:
             return self
         amap = {var.slot: as_poly(value) for var, value in assignments.items()}
-        slots = tuple(amap)
-        if not any(mono[slot] for mono in self.terms for slot in slots):
+        if not any(mono[slot] for mono in self.terms for slot in amap):
             return self
-        # Term c * x^mono becomes c * x^(mono - e) * prod(replacement ** e)
-        # with e the exponents of mono in the substituted slots.  That
-        # product, with e already taken off its monomials, depends on e
-        # alone: it is built once per e and expanded straight into ``out``.
-        exponents_of = itemgetter(*slots)
-        shifted: dict[object, list[tuple[Monomial, Scalar]]] = {}
+        powers: dict[tuple[int, int], Poly] = {}
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            key = exponents_of(mono)
-            product = shifted.get(key)
-            if product is None:
-                p = ONE
-                taken = [0] * 5
-                for slot, replacement in amap.items():
-                    e = mono[slot]
-                    if e:
-                        p = p * replacement ** e
-                        taken[slot] = e
-                t0, t1, t2, t3, t4 = taken
-                product = shifted[key] = [
-                    ((m[0] - t0, m[1] - t1, m[2] - t2, m[3] - t3, m[4] - t4), c)
-                    for m, c in p.terms.items()]
-            e0, e1, e2, e3, e4 = mono
-            for (s0, s1, s2, s3, s4), c2 in product:
-                target = (e0 + s0, e1 + s1, e2 + s2, e3 + s3, e4 + s4)
+            rest = list(mono)
+            product = ONE
+            for slot, replacement in amap.items():
+                e = mono[slot]
+                if e:
+                    rest[slot] = 0
+                    power = powers.get((slot, e))
+                    if power is None:
+                        power = powers[(slot, e)] = replacement ** e
+                    product = product * power
+            r0, r1, r2, r3, r4 = rest
+            for (s0, s1, s2, s3, s4), c2 in product.terms.items():
+                target = (r0 + s0, r1 + s1, r2 + s2, r3 + s3, r4 + s4)
                 s = out.get(target)
                 out[target] = coeff * c2 if s is None else s + coeff * c2
         return Poly._raw({m: c for m, c in out.items() if c})

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .algebra import Algebra, GeneratorId
 from .bimaps import (
     BilinearMap,
+    FamilyError,
     GenPair,
     TAG_ARITY,
     make_family,
@@ -433,28 +434,22 @@ def solve_bider(algebra: Algebra, degree: int,
 # ---------------------------------------------------------------------------
 
 def family_templates(algebra: Algebra) -> list[tuple[str, BilinearMap]]:
-    """The closed-form family instances available on this algebra.
+    """The closed-form family instances available on this algebra: each
+    template kind once per shift, named "kind(s=shift)".
 
-    Single-family algebras get one shift family per residue class;
-    two-family (L, G) algebras get the a-family per shift plus, at
-    b = -1 only, the g-family per shift.
+    Which kinds an algebra carries is make_family's decision alone: a
+    kind it refuses with FamilyError (its conditions do not depend on the
+    shift) is left out.
     """
-    m = algebra.modulus
     templates: list[tuple[str, BilinearMap]] = []
-    if len(algebra.families) == 1:
-        fam = algebra.families[0]
-        if algebra.rule(fam, fam).target == fam:
-            for s in range(m):
-                templates.append((f"cw_shift(s={s})",
-                                  make_family(algebra, "cw_shift", shift=s, a=1)))
-    elif algebra.families == ("L", "G"):
-        for s in range(m):
-            templates.append((f"clw_a(s={s})",
-                              make_family(algebra, "clw_shift", shift=s, a=1, g=0)))
-        if algebra.b_value == Fraction(-1):
-            for s in range(m):
-                templates.append((f"clw_g(s={s})",
-                                  make_family(algebra, "clw_shift", shift=s, a=0, g=1)))
+    for name, kind, params in (("cw_shift", "cw_shift", {"a": 1}),
+                               ("clw_a", "clw_shift", {"a": 1, "g": 0}),
+                               ("clw_g", "clw_shift", {"a": 0, "g": 1})):
+        try:
+            templates += [(f"{name}(s={s})", make_family(algebra, kind, shift=s, **params))
+                          for s in range(algebra.modulus)]
+        except FamilyError:
+            pass
     return templates
 
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -354,6 +355,19 @@ def test_element_rejects_non_generator_keys(key):
     clw = make_catalog("clw", 2)
     with pytest.raises(AlgebraError):
         clw.element({key: D})
+
+
+@pytest.mark.parametrize("index", [1.0, True, Fraction(1), Decimal(1)], ids=repr)
+def test_non_int_index_equal_to_an_int_is_refused(index):
+    clw = make_catalog("clw", 2)
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        clw.gen("L", index)
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        clw.gen_element(("G", index))
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        clw.element({("L", index): 1})
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        clw.element({("L", 0): D, ("G", index): L})
 
 
 def test_element_str():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,9 @@ from lcalab.bimaps import TAG_ARITY, SweepMemo, _integral_multiple
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
+
+# Equal to the int 1, and hashing like it, but not ints.
+NON_INT_ONES = (1.0, True, Fraction(1), Decimal(1))
 
 
 def raw_g_map(clw):
@@ -202,6 +206,20 @@ def test_map_table_accepts_plain_tuple_keys():
     phi = BilinearMap(clw, {(("L", 0), ("L", 3)): value})
     assert phi == BilinearMap(clw, {(clw.gen("L", 0), clw.gen("L", 1)): value})
     assert all(type(g) is GeneratorId for pair in phi.table for g in pair)
+
+
+@pytest.mark.parametrize("index", NON_INT_ONES, ids=repr)
+def test_map_keys_and_residual_args_refuse_non_int_indices(index):
+    clw = make_catalog("clw", 2)
+    value = clw.gen_element(("L", 0))
+    for pair in ((("L", index), ("L", 0)), (("L", 0), ("G", index))):
+        with pytest.raises(AlgebraError, match="index must be an int"):
+            BilinearMap(clw, {pair: value})
+    phi = make_family(clw, "inner")
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        residual(phi, "def1a", [("L", index), ("G", 0)])
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        residual(phi, "def1b", [("L", 0), ("G", 1), ("G", index)])
 
 
 @pytest.mark.parametrize("key, error", [
@@ -399,6 +417,28 @@ def test_family_kind_validation():
         make_family(clw, "cw_shift")
     with pytest.raises(FamilyError, match="unknown family kind"):
         make_family(vir, "outer")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("inner", {"shift": 1}), ("inner", {"a": 2}), ("inner", {"g": Fraction(1, 2)}),
+    ("cw_shift", {"t": 5}), ("cw_shift", {"g": 3}), ("cw_shift", {"t": 5, "g": 3}),
+    ("clw_shift", {"t": 0}),
+])
+def test_family_refuses_parameters_its_kind_does_not_take(kind, params):
+    alg = make_catalog("cw", 2) if kind == "cw_shift" else make_catalog("clw", 2, -1)
+    with pytest.raises(FamilyError, match=f"{kind} takes no "):
+        make_family(alg, kind, **params)
+
+
+def test_family_accepts_defaults_of_parameters_it_does_not_take():
+    clw = make_catalog("clw", 2, -1)
+    cw = make_catalog("cw", 2)
+    assert make_family(clw, "inner", t=2, shift=0, a=Fraction(1), g=0) == \
+        make_family(clw, "inner", t=2)
+    assert make_family(cw, "cw_shift", shift=1, a=2, t=Fraction(2, 2), g=0) == \
+        make_family(cw, "cw_shift", shift=1, a=2)
+    assert make_family(clw, "clw_shift", shift=1, a=2, g=1, t=1) == \
+        make_family(clw, "clw_shift", shift=1, a=2, g=1)
 
 
 NOT_SCALARS = (0.5, 0.1, 1.0, True, False, "3/2")

@@ -121,6 +121,30 @@ def test_verify_family_clw_g_at_bad_b_is_usage_error(capsys):
     assert "--g" in err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["--catalog", "clw", "--m", "2", "--family", "inner", "--shift", "1"],
+     "inner takes no shift"),
+    (["--catalog", "clw", "--m", "2", "--b=-1", "--family", "inner", "--g", "1"],
+     "inner takes no g"),
+    (["--catalog", "cw", "--m", "2", "--family", "cw", "--t", "5", "--g", "3"],
+     "cw_shift takes no t"),
+    (["--catalog", "clw", "--m", "2", "--family", "clw", "--t", "2"],
+     "clw_shift takes no t"),
+], ids=["inner-shift", "inner-g", "cw-t-g", "clw-t"])
+def test_verify_family_refuses_parameters_the_family_does_not_take(capsys, argv, fragment):
+    code, out, err = run(capsys, "verify-family", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"lcalab: error: --family/--shift/--t/--a/--g: {fragment} (got ")
+    assert err.count("\n") == 1
+
+
+def test_verify_family_accepts_defaults_of_parameters_it_does_not_take(capsys):
+    code, out, _ = run(capsys, "verify-family", "--catalog", "cw", "--m", "2",
+                       "--family", "inner", "--shift", "0", "--a", "1", "--g", "0")
+    assert code == 0
+    assert out.endswith("PASS\n")
+
+
 def test_verify_family_negative_rational_equals_form(capsys):
     code, _, _ = run(capsys, "verify-family", "--catalog", "clw", "--m", "2",
                      "--b=-1", "--family", "clw", "--a=0", "--g=-2/3")

@@ -20,6 +20,7 @@ from lcalab import (
     check_axioms,
     express_in_span,
     family_templates,
+    load_algebra,
     make_catalog,
     make_family,
     map_to_dict,
@@ -370,6 +371,57 @@ def test_family_templates_clw():
     assert names_b0 == ["clw_a(s=0)", "clw_a(s=1)"]
     names_bm1 = [n for n, _ in family_templates(make_catalog("clw", 2, -1))]
     assert names_bm1 == ["clw_a(s=0)", "clw_a(s=1)", "clw_g(s=0)", "clw_g(s=1)"]
+
+
+def family_templates_oracle(algebra):
+    """The preconditions family_templates kept before it read them off
+    make_family: one copy of which families an algebra carries."""
+    m = algebra.modulus
+    templates = []
+    if len(algebra.families) == 1:
+        fam = algebra.families[0]
+        if algebra.rule(fam, fam).target == fam:
+            for s in range(m):
+                templates.append((f"cw_shift(s={s})",
+                                  make_family(algebra, "cw_shift", shift=s, a=1)))
+    elif algebra.families == ("L", "G"):
+        for s in range(m):
+            templates.append((f"clw_a(s={s})",
+                              make_family(algebra, "clw_shift", shift=s, a=1, g=0)))
+        if algebra.b_value == Fraction(-1):
+            for s in range(m):
+                templates.append((f"clw_g(s={s})",
+                                  make_family(algebra, "clw_shift", shift=s, a=0, g=1)))
+    return templates
+
+
+TEMPLATE_ORACLE_CASES = {
+    "vir": lambda: make_catalog("vir"),
+    "cw3": lambda: make_catalog("cw", 3),
+    "clw2-symbolic": lambda: make_catalog("clw", 2),
+    "clw2-b0": lambda: make_catalog("clw", 2, 0),
+    "clw2-bm1": lambda: make_catalog("clw", 2, -1),
+    "inhomogeneous-clw": lambda: load_algebra(
+        Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"),
+    # two families, not (L, G): no template kind applies
+    "two-families-not-LG": lambda: algebra_from_dict({
+        "name": "XY", "modulus": 2, "families": ["X", "Y"], "b": "-1",
+        "rules": [{"left": "X", "right": "X", "target": "X", "coeff": "d + 2*l"}]}),
+    # one family whose bracket is zero: it does not close on itself
+    "zero-bracket": lambda: algebra_from_dict({
+        "name": "Flat", "modulus": 2, "families": ["X"], "b": "symbolic", "rules": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEMPLATE_ORACLE_CASES))
+def test_family_templates_match_precondition_oracle(case):
+    algebra = TEMPLATE_ORACLE_CASES[case]()
+    expected = family_templates_oracle(algebra)
+    assert family_templates(algebra) == expected
+    if case in ("two-families-not-LG", "zero-bracket"):
+        assert expected == []
+    else:
+        assert expected
 
 
 def test_match_reports_unmatched_verbatim():
