@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", choices=["vir", "cw", "clw"],
                        help="built-in algebra")
         p.add_argument("--algebra", metavar="FILE", help="algebra definition file")
-        p.add_argument("--m", type=int, default=1, metavar="INT",
+        p.add_argument("--m", type=int, metavar="INT",
                        help="grading modulus for catalog algebras (default 1)")
         p.add_argument("--b", metavar="RAT|symbolic",
                        help="structure parameter for --catalog clw "
@@ -108,7 +108,7 @@ def _build_algebra(args):
         raise UsageError("exactly one of --catalog or --algebra is required")
     if args.algebra is not None:
         for flag in ("m", "b"):
-            if getattr(args, flag) not in (None, 1):
+            if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} only applies to --catalog algebras")
         return load_algebra(args.algebra)
     b = None
@@ -117,7 +117,7 @@ def _build_algebra(args):
             raise UsageError("--b is only valid with --catalog clw")
         if args.b != "symbolic":
             b = _parse_rational(args.b, "--b")
-    return make_catalog(args.catalog, args.m, b)
+    return make_catalog(args.catalog, 1 if args.m is None else args.m, b)
 
 
 def _solver_tags(eq: str) -> tuple[str, ...]:

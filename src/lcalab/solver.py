@@ -20,6 +20,17 @@ provenance, for tests and reports.  Every entry is an exact rational, an
 int or a Fraction (never a float), and every division has a Fraction
 operand or is an exact floor division; the reduced row echelon form is
 unique, so the emitted basis is deterministic bit for bit.
+
+Every algebra is a loop algebra over Z_m, so the index shift
+sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
+slot: it lies in the centroid.  An unknown (left, right, target, d^p l^q)
+is in index class target.index - left.index - right.index (mod m); every
+row involves one class only, and phi -> sigma_s o phi maps the rows and
+the solutions of class 0 onto those of class s.  So only class 0 is
+assembled and eliminated, and each class-0 basis vector is lifted by
+sigma_s for s = 0..m-1; the reported row count is m times the class-0
+rows.  The post-solve re-check runs on every reported vector, the lifted
+ones included, so it also checks the lift.
 """
 
 from __future__ import annotations
@@ -93,6 +104,11 @@ class Ansatz:
     MAX_UNKNOWNS.  Requires a bracket table free of b (numeric b): the
     constraint rows must be rational numbers, and assembly uses b as the
     tag of the unknowns (see tagged_map).
+
+    ``unknowns`` lists every unknown; ``class0`` holds the indices of the
+    index-class-0 ones (target index = left + right mod m), the only ones
+    assembled and solved.  ``shift`` and ``lift`` carry class 0 onto
+    class s.
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -117,6 +133,10 @@ class Ansatz:
             for gi in gens for gj in gens for gt in gens for (p, q) in monos
         ]
         self._index = {u: k for k, u in enumerate(self.unknowns)}
+        m = algebra.modulus
+        self.class0 = [k for k, u in enumerate(self.unknowns)
+                       if (u.target.index - u.left.index - u.right.index) % m == 0]
+        self._n_monos = len(monos)
 
     @property
     def n_unknowns(self) -> int:
@@ -139,16 +159,37 @@ class Ansatz:
         return self._map((u, u.monomial, coeff)
                          for coeff, u in zip(vector, self.unknowns) if coeff)
 
-    def tagged_map(self) -> BilinearMap:
-        """The ansatz map with unknown k set to the tag b^k.
+    def shift(self, k: int, s: int) -> int:
+        """The index of sigma_s of unknown k: the same unknown with its
+        target index moved by s (mod m).
 
-        Unknown k = (left, right, target, d^p l^q) is the term
-        b^k d^p l^q on target at (left, right).  Any residual of this map
-        is a polynomial whose b^k part is the residual of the map with
-        unknown k set to 1 and every other unknown 0.
+        Generators run index-innermost within each family, and monomials
+        innermost within each target, so the shift moves k by a multiple
+        of the monomial count; it keeps the order of the unknowns within
+        one class.
+        """
+        i = self.unknowns[k].target.index
+        return k + ((i + s) % self.algebra.modulus - i) * self._n_monos
+
+    def lift(self, entries: dict[int, int], s: int) -> list[int]:
+        """The dense vector of sigma_s o phi, for phi given by its nonzero
+        entries {unknown index: value}."""
+        vector = [0] * self.n_unknowns
+        for k, value in entries.items():
+            vector[self.shift(k, s)] = value
+        return vector
+
+    def tagged_map(self) -> BilinearMap:
+        """The class-0 ansatz map with unknown k set to the tag b^k.
+
+        Unknown k = (left, right, target, d^p l^q) of class 0 is the term
+        b^k d^p l^q on target at (left, right); the other classes are
+        left out (see lift).  Any residual of this map is a polynomial
+        whose b^k part is the residual of the map with unknown k set to 1
+        and every other unknown 0.
         """
         return self._map((u, (u.dpow, u.lpow, 0, 0, k), 1)
-                         for k, u in enumerate(self.unknowns))
+                         for k, u in ((k, self.unknowns[k]) for k in self.class0))
 
     def vector_of(self, phi: BilinearMap) -> list[Fraction]:
         """Flatten a concrete map onto the unknown coordinates.
@@ -194,24 +235,34 @@ Row = dict[int, Fraction]
 class ConstraintSystem:
     """Sparse exact-rational homogeneous system over the ansatz unknowns.
 
-    It holds the row count and the reduced row echelon form of the rows
-    (pivot column -> row, see _rref), not the rows: ``rows`` and
-    ``provenance`` call ``listing`` on each access, which for an
-    assembled system is one more assembly.
+    It holds the row count and the reduced row echelon form (pivot
+    column -> row, see _rref) of the rows over ``columns``, not the rows.
+    The solutions on ``columns``, lifted by sigma_s for s < ``classes``,
+    are the solutions of the whole system.  An assembled system solves
+    class 0 (``columns`` = ``ansatz.class0``, ``classes`` = m), and its
+    ``n_rows`` counts every class, m times the class-0 rows; a system of
+    explicit rows has no class structure (every unknown, one class).
+    ``rows`` and ``provenance`` call ``listing`` on each access, which
+    for an assembled system is one more class-0 assembly, lifted onto
+    every class.
     """
 
     ansatz: Ansatz
     tags: tuple[str, ...]
     n_rows: int
     pivots: dict[int, Row]
+    columns: Sequence[int]
+    classes: int
     listing: Callable[[], list[tuple[Provenance, Row]]] = field(repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, ansatz: Ansatz, tags: Iterable[str], rows: Sequence[Row],
                   provenance: Sequence[Provenance]) -> ConstraintSystem:
-        """A system of explicit rows, eliminated like an assembled one."""
+        """A system of explicit rows over every unknown, eliminated like an
+        assembled one, with no lift."""
         listing = list(zip(provenance, rows))
-        return cls(ansatz, tuple(tags), len(rows), _rref(rows), lambda: listing)
+        return cls(ansatz, tuple(tags), len(rows), _rref(rows),
+                   range(ansatz.n_unknowns), 1, lambda: listing)
 
     @property
     def n_unknowns(self) -> int:
@@ -236,8 +287,8 @@ class ConstraintSystem:
 
 def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
-    """The rows of each (tag, tuple), unsorted: (tag, args, target ->
-    monomial -> row), from one residual of the tagged map.
+    """The class-0 rows of each (tag, tuple), unsorted: (tag, args,
+    target -> monomial -> row), from one residual of the tagged map.
 
     Residuals are linear in the map and never substitute b, and the
     algebra is b-free, so the residual of Ansatz.tagged_map is
@@ -259,29 +310,41 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
 
 
 def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Row]]:
-    """The assembled rows with their provenance, ordered by (tag, tuple,
-    target, monomial), with unknowns ascending within a row."""
-    sort_key = ansatz.algebra.gen_sort_key
+    """The assembled rows of every class with their provenance, ordered by
+    (tag, tuple, target, monomial), with unknowns ascending within a row.
+
+    The class-s rows are the class-0 rows lifted by sigma_s: the residual
+    of sigma_s o phi is sigma_s of the residual of phi, so each lifted row
+    keeps its tuple and monomial, its target index moves by s and its
+    unknowns move by Ansatz.shift.
+    """
+    algebra = ansatz.algebra
+    sort_key = algebra.gen_sort_key
     listing = []
     for tag, args, by_target in _tuple_rows(ansatz, tags):
-        for gt in sorted(by_target, key=sort_key):
-            rows = by_target[gt]
+        lifted = {algebra.gen(gt.family, gt.index + s): (s, rows)
+                  for gt, rows in by_target.items() for s in range(algebra.modulus)}
+        for gt in sorted(lifted, key=sort_key):
+            s, rows = lifted[gt]
             for mono in sorted(rows):
-                row = rows[mono]
+                row = {ansatz.shift(k, s): c for k, c in rows[mono].items()}
                 listing.append((Provenance(tag, args, gt, mono),
                                 {k: row[k] for k in sorted(row)}))
     return listing
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> ConstraintSystem:
-    """Expand the ansatz residuals into linear rows by coefficient matching,
-    and eliminate them as they come.
+    """Expand the class-0 ansatz residuals into linear rows by coefficient
+    matching, and eliminate them as they come.
 
-    For each tag and generator tuple, the residual of the tagged map is
-    computed once (see _tuple_rows), and each of its rows goes straight
-    into _rref, so only the pivots are ever held.  The system's ``rows``
-    and ``provenance`` rebuild the rows in the order (tag, tuple, target,
-    monomial), which is deterministic.
+    For each tag and generator tuple, the residual of the tagged class-0
+    map is computed once (see _tuple_rows), and each of its rows goes
+    straight into _rref, so only the class-0 pivots are ever held.  The
+    other m - 1 classes are not assembled: their rows are the class-0
+    rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows,
+    and nullspace lifts the solutions.  The system's ``rows`` and
+    ``provenance`` rebuild the rows of every class in the order (tag,
+    tuple, target, monomial), which is deterministic.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
@@ -298,7 +361,9 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
                 yield from rows.values()
 
     pivots = _rref(stream())
-    return ConstraintSystem(ansatz, tags, n_rows, pivots, partial(_listing, ansatz, tags))
+    m = ansatz.algebra.modulus
+    return ConstraintSystem(ansatz, tags, m * n_rows, pivots, ansatz.class0, m,
+                            partial(_listing, ansatz, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +454,44 @@ def _rref(rows: Iterable[Row]) -> dict[int, Row]:
 def nullspace(system: ConstraintSystem) -> SolutionSpace:
     """Exact rational nullspace with a canonical, integer-normalized basis.
 
-    One basis vector per free column of the RREF, with the free unknown
-    set to 1; vectors are scaled to coprime integers with positive leading
-    entry, so identical inputs give bit-identical bases.
+    One vector per free column of the RREF over the system's columns
+    (class 0 for an assembled system), with the free unknown set to 1,
+    scaled to coprime integers with positive leading entry; each is
+    lifted by sigma_s for s < ``classes`` (see Ansatz.lift).  The lifted
+    vectors are ordered by free column: sigma_s keeps the column order
+    within a class, so this is the free-column basis of the whole
+    system, and identical inputs give bit-identical bases.
     """
-    n = system.n_unknowns
+    ansatz = system.ansatz
     pivots = system.pivots
-    free = [c for c in range(n) if c not in pivots]
-    vectors = []
-    for f in free:
-        vec = [_ZERO] * n
-        vec[f] = _ONE
+    lifted = []
+    for f in system.columns:
+        if f in pivots:
+            continue
+        entries = {f: _ONE}
         for pc, prow in pivots.items():
             coeff = prow.get(f)
             if coeff:
-                vec[pc] = -coeff
-        vectors.append(_normalize_vector(vec))
-    basis = [system.ansatz.map_from_vector(v) for v in vectors]
-    return SolutionSpace(system.ansatz, len(free), vectors, basis, system)
+                entries[pc] = -coeff
+        cols = sorted(entries)
+        entries = dict(zip(cols, _normalize_vector([entries[c] for c in cols])))
+        lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
+                   for s in range(system.classes)]
+    lifted.sort(key=lambda free_vector: free_vector[0])
+    vectors = [vector for _, vector in lifted]
+    basis = [ansatz.map_from_vector(v) for v in vectors]
+    return SolutionSpace(ansatz, len(vectors), vectors, basis, system)
 
 
 def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Every basis vector is re-checked against the solved identities with
-    the independent residual engine (defense in depth against elimination
-    bugs); a failure raises InternalCheckError.
+    Class 0 is solved and lifted onto every class (see nullspace).  Every
+    basis vector, lifted or not, is re-checked against the solved
+    identities with the independent residual engine (defense in depth
+    against elimination and lift bugs); a failure raises
+    InternalCheckError naming the vector.
     """
     ansatz = Ansatz(algebra, degree)
     system = assemble(ansatz, tags)

@@ -261,6 +261,15 @@ def test_both_algebra_sources(capsys, tampered_algebra_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--m=1", "--m=3", "--b=-1"])
+def test_catalog_flags_with_algebra_file_are_usage_errors(capsys, flag):
+    # --m has no default of its own, so an explicit --m 1 is refused too
+    code, out, err = run(capsys, "solve-bider", "--algebra", INHOMOGENEOUS,
+                         flag, "--degree", "1")
+    assert out == ""
+    assert_one_line_error(code, err, f"{flag[:3]} only applies to --catalog algebras")
+
+
 def test_b_on_non_clw(capsys):
     code, _, err = run(capsys, "check-axioms", "--catalog", "vir", "--b", "1")
     assert code == 2
@@ -408,6 +417,26 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "match", "--catalog", "vir", "--degree", "1")
     assert out == ""
     assert_internal_error(code, err, "internal check failed")
+
+
+def test_failed_check_of_a_lifted_vector_is_internal_error(capsys, monkeypatch):
+    # a lift that drops one entry of one class-1 vector: the re-check of
+    # the lifted vectors must catch it
+    lift = lcalab.solver.Ansatz.lift
+    dropped = []
+
+    def lift_dropping_an_entry(self, entries, s):
+        vector = lift(self, entries, s)
+        if s == 1 and not dropped:
+            dropped.append(min(entries))
+            vector[self.shift(min(entries), s)] = 0
+        return vector
+
+    monkeypatch.setattr(lcalab.solver.Ansatz, "lift", lift_dropping_an_entry)
+    code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "3", "--b=-1",
+                         "--degree", "2")
+    assert dropped and out == ""
+    assert_internal_error(code, err, "internal check failed: basis vector ")
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

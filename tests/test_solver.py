@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 from lcalab import (
+    Algebra,
     Ansatz,
     BilinearMap,
+    BracketRule,
     ConstraintSystem,
+    InternalCheckError,
     SolutionSpace,
     SolverError,
     algebra_from_dict,
@@ -34,10 +37,10 @@ from lcalab import (
 )
 from lcalab import cli
 from lcalab.bimaps import TAG_ARITY
-from lcalab.poly import D, L, Poly
-from lcalab.solver import MAX_UNKNOWNS, Provenance, _normalize_vector
+from lcalab.poly import D, L, Poly, Var
+from lcalab.solver import ASSEMBLE_TAGS, MAX_UNKNOWNS, Provenance, _normalize_vector, _rref
 
-from randgen import make_rng, random_fraction
+from randgen import make_rng, random_fraction, random_poly
 
 
 # -- ansatz ---------------------------------------------------------------------
@@ -48,6 +51,9 @@ def test_unknown_count_formula():
     assert Ansatz(make_catalog("cw", 2), 2).n_unknowns == 4 * 2 * 6
     assert Ansatz(make_catalog("clw", 1, 0), 2).n_unknowns == 4 * 2 * 6
     assert Ansatz(make_catalog("cw", 3), 2).n_unknowns == 9 * 3 * 6
+    # class 0 is n^2 * (#families) * (D+1)(D+2)/2: one target per family
+    assert len(Ansatz(make_catalog("cw", 3), 2).class0) == 9 * 1 * 6
+    assert len(Ansatz(make_catalog("clw", 2, 0), 1).class0) == 16 * 2 * 3
 
 
 def test_ansatz_rejects_symbolic_b():
@@ -205,6 +211,8 @@ def test_assembly_holds_only_the_pivots():
     assert space.dimension == 6
     system = space.system
     assert system.n_rows == len(system.rows) == 21_852
+    # only class 0 is eliminated: a third of the rank
+    assert len(system.pivots) * 3 == system.n_unknowns - space.dimension == 1_290
 
 
 def test_rows_regenerate_identically():
@@ -214,6 +222,121 @@ def test_rows_regenerate_identically():
     assert system.rows == rows
     assert [list(row) for row in system.rows] == [list(row) for row in rows]
     assert system.provenance == system.provenance
+
+
+# -- the class-0 solve and its lift against the unlifted solve ------------------------
+
+def unlifted_solve(ansatz, tags):
+    """The solve that the lift replaces: every unknown tagged, every index
+    class assembled and eliminated together, one vector per free column.
+    Returns the rows with their provenance, in (tag, tuple, target,
+    monomial) order, and the basis vectors."""
+    algebra = ansatz.algebra
+    sort_key = algebra.gen_sort_key
+    entries = {}
+    for k, u in enumerate(ansatz.unknowns):
+        entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[
+            (u.dpow, u.lpow, 0, 0, k)] = 1
+    tagged = BilinearMap(algebra, {
+        pair: algebra.element({gt: Poly(monos) for gt, monos in targets.items()})
+        for pair, targets in entries.items()})
+    listing = []
+    for tag in normalize_tags(tags):
+        for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
+            value = residual(tagged, tag, args).value
+            for gt in sorted(value.terms, key=sort_key):
+                rows = {}
+                for (p, q, r, s, k), coeff in value.terms[gt].terms.items():
+                    rows.setdefault((p, q, r, s, 0), {})[k] = coeff
+                for mono in sorted(rows):
+                    listing.append((Provenance(tag, args, gt, mono),
+                                    {k: rows[mono][k] for k in sorted(rows[mono])}))
+    pivots = _rref(row for _, row in listing)
+    n = ansatz.n_unknowns
+    vectors = []
+    for f in range(n):
+        if f not in pivots:
+            vec = [Fraction(0)] * n
+            vec[f] = Fraction(1)
+            for pc, prow in pivots.items():
+                if prow.get(f):
+                    vec[pc] = -prow[f]
+            vectors.append(_normalize_vector(vec))
+    return listing, vectors
+
+
+def assert_lift_matches_unlifted_solve(algebra, degree, tags):
+    ansatz = Ansatz(algebra, degree)
+    listing, vectors = unlifted_solve(ansatz, tags)
+    system = assemble(ansatz, tags)
+    space = nullspace(system)
+    assert space.vectors == vectors
+    assert [list(map(type, v)) for v in space.vectors] == \
+        [list(map(type, v)) for v in vectors]
+    assert system.n_rows == len(listing)
+    lifted = system.listing()
+    assert lifted == listing
+    assert [list(row) for _, row in lifted] == [list(row) for _, row in listing]
+    assert [(type(p), type(c)) for _, row in lifted for p, c in row.items()] == \
+        [(type(p), type(c)) for _, row in listing for p, c in row.items()]
+    assert len(system.pivots) * algebra.modulus == ansatz.n_unknowns - len(vectors)
+
+
+@pytest.mark.parametrize("algebra, degree, tags", [
+    (make_catalog("vir"), 3, ("def1a", "def1b")),
+    (make_catalog("cw", 2), 2, ("def1a", "def1b")),
+    (make_catalog("cw", 3), 2, ("def1a", "def1b")),
+    (make_catalog("cw", 4), 2, ("def1a", "def1b")),
+    (make_catalog("clw", 2, -1), 2, ("def1a", "def1b")),
+    (make_catalog("clw", 3, -1), 2, ("def1a", "def1b")),
+    (make_catalog("clw", 2, Fraction(3, 2)), 2, ("def1a", "def1b")),
+    (make_catalog("clw", 2, -1), 2, ("def1a", "def1b", "lem1")),
+    (inhomogeneous_clw(3), 2, ("def1a", "def1b")),
+], ids=["vir-d3", "cw2-d2", "cw3-d2", "cw4-d2", "clw2-b-1-d2", "clw3-b-1-d2",
+        "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2"])
+def test_lift_matches_unlifted_solve(algebra, degree, tags):
+    assert_lift_matches_unlifted_solve(algebra, degree, tags)
+
+
+def random_loop_table(rng):
+    """One or two families, m in {2, 3}, a random target and random d, l
+    coefficient per family pair: mostly not a Lie conformal algebra, but
+    sigma_s commutes with the bracket of any loop table."""
+    families = rng.choice([("L",), ("L", "G")])
+    rules = [BracketRule(left, right, rng.choice(families + (None,)),
+                         random_poly(rng, max_terms=3, max_exp=1, variables=(Var.D, Var.L)))
+             for left in families for right in families]
+    return Algebra("Random", rng.choice([2, 3]), families, rules)
+
+
+@pytest.mark.parametrize("salt", range(40, 48))
+def test_lift_matches_unlifted_solve_on_random_loop_tables(salt):
+    rng = make_rng(salt)
+    algebra = random_loop_table(rng)
+    tags = rng.sample(ASSEMBLE_TAGS, k=rng.randint(1, len(ASSEMBLE_TAGS)))
+    assert_lift_matches_unlifted_solve(algebra, rng.randint(0, 1), tags)
+
+
+def test_post_solve_check_covers_the_lift(monkeypatch):
+    # a lift that drops one entry of the first class-1 vector: the re-check
+    # names that vector's index in the basis
+    algebra = make_catalog("clw", 3, -1)
+    expected = solve_bider(algebra, 2)
+    lift = Ansatz.lift
+    intact = []
+
+    def lift_dropping_an_entry(self, entries, s):
+        vector = lift(self, entries, s)
+        if s == 1 and not intact:
+            intact.append(list(vector))
+            vector[self.shift(min(entries), s)] = 0
+        return vector
+
+    monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
+    with pytest.raises(InternalCheckError) as failure:
+        solve_bider(algebra, 2)
+    index = expected.vectors.index(intact[0])
+    assert f"basis vector {index} has nonzero residuals" in str(failure.value)
 
 
 # -- nullspace -----------------------------------------------------------------------
