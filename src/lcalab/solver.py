@@ -2,10 +2,12 @@
 algebra, by exact rational linear algebra.
 
 The ansatz puts one unknown on every (generator pair, target generator,
-monomial d^p l^q with p+q <= D) coordinate, with no grading or degree
-structure presupposed: the solver has to rediscover the index-shift law
-and the low degree of the solutions on its own, which is what makes it a
-useful oracle against the closed-form families.
+monomial d^p l^q with p+q <= D) coordinate.  It presupposes only the loop
+structure that Algebra enforces: the unknowns split into index classes,
+and sigma_s carries class 0 onto class s (see below).  The solver has to
+rediscover the index-shift law within class 0 and the low degree of the
+solutions on its own, which is what makes it a useful oracle against the
+closed-form families.
 
 Identity residuals are linear in the map, so the residual of the ansatz
 at one generator tuple expands into one exact linear row per monomial of
@@ -30,7 +32,10 @@ the solutions of class 0 onto those of class s.  So only class 0 is
 assembled and eliminated, and each class-0 basis vector is lifted by
 sigma_s for s = 0..m-1; the reported row count is m times the class-0
 rows.  The post-solve re-check runs on every reported vector, the lifted
-ones included, so it also checks the lift.
+ones included, so it checks that each is a solution; that the lifted
+basis is complete for the classes s != 0 follows from the centroid
+argument, not from elimination, and the unlifted solve in
+tests/test_solver.py checks it.
 """
 
 from __future__ import annotations
@@ -236,33 +241,32 @@ class ConstraintSystem:
     """Sparse exact-rational homogeneous system over the ansatz unknowns.
 
     It holds the row count and the reduced row echelon form (pivot
-    column -> row, see _rref) of the rows over ``columns``, not the rows.
-    The solutions on ``columns``, lifted by sigma_s for s < ``classes``,
-    are the solutions of the whole system.  An assembled system solves
-    class 0 (``columns`` = ``ansatz.class0``, ``classes`` = m), and its
-    ``n_rows`` counts every class, m times the class-0 rows; a system of
-    explicit rows has no class structure (every unknown, one class).
-    ``rows`` and ``provenance`` call ``listing`` on each access, which
-    for an assembled system is one more class-0 assembly, lifted onto
-    every class.
+    column -> row, see _rref) of the class-0 rows, not the rows.  The
+    class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
+    of the whole system, and ``n_rows`` counts every class, m times the
+    class-0 rows.  ``rows`` and ``provenance`` call ``listing`` on each
+    access, which for an assembled system is one more class-0 assembly,
+    lifted onto every class.
     """
 
     ansatz: Ansatz
     tags: tuple[str, ...]
     n_rows: int
     pivots: dict[int, Row]
-    columns: Sequence[int]
-    classes: int
     listing: Callable[[], list[tuple[Provenance, Row]]] = field(repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, ansatz: Ansatz, tags: Iterable[str], rows: Sequence[Row],
                   provenance: Sequence[Provenance]) -> ConstraintSystem:
-        """A system of explicit rows over every unknown, eliminated like an
-        assembled one, with no lift."""
+        """A system of explicit rows, eliminated like an assembled one.
+
+        Only m = 1, where class 0 is every unknown and the lift is the
+        identity: explicit rows carry no class structure to lift.
+        """
+        if ansatz.algebra.modulus != 1:
+            raise SolverError("explicit rows need an algebra with m = 1")
         listing = list(zip(provenance, rows))
-        return cls(ansatz, tuple(tags), len(rows), _rref(rows),
-                   range(ansatz.n_unknowns), 1, lambda: listing)
+        return cls(ansatz, tuple(tags), len(rows), _rref(rows), lambda: listing)
 
     @property
     def n_unknowns(self) -> int:
@@ -362,8 +366,7 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
 
     pivots = _rref(stream())
     m = ansatz.algebra.modulus
-    return ConstraintSystem(ansatz, tags, m * n_rows, pivots, ansatz.class0, m,
-                            partial(_listing, ansatz, tags))
+    return ConstraintSystem(ansatz, tags, m * n_rows, pivots, partial(_listing, ansatz, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +457,18 @@ def _rref(rows: Iterable[Row]) -> dict[int, Row]:
 def nullspace(system: ConstraintSystem) -> SolutionSpace:
     """Exact rational nullspace with a canonical, integer-normalized basis.
 
-    One vector per free column of the RREF over the system's columns
-    (class 0 for an assembled system), with the free unknown set to 1,
-    scaled to coprime integers with positive leading entry; each is
-    lifted by sigma_s for s < ``classes`` (see Ansatz.lift).  The lifted
+    One vector per free class-0 column of the RREF, with the free unknown
+    set to 1, scaled to coprime integers with positive leading entry; each
+    is lifted by sigma_s for s = 0..m-1 (see Ansatz.lift).  The lifted
     vectors are ordered by free column: sigma_s keeps the column order
     within a class, so this is the free-column basis of the whole
     system, and identical inputs give bit-identical bases.
     """
     ansatz = system.ansatz
     pivots = system.pivots
+    m = ansatz.algebra.modulus
     lifted = []
-    for f in system.columns:
+    for f in ansatz.class0:
         if f in pivots:
             continue
         entries = {f: _ONE}
@@ -476,7 +479,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
         cols = sorted(entries)
         entries = dict(zip(cols, _normalize_vector([entries[c] for c in cols])))
         lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
-                   for s in range(system.classes)]
+                   for s in range(m)]
     lifted.sort(key=lambda free_vector: free_vector[0])
     vectors = [vector for _, vector in lifted]
     basis = [ansatz.map_from_vector(v) for v in vectors]

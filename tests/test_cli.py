@@ -419,26 +419,6 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     assert_internal_error(code, err, "internal check failed")
 
 
-def test_failed_check_of_a_lifted_vector_is_internal_error(capsys, monkeypatch):
-    # a lift that drops one entry of one class-1 vector: the re-check of
-    # the lifted vectors must catch it
-    lift = lcalab.solver.Ansatz.lift
-    dropped = []
-
-    def lift_dropping_an_entry(self, entries, s):
-        vector = lift(self, entries, s)
-        if s == 1 and not dropped:
-            dropped.append(min(entries))
-            vector[self.shift(min(entries), s)] = 0
-        return vector
-
-    monkeypatch.setattr(lcalab.solver.Ansatz, "lift", lift_dropping_an_entry)
-    code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "3", "--b=-1",
-                         "--degree", "2")
-    assert dropped and out == ""
-    assert_internal_error(code, err, "internal check failed: basis vector ")
-
-
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def crash(algebra):
         raise RuntimeError("boom\non two lines")

@@ -357,6 +357,12 @@ def test_nullspace_identity_system():
     assert nullspace(system).dimension == 0
 
 
+def test_explicit_rows_need_m_1():
+    # explicit rows carry no index classes to lift
+    with pytest.raises(SolverError, match="m = 1"):
+        ConstraintSystem.from_rows(Ansatz(make_catalog("cw", 2), 0), ("def1a",), [], [])
+
+
 def test_nullspace_empty_system():
     ansatz = Ansatz(make_catalog("vir"), 1)
     system = ConstraintSystem.from_rows(ansatz, ("def1a",), [], [])
