@@ -31,11 +31,17 @@ row involves one class only, and phi -> sigma_s o phi maps the rows and
 the solutions of class 0 onto those of class s.  So only class 0 is
 assembled and eliminated, and each class-0 basis vector is lifted by
 sigma_s for s = 0..m-1; the reported row count is m times the class-0
-rows.  The post-solve re-check runs on every reported vector, the lifted
-ones included, so it checks that each is a solution; that the lifted
-basis is complete for the classes s != 0 follows from the centroid
+rows.  The post-solve re-check covers every reported basis map, the
+lifted ones included, so it checks that each is a solution; that the
+lifted basis is complete for the classes s != 0 follows from the centroid
 argument, not from elimination, and the unlifted solve in
 tests/test_solver.py checks it.
+
+The work after the solve is done once for the whole basis.  The re-check
+is one verify_map sweep of the tagged basis map sum_i b^i phi_i, whose
+b^i parts are the residuals of phi_i, by the argument of assembly; and
+the template match is one elimination of the template columns with every
+basis vector as one more column.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .bimaps import (
     BilinearMap,
     FamilyError,
     GenPair,
+    Residual,
     TAG_ARITY,
     make_family,
     map_to_dict,
@@ -486,25 +493,64 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     return SolutionSpace(ansatz, len(vectors), vectors, basis, system)
 
 
+def _tagged_sum(maps: Sequence[BilinearMap]) -> BilinearMap:
+    """The map sum_i b^i maps[i], for b-free maps over one algebra.
+
+    Like Ansatz.tagged_map: any residual of the sum is a polynomial whose
+    b^i part is that residual of maps[i] (see _b_part).
+    """
+    algebra = maps[0].algebra
+    entries: dict[GenPair, dict[GeneratorId, dict[Monomial, Fraction]]] = {}
+    for i, phi in enumerate(maps):
+        for pair, value in phi.table.items():
+            targets = entries.setdefault(pair, {})
+            for gt, poly in value.terms.items():
+                terms = targets.setdefault(gt, {})
+                for mono, coeff in poly.terms.items():
+                    terms[mono[:4] + (i,)] = coeff
+    return BilinearMap(algebra, {
+        pair: algebra.element({gt: Poly(terms) for gt, terms in targets.items()})
+        for pair, targets in entries.items()})
+
+
+def _b_part(r: Residual, i: int) -> Residual:
+    """The b^i part of a residual of _tagged_sum, with b set to 1."""
+    return Residual(r.tag, r.args, r.value.algebra.element({
+        gt: Poly({mono[:4] + (0,): coeff for mono, coeff in poly.terms.items()
+                  if mono[4] == i})
+        for gt, poly in r.value.terms.items()}))
+
+
 def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
     Class 0 is solved and lifted onto every class (see nullspace).  Every
-    basis vector, lifted or not, is re-checked against the solved
+    reported basis map, lifted or not, is re-checked against the solved
     identities with the independent residual engine (defense in depth
-    against elimination and lift bugs); a failure raises
-    InternalCheckError naming the vector.
+    against elimination and lift bugs), in one verify_map sweep of the
+    tagged basis map sum_i b^i phi_i.  That is exact for the reason
+    assembly is: the algebra and the phi_i are b-free, the phi_i have int
+    coefficients and no residual substitutes b, so the b^i part of each
+    tagged residual is the residual of phi_i, and the sweep memo makes
+    each bracket once for all vectors.  A failure raises
+    InternalCheckError naming the lowest failing vector, with its first
+    three residuals read off the b^i parts of the failures.
     """
     ansatz = Ansatz(algebra, degree)
     system = assemble(ansatz, tags)
     space = nullspace(system)
-    for i, phi in enumerate(space.basis):
-        report = verify_map(phi, system.tags)
-        if not report.passed:
-            raise InternalCheckError(
-                f"internal check failed: basis vector {i} has nonzero residuals: "
-                + "; ".join(str(r) for r in report.failures[:3]))
+    if not space.basis:
+        return space
+    report = verify_map(_tagged_sum(space.basis), system.tags)
+    if not report.passed:
+        i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
+                for mono in poly.terms)
+        parts = [part for part in (_b_part(r, i) for r in report.failures)
+                 if not part.is_zero]
+        raise InternalCheckError(
+            f"internal check failed: basis vector {i} has nonzero residuals: "
+            + "; ".join(str(part) for part in parts[:3]))
     return space
 
 
@@ -532,27 +578,45 @@ def family_templates(algebra: Algebra) -> list[tuple[str, BilinearMap]]:
     return templates
 
 
-def express_in_span(columns: list[list[Fraction]],
-                    target: list[Fraction]) -> list[Fraction] | None:
-    """Exact coordinates of target in the span of columns, or None.
+def express_all_in_span(columns: Sequence[Sequence[Fraction]],
+                        targets: Sequence[Sequence[Fraction]]) -> list[list[Fraction] | None]:
+    """Exact coordinates of each target in the span of columns, or None for
+    a target outside it, from one elimination of [columns | targets].
 
-    If the columns are linearly dependent, free coordinates are set to 0.
+    Target t is column n + t, right of the n given columns.  The RREF is
+    unique, and no row reduction among the target columns changes a
+    target in the span, so each result is the same as an elimination of
+    [columns | target] alone: target t is in the span iff no pivot row
+    whose pivot is a target column has a nonzero entry in column n + t,
+    and its coordinates are then column n + t of the pivot rows of the
+    given columns.  If the columns are linearly dependent, free
+    coordinates are set to 0.
     """
+    if not targets:
+        return []
     n_cols = len(columns)
-    rows = []
-    for i in range(len(target)):
-        row = {j: columns[j][i] for j in range(n_cols) if columns[j][i]}
-        if target[i]:
-            row[n_cols] = target[i]
-        if row:
-            rows.append(row)
-    pivots = _rref(rows)
-    if n_cols in pivots:
-        return None
-    coords = [_ZERO] * n_cols
-    for pc, prow in pivots.items():
-        coords[pc] = prow.get(n_cols, _ZERO)
-    return coords
+    vectors = [*columns, *targets]
+    rows = ({j: v[i] for j, v in enumerate(vectors) if v[i]} for i in range(len(targets[0])))
+    pivots = _rref(row for row in rows if row)
+    outside = [prow for pc, prow in pivots.items() if pc >= n_cols]
+    results: list[list[Fraction] | None] = []
+    for c in range(n_cols, n_cols + len(targets)):
+        if any(c in prow for prow in outside):
+            results.append(None)
+            continue
+        coords = [_ZERO] * n_cols
+        for pc, prow in pivots.items():
+            if pc < n_cols:
+                coords[pc] = prow.get(c, _ZERO)
+        results.append(coords)
+    return results
+
+
+def express_in_span(columns: Sequence[Sequence[Fraction]],
+                    target: Sequence[Fraction]) -> list[Fraction] | None:
+    """Exact coordinates of target in the span of columns, or None: the
+    one-target case of express_all_in_span."""
+    return express_all_in_span(columns, [target])[0]
 
 
 @dataclass
@@ -603,7 +667,9 @@ def match_templates(space: SolutionSpace) -> MatchReport:
     family templates; anything that fails is reported verbatim.
 
     A template that does not fit the ansatz (its degree is above the
-    ansatz degree) is left out: no solution can use it.
+    ansatz degree) is left out: no solution can use it.  The template
+    columns are eliminated once, with every basis vector as one more
+    column (see express_all_in_span).
     """
     ansatz = space.ansatz
     names, columns = [], []
@@ -614,8 +680,7 @@ def match_templates(space: SolutionSpace) -> MatchReport:
             continue
         names.append(name)
     entries = []
-    for i, vec in enumerate(space.vectors):
-        coords = express_in_span(columns, vec) if columns else None
+    for i, coords in enumerate(express_all_in_span(columns, space.vectors)):
         combination = None
         if coords is not None:
             combination = {name: coords[j] for j, name in enumerate(names)}

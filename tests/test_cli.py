@@ -8,7 +8,7 @@ import pytest
 
 import lcalab.cli
 import lcalab.solver
-from lcalab import ConstraintSystem, make_catalog, make_family, map_to_dict
+from lcalab import Ansatz, ConstraintSystem, make_catalog, make_family, map_to_dict
 from lcalab.cli import main
 
 
@@ -417,6 +417,23 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "match", "--catalog", "vir", "--degree", "1")
     assert out == ""
     assert_internal_error(code, err, "internal check failed")
+
+
+def test_broken_basis_vector_is_internal_error(capsys, monkeypatch):
+    # a lift one entry short breaks the lifted basis vectors, which the
+    # one re-check sweep reports as one line naming the lowest of them
+    def lift_dropping_an_entry(self, entries, s):
+        vector = lift(self, entries, s)
+        if s == 1:
+            vector[self.shift(min(entries), s)] = 0
+        return vector
+
+    lift = Ansatz.lift
+    monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
+    code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "2", "--b=-1",
+                         "--degree", "1")
+    assert out == ""
+    assert_internal_error(code, err, "internal check failed: basis vector ")
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

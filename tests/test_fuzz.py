@@ -1,5 +1,6 @@
 """Fuzzing of the input boundary, and property tests of the Poly kernel,
-of the axiom check and of the solver's sparse elimination.
+of the axiom check and of the solver's sparse elimination and template
+match.
 
 parse_poly may raise only ParseError, algebra_from_dict only AlgebraError
 and map_from_dict only MapError, whatever the input; anything else (a
@@ -31,7 +32,7 @@ from lcalab import (  # noqa: E402
     parse_poly,
 )
 from lcalab.poly import B, D, G, L, M  # noqa: E402
-from lcalab.solver import _rref  # noqa: E402
+from lcalab.solver import _rref, express_all_in_span, express_in_span  # noqa: E402
 from test_algebra import assert_axioms_match_oracle  # noqa: E402
 from test_bimaps import assert_sweep_matches_memo_free  # noqa: E402
 
@@ -407,3 +408,48 @@ def test_rref_matches_dense_gauss_jordan(system, rng):
     rng.shuffle(shuffled)
     assert _rref(iter(shuffled)) == pivots
 
+
+# -- the template match: one elimination for every target ---------------------------
+
+@st.composite
+def span_problems(draw):
+    """Random columns, some of them combinations of earlier ones, and
+    targets among zero vectors, combinations of the columns and random
+    vectors (mostly outside the span)."""
+    length = draw(st.integers(1, 6))
+    vectors = st.lists(scalars, min_size=length, max_size=length)
+    columns = draw(st.lists(vectors, max_size=4))
+
+    def combination():
+        coeffs = [draw(scalars) for _ in columns]
+        return [sum((c * col[i] for c, col in zip(coeffs, columns)), 0)
+                for i in range(length)]
+
+    for _ in range(draw(st.integers(0, 2)) if columns else 0):
+        columns.append(combination())
+    targets = [draw(st.sampled_from([lambda: [0] * length, combination,
+                                     lambda: draw(vectors)]))()
+               for _ in range(draw(st.integers(1, 6)))]
+    return length, columns, targets
+
+
+@KERNEL
+@given(span_problems())
+def test_one_elimination_matches_one_per_target(problem):
+    length, columns, targets = problem
+    results = express_all_in_span(columns, targets)
+    assert results == [express_in_span(columns, t) for t in targets]
+
+    # against the dense Gauss-Jordan, which shares no code with _rref
+    def dense_pivots(cols):
+        return dense_rref(len(cols), [{j: col[i] for j, col in enumerate(cols) if col[i]}
+                                      for i in range(length)])
+
+    pivots = dense_pivots(columns)
+    for target, coords in zip(targets, results):
+        assert (coords is not None) == (len(dense_pivots(columns + [target])) == len(pivots))
+        if coords is not None:
+            assert all(type(c) in (int, Fraction) for c in coords)
+            assert all(coords[j] == 0 for j in range(len(columns)) if j not in pivots)
+            assert [sum((c * col[i] for c, col in zip(coords, columns)), 0)
+                    for i in range(length)] == list(target)

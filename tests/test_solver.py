@@ -318,25 +318,36 @@ def test_lift_matches_unlifted_solve_on_random_loop_tables(salt):
 
 
 def test_post_solve_check_covers_the_lift(monkeypatch):
-    # a lift that drops one entry of the first class-1 vector: the re-check
-    # names that vector's index in the basis
+    # a lift that drops one entry (the lowest or highest unknown) of the
+    # first vector of each class s in broken; s = 0 is the class-0 vector
+    # itself, not lifted.  The one re-check sweep names the lowest broken
+    # index in the basis, with the residuals verify_map gives for that
+    # vector alone.  In the last case that vector (index 0, its highest
+    # unknown dropped) fails only at tuples after the first failures of the
+    # other broken vector (index 1).
     algebra = make_catalog("clw", 3, -1)
     expected = solve_bider(algebra, 2)
     lift = Ansatz.lift
-    intact = []
+    for broken in ({1: min}, {0: min}, {2: max, 0: min}):
+        damaged = {}
 
-    def lift_dropping_an_entry(self, entries, s):
-        vector = lift(self, entries, s)
-        if s == 1 and not intact:
-            intact.append(list(vector))
-            vector[self.shift(min(entries), s)] = 0
-        return vector
+        def lift_dropping_an_entry(self, entries, s):
+            vector = lift(self, entries, s)
+            if s in broken and s not in damaged:
+                intact = list(vector)
+                vector[self.shift(broken[s](entries), s)] = 0
+                damaged[s] = (expected.vectors.index(intact), list(vector))
+            return vector
 
-    monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
-    with pytest.raises(InternalCheckError) as failure:
-        solve_bider(algebra, 2)
-    index = expected.vectors.index(intact[0])
-    assert f"basis vector {index} has nonzero residuals" in str(failure.value)
+        monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
+        with pytest.raises(InternalCheckError) as failure:
+            solve_bider(algebra, 2)
+        assert damaged.keys() == broken.keys()
+        index, vector = min(damaged.values())
+        alone = verify_map(Ansatz(algebra, 2).map_from_vector(vector), ("def1a", "def1b"))
+        assert str(failure.value) == (
+            f"internal check failed: basis vector {index} has nonzero residuals: "
+            + "; ".join(str(r) for r in alone.failures[:3]))
 
 
 # -- nullspace -----------------------------------------------------------------------
