@@ -58,7 +58,6 @@ from .solver import (
     SolverError,
     Unknown,
     assemble,
-    express_in_span,
     family_templates,
     match_templates,
     nullspace,
@@ -76,7 +75,7 @@ __all__ = [
     "Poly", "Residual", "SPECTRAL_VARS", "SolutionSpace",
     "SolverError", "TAGS", "Unknown", "VARS", "Var", "VerifyReport",
     "algebra_from_dict", "algebra_to_dict", "as_poly", "assemble",
-    "bracket", "check_axioms", "express_in_span", "family_templates",
+    "bracket", "check_axioms", "family_templates",
     "load_algebra", "load_map", "make_catalog", "make_family", "map_eval",
     "map_from_dict", "map_to_dict", "match_templates", "normalize_tags",
     "nullspace", "parse_generator", "parse_poly", "parse_rational", "residual",

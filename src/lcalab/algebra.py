@@ -84,16 +84,24 @@ class GeneratorId(NamedTuple):
 
 
 def parse_generator(text: str) -> tuple[str, int]:
-    """Split a "family:index" generator string."""
+    """Split a "family:index" generator string at its last ":", so a
+    family name may hold ":" (GeneratorId prints "A:B:0" for family "A:B").
+
+    The index is an optional "-" and ASCII digits, the integer rule of
+    parse_rational: "L:-1" is valid, "L:+1", "L: 1" and "L:1_0" are not.
+    """
     if not isinstance(text, str):
         raise AlgebraError(f"bad generator {text!r}, expected a \"family:index\" string")
-    family, sep, index = text.partition(":")
+    family, sep, index = text.rpartition(":")
     if not sep or not family:
         raise AlgebraError(f"bad generator {text!r}, expected \"family:index\"")
-    try:
-        return family, int(index)
-    except ValueError:
-        raise AlgebraError(f"bad generator index in {text!r}") from None
+    digits = index[1:] if index.startswith("-") else index
+    if digits.isascii() and digits.isdigit():
+        try:
+            return family, int(index)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise AlgebraError(f"bad generator index in {text!r}")
 
 
 class Element:

@@ -41,24 +41,24 @@ The work after the solve is done once for the whole basis.  The re-check
 is one verify_map sweep of the tagged basis map sum_i b^i phi_i, whose
 b^i parts are the residuals of phi_i, by the argument of assembly; and
 the template match is one elimination of the template columns with every
-basis vector as one more column.
+basis vector as one more column.  One builder, Ansatz._map, makes every
+map from the unknowns: the tagged ansatz map, the tagged basis map and,
+with the tag b^0, each concrete map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Algebra, GeneratorId
 from .bimaps import (
     BilinearMap,
     FamilyError,
     GenPair,
-    Residual,
     TAG_ARITY,
     make_family,
     map_to_dict,
@@ -101,10 +101,6 @@ class Unknown:
     dpow: int
     lpow: int
 
-    @property
-    def monomial(self) -> Monomial:
-        return (self.dpow, self.lpow, 0, 0, 0)
-
     def __str__(self) -> str:
         return f"u[{self.left},{self.right}->{self.target}|d^{self.dpow}*l^{self.lpow}]"
 
@@ -124,7 +120,7 @@ class Ansatz:
     """
 
     def __init__(self, algebra: Algebra, degree: int):
-        if not isinstance(degree, int) or degree < 0:
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise SolverError(f"degree must be a non-negative integer, got {degree!r}")
         n_gens = len(algebra.generators())
         count = n_gens ** 3 * (degree + 1) * (degree + 2) // 2
@@ -154,10 +150,15 @@ class Ansatz:
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
-    def _map(self, terms: Iterable[tuple[Unknown, Monomial, Fraction]]) -> BilinearMap:
+    def _map(self, terms: Iterable[tuple[int, int, Fraction]]) -> BilinearMap:
+        """The map sum c * b^i * (unknown k) over the triples (i, k, c),
+        each (i, k) at most once: unknown k = (left, right, target, d^p l^q)
+        contributes the term c b^i d^p l^q on target at (left, right)."""
         entries: dict[GenPair, dict[GeneratorId, dict[Monomial, Fraction]]] = {}
-        for u, mono, coeff in terms:
-            entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[mono] = coeff
+        for i, k, coeff in terms:
+            u = self.unknowns[k]
+            entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[
+                (u.dpow, u.lpow, 0, 0, i)] = coeff
         table = {
             pair: self.algebra.element({gt: Poly(monos) for gt, monos in targets.items()})
             for pair, targets in entries.items()
@@ -168,8 +169,7 @@ class Ansatz:
         """Assemble the concrete map with the given unknown values."""
         if len(vector) != self.n_unknowns:
             raise SolverError("vector length does not match unknown count")
-        return self._map((u, u.monomial, coeff)
-                         for coeff, u in zip(vector, self.unknowns) if coeff)
+        return self._map((0, k, coeff) for k, coeff in enumerate(vector) if coeff)
 
     def shift(self, k: int, s: int) -> int:
         """The index of sigma_s of unknown k: the same unknown with its
@@ -194,14 +194,11 @@ class Ansatz:
     def tagged_map(self) -> BilinearMap:
         """The class-0 ansatz map with unknown k set to the tag b^k.
 
-        Unknown k = (left, right, target, d^p l^q) of class 0 is the term
-        b^k d^p l^q on target at (left, right); the other classes are
-        left out (see lift).  Any residual of this map is a polynomial
-        whose b^k part is the residual of the map with unknown k set to 1
-        and every other unknown 0.
+        The other classes are left out (see lift).  Any residual of this
+        map is a polynomial whose b^k part is the residual of the map with
+        unknown k set to 1 and every other unknown 0.
         """
-        return self._map((u, (u.dpow, u.lpow, 0, 0, k), 1)
-                         for k, u in ((k, self.unknowns[k]) for k in self.class0))
+        return self._map((k, k, 1) for k in self.class0)
 
     def vector_of(self, phi: BilinearMap) -> list[Fraction]:
         """Flatten a concrete map onto the unknown coordinates.
@@ -251,29 +248,15 @@ class ConstraintSystem:
     column -> row, see _rref) of the class-0 rows, not the rows.  The
     class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
     of the whole system, and ``n_rows`` counts every class, m times the
-    class-0 rows.  ``rows`` and ``provenance`` call ``listing`` on each
-    access, which for an assembled system is one more class-0 assembly,
-    lifted onto every class.
+    class-0 rows.  ``rows`` and ``provenance`` are rebuilt from the
+    ansatz and the tags on each access: one more class-0 assembly, lifted
+    onto every class (see _listing).
     """
 
     ansatz: Ansatz
     tags: tuple[str, ...]
     n_rows: int
     pivots: dict[int, Row]
-    listing: Callable[[], list[tuple[Provenance, Row]]] = field(repr=False, compare=False)
-
-    @classmethod
-    def from_rows(cls, ansatz: Ansatz, tags: Iterable[str], rows: Sequence[Row],
-                  provenance: Sequence[Provenance]) -> ConstraintSystem:
-        """A system of explicit rows, eliminated like an assembled one.
-
-        Only m = 1, where class 0 is every unknown and the lift is the
-        identity: explicit rows carry no class structure to lift.
-        """
-        if ansatz.algebra.modulus != 1:
-            raise SolverError("explicit rows need an algebra with m = 1")
-        listing = list(zip(provenance, rows))
-        return cls(ansatz, tuple(tags), len(rows), _rref(rows), lambda: listing)
 
     @property
     def n_unknowns(self) -> int:
@@ -281,19 +264,11 @@ class ConstraintSystem:
 
     @property
     def rows(self) -> list[Row]:
-        return [row for _, row in self.listing()]
+        return [row for _, row in _listing(self.ansatz, self.tags)]
 
     @property
     def provenance(self) -> list[Provenance]:
-        return [prov for prov, _ in self.listing()]
-
-    def evaluate(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """Row values at a concrete unknown assignment."""
-        return [sum((c * vector[k] for k, c in row.items()), _ZERO)
-                for row in self.rows]
-
-    def satisfied_by(self, vector: Sequence[Fraction]) -> bool:
-        return all(v == 0 for v in self.evaluate(vector))
+        return [prov for prov, _ in _listing(self.ansatz, self.tags)]
 
 
 def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
@@ -373,7 +348,7 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
 
     pivots = _rref(stream())
     m = ansatz.algebra.modulus
-    return ConstraintSystem(ansatz, tags, m * n_rows, pivots, partial(_listing, ansatz, tags))
+    return ConstraintSystem(ansatz, tags, m * n_rows, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -493,34 +468,6 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     return SolutionSpace(ansatz, len(vectors), vectors, basis, system)
 
 
-def _tagged_sum(maps: Sequence[BilinearMap]) -> BilinearMap:
-    """The map sum_i b^i maps[i], for b-free maps over one algebra.
-
-    Like Ansatz.tagged_map: any residual of the sum is a polynomial whose
-    b^i part is that residual of maps[i] (see _b_part).
-    """
-    algebra = maps[0].algebra
-    entries: dict[GenPair, dict[GeneratorId, dict[Monomial, Fraction]]] = {}
-    for i, phi in enumerate(maps):
-        for pair, value in phi.table.items():
-            targets = entries.setdefault(pair, {})
-            for gt, poly in value.terms.items():
-                terms = targets.setdefault(gt, {})
-                for mono, coeff in poly.terms.items():
-                    terms[mono[:4] + (i,)] = coeff
-    return BilinearMap(algebra, {
-        pair: algebra.element({gt: Poly(terms) for gt, terms in targets.items()})
-        for pair, targets in entries.items()})
-
-
-def _b_part(r: Residual, i: int) -> Residual:
-    """The b^i part of a residual of _tagged_sum, with b set to 1."""
-    return Residual(r.tag, r.args, r.value.algebra.element({
-        gt: Poly({mono[:4] + (0,): coeff for mono, coeff in poly.terms.items()
-                  if mono[4] == i})
-        for gt, poly in r.value.terms.items()}))
-
-
 def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
@@ -529,28 +476,30 @@ def solve_bider(algebra: Algebra, degree: int,
     reported basis map, lifted or not, is re-checked against the solved
     identities with the independent residual engine (defense in depth
     against elimination and lift bugs), in one verify_map sweep of the
-    tagged basis map sum_i b^i phi_i.  That is exact for the reason
-    assembly is: the algebra and the phi_i are b-free, the phi_i have int
-    coefficients and no residual substitutes b, so the b^i part of each
-    tagged residual is the residual of phi_i, and the sweep memo makes
-    each bracket once for all vectors.  A failure raises
-    InternalCheckError naming the lowest failing vector, with its first
-    three residuals read off the b^i parts of the failures.
+    tagged basis map sum_i b^i phi_i, built by Ansatz._map from the
+    basis vectors.  That is exact for the reason assembly is: the algebra
+    and the phi_i are b-free, the phi_i have int coefficients and no
+    residual substitutes b, so the b^i part of each tagged residual is
+    the residual of phi_i, and the sweep memo makes each bracket once for
+    all vectors.  A failure raises InternalCheckError naming the lowest
+    failing vector i, the lowest b-exponent among the failures, with the
+    first three failures of verify_map on phi_i alone.
     """
     ansatz = Ansatz(algebra, degree)
     system = assemble(ansatz, tags)
     space = nullspace(system)
     if not space.basis:
         return space
-    report = verify_map(_tagged_sum(space.basis), system.tags)
+    tagged = ansatz._map((i, k, c) for i, vector in enumerate(space.vectors)
+                         for k, c in enumerate(vector) if c)
+    report = verify_map(tagged, system.tags)
     if not report.passed:
         i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
                 for mono in poly.terms)
-        parts = [part for part in (_b_part(r, i) for r in report.failures)
-                 if not part.is_zero]
+        failures = verify_map(space.basis[i], system.tags).failures
         raise InternalCheckError(
             f"internal check failed: basis vector {i} has nonzero residuals: "
-            + "; ".join(str(part) for part in parts[:3]))
+            + "; ".join(str(r) for r in failures[:3]))
     return space
 
 
@@ -610,13 +559,6 @@ def express_all_in_span(columns: Sequence[Sequence[Fraction]],
                 coords[pc] = prow.get(c, _ZERO)
         results.append(coords)
     return results
-
-
-def express_in_span(columns: Sequence[Sequence[Fraction]],
-                    target: Sequence[Fraction]) -> list[Fraction] | None:
-    """Exact coordinates of target in the span of columns, or None: the
-    one-target case of express_all_in_span."""
-    return express_all_in_span(columns, [target])[0]
 
 
 @dataclass

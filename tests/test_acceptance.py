@@ -13,7 +13,6 @@ from lcalab import (
     TAGS,
     bracket,
     check_axioms,
-    express_in_span,
     make_catalog,
     make_family,
     match_templates,
@@ -23,6 +22,7 @@ from lcalab import (
     verify_map,
 )
 from lcalab.poly import B, D, L, M, Poly, Var
+from lcalab.solver import express_all_in_span
 
 from randgen import make_rng, random_assignment, random_element, random_fraction, random_poly
 
@@ -135,8 +135,8 @@ def test_criterion_6_leibniz_equivalence():
         s1 = solve_bider(algebra, 2, ["def1a", "def1b"])
         s2 = solve_bider(algebra, 2, ["def1a", "lem1"])
         assert s1.dimension == s2.dimension
-        assert all(express_in_span(s2.vectors, v) is not None for v in s1.vectors)
-        assert all(express_in_span(s1.vectors, v) is not None for v in s2.vectors)
+        assert all(express_all_in_span(s2.vectors, [v])[0] is not None for v in s1.vectors)
+        assert all(express_all_in_span(s1.vectors, [v])[0] is not None for v in s2.vectors)
     report(6, "equal dimensions and mutually expressible bases on 4 algebras")
 
 

@@ -21,6 +21,7 @@ from lcalab import (
     check_axioms,
     load_algebra,
     make_catalog,
+    parse_generator,
     parse_poly,
     second_slot_subst,
 )
@@ -368,6 +369,30 @@ def test_non_int_index_equal_to_an_int_is_refused(index):
         clw.element({("L", index): 1})
     with pytest.raises(AlgebraError, match="index must be an int"):
         clw.element({("L", 0): D, ("G", index): L})
+
+
+def test_parse_generator_splits_at_the_last_colon():
+    assert parse_generator("L:0") == ("L", 0)
+    assert parse_generator("L:-1") == ("L", -1)
+    assert parse_generator("G:12") == ("G", 12)
+    # a family name may hold ":", and GeneratorId prints it back unchanged
+    assert parse_generator("A:B:0") == ("A:B", 0)
+    assert parse_generator(str(GeneratorId("A:B", 3))) == ("A:B", 3)
+
+
+@pytest.mark.parametrize("text", ["L:1_0", "L:+1", "L: 1", "L:1 ", "L:\u0661",
+                                  "L:", "L:-", "L:--1", "L:0x1", "L:1.0"], ids=repr)
+def test_parse_generator_index_is_minus_and_ascii_digits(text):
+    # the integer rule of parse_rational, not int(): no "_", "+", blanks or
+    # non-ASCII digits
+    with pytest.raises(AlgebraError, match="bad generator index"):
+        parse_generator(text)
+
+
+@pytest.mark.parametrize("text", ["L", ":0", 0, None], ids=repr)
+def test_parse_generator_needs_family_and_index(text):
+    with pytest.raises(AlgebraError, match="bad generator"):
+        parse_generator(text)
 
 
 def test_element_str():

@@ -10,6 +10,7 @@ import lcalab.cli
 import lcalab.solver
 from lcalab import Ansatz, ConstraintSystem, make_catalog, make_family, map_to_dict
 from lcalab.cli import main
+from lcalab.solver import _rref
 
 
 @pytest.fixture
@@ -183,18 +184,25 @@ def test_solve_bider_vir_json(capsys):
 
 
 def test_solve_bider_emitted_basis_feeds_residual(capsys, tmp_path):
-    # JSON round-trip: basis maps are valid --map inputs unchanged.
-    code, out, _ = run(capsys, "solve-bider", "--catalog", "cw", "--m", "2",
-                       "--degree", "2", "--format", "json")
-    assert code == 0
-    basis = json.loads(out)["basis"]
-    assert len(basis) == 2
-    path = tmp_path / "basis0.json"
-    path.write_text(json.dumps(basis[0]))
-    code, out, _ = run(capsys, "residual", "--catalog", "cw", "--m", "2",
-                       "--map", str(path), "--eq", "all")
-    assert code == 0
-    assert "PASS" in out
+    # JSON round-trip: basis maps are valid --map inputs unchanged, also
+    # when a family name holds ":" (generator "A:B:0")
+    algebra_path = tmp_path / "colon.json"
+    algebra_path.write_text(json.dumps({
+        "name": "CW-colon", "modulus": 2, "families": ["A:B"], "b": "symbolic",
+        "rules": [{"left": "A:B", "right": "A:B", "target": "A:B", "coeff": "d + 2*l"}]}))
+    for source in (["--catalog", "cw", "--m", "2"], ["--algebra", str(algebra_path)]):
+        code, out, _ = run(capsys, "solve-bider", *source, "--degree", "2",
+                           "--format", "json")
+        assert code == 0
+        basis = json.loads(out)["basis"]
+        assert len(basis) == 2
+        for i, phi in enumerate(basis):
+            path = tmp_path / f"basis{i}.json"
+            path.write_text(json.dumps(phi))
+            code, out, _ = run(capsys, "residual", *source, "--map", str(path),
+                               "--eq", "all")
+            assert code == 0
+            assert "PASS" in out
 
 
 def test_solve_bider_symbolic_b_is_usage_error(capsys):
@@ -390,7 +398,13 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path, option):
      "coeff must be a string"),
     ({"left": "L:0", "right": "L:0", "value": 3}, "value must be a list"),
     ({"left": 0, "right": "L:0", "value": []}, "bad generator 0"),
-], ids=["numeric-coeff", "numeric-value", "numeric-left"])
+    ({"left": "L:1_0", "right": "L:0", "value": []}, "bad generator index in 'L:1_0'"),
+    ({"left": "L:0", "right": "L:+1", "value": []}, "bad generator index in 'L:+1'"),
+    ({"left": "L:0", "right": "L:0", "value": [{"gen": "L: 1", "coeff": "d"}]},
+     "bad generator index in 'L: 1'"),
+    ({"left": "L:\u0661", "right": "L:0", "value": []}, "bad generator index"),
+], ids=["numeric-coeff", "numeric-value", "numeric-left", "underscore-index",
+        "plus-index", "blank-index", "arabic-indic-index"])
 def test_malformed_map_file(capsys, tmp_path, entry, fragment):
     path = tmp_path / "bad_map.json"
     path.write_text(json.dumps({"algebra": "Vir", "entries": [entry]}))
@@ -410,7 +424,7 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     # solved identities; the re-check must blame the solver, not the user
     def assemble_dropping_rows(ansatz, tags):
         system = assemble(ansatz, tags)
-        return ConstraintSystem.from_rows(ansatz, system.tags, [], [])
+        return ConstraintSystem(ansatz, system.tags, 0, _rref([]))
 
     assemble = lcalab.solver.assemble
     monkeypatch.setattr(lcalab.solver, "assemble", assemble_dropping_rows)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import lcalab.solver
 from lcalab import (
     Algebra,
     Ansatz,
@@ -21,7 +22,6 @@ from lcalab import (
     algebra_from_dict,
     assemble,
     check_axioms,
-    express_in_span,
     family_templates,
     load_algebra,
     make_catalog,
@@ -38,7 +38,14 @@ from lcalab import (
 from lcalab import cli
 from lcalab.bimaps import TAG_ARITY
 from lcalab.poly import D, L, Poly, Var
-from lcalab.solver import ASSEMBLE_TAGS, MAX_UNKNOWNS, Provenance, _normalize_vector, _rref
+from lcalab.solver import (
+    ASSEMBLE_TAGS,
+    MAX_UNKNOWNS,
+    Provenance,
+    _normalize_vector,
+    _rref,
+    express_all_in_span,
+)
 
 from randgen import make_rng, random_fraction, random_poly
 
@@ -62,8 +69,10 @@ def test_ansatz_rejects_symbolic_b():
 
 
 def test_ansatz_rejects_negative_degree():
-    with pytest.raises(SolverError):
-        Ansatz(make_catalog("vir"), -1)
+    # and a bool, which isinstance takes for an int: True is no degree
+    for degree in (-1, True, False):
+        with pytest.raises(SolverError, match="degree must be a non-negative integer"):
+            Ansatz(make_catalog("vir"), degree)
 
 
 def test_ansatz_size_cap():
@@ -137,7 +146,8 @@ def test_assembly_matches_residual_engine():
     for _ in range(5):
         vec = [random_fraction(rng, max_abs=3) for _ in range(ansatz.n_unknowns)]
         phi = ansatz.map_from_vector(vec)
-        values = system.evaluate(vec)
+        values = [sum((c * vec[k] for k, c in row.items()), Fraction(0))
+                  for row in system.rows]
         cache = {}
         for value, prov in zip(values, system.provenance):
             key = (prov.tag, prov.args)
@@ -274,7 +284,7 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     assert [list(map(type, v)) for v in space.vectors] == \
         [list(map(type, v)) for v in vectors]
     assert system.n_rows == len(listing)
-    lifted = system.listing()
+    lifted = list(zip(system.provenance, system.rows))
     assert lifted == listing
     assert [list(row) for _, row in lifted] == [list(row) for _, row in listing]
     assert [(type(p), type(c)) for _, row in lifted for p, c in row.items()] == \
@@ -350,6 +360,46 @@ def test_post_solve_check_covers_the_lift(monkeypatch):
             + "; ".join(str(r) for r in alone.failures[:3]))
 
 
+def tagged_sum(maps):
+    """The map sum_i b^i maps[i], for b-free maps over one algebra, built
+    from the maps' tables instead of from the unknowns: the builder the
+    re-check used before Ansatz._map made every tagged map."""
+    algebra = maps[0].algebra
+    entries = {}
+    for i, phi in enumerate(maps):
+        for pair, value in phi.table.items():
+            targets = entries.setdefault(pair, {})
+            for gt, poly in value.terms.items():
+                terms = targets.setdefault(gt, {})
+                for mono, coeff in poly.terms.items():
+                    terms[mono[:4] + (i,)] = coeff
+    return BilinearMap(algebra, {
+        pair: algebra.element({gt: Poly(terms) for gt, terms in targets.items()})
+        for pair, targets in entries.items()})
+
+
+@pytest.mark.parametrize("algebra", [
+    make_catalog("cw", 4),
+    make_catalog("clw", 3, -1),
+    inhomogeneous_clw(3),
+], ids=["cw4-d2", "clw3-b-1-d2", "inhom-clw3-d2"])
+def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
+    # the re-check builds its tagged map from the basis vectors; it must be
+    # the tagged sum of the reported basis maps, pair for pair in order
+    swept = []
+
+    def recording_verify_map(phi, tags):
+        swept.append(phi)
+        return verify_map(phi, tags)
+
+    monkeypatch.setattr(lcalab.solver, "verify_map", recording_verify_map)
+    space = solve_bider(algebra, 2)
+    reference = tagged_sum(space.basis)
+    assert len(swept) == 1
+    assert swept[0] == reference
+    assert list(swept[0].table) == list(reference.table)
+
+
 # -- nullspace -----------------------------------------------------------------------
 
 def test_nullspace_vir_skew():
@@ -363,21 +413,15 @@ def test_nullspace_vir_skew():
 
 def test_nullspace_identity_system():
     ansatz = Ansatz(make_catalog("vir"), 0)
-    system = ConstraintSystem.from_rows(ansatz, ("def1a",), [{0: Fraction(1)}], [None])
-    assert system.n_rows == 1 and system.rows == [{0: Fraction(1)}]
+    system = ConstraintSystem(ansatz, ("def1a",), 1, _rref([{0: Fraction(1)}]))
+    assert system.n_rows == 1 and system.pivots == {0: {0: Fraction(1)}}
     assert nullspace(system).dimension == 0
-
-
-def test_explicit_rows_need_m_1():
-    # explicit rows carry no index classes to lift
-    with pytest.raises(SolverError, match="m = 1"):
-        ConstraintSystem.from_rows(Ansatz(make_catalog("cw", 2), 0), ("def1a",), [], [])
 
 
 def test_nullspace_empty_system():
     ansatz = Ansatz(make_catalog("vir"), 1)
-    system = ConstraintSystem.from_rows(ansatz, ("def1a",), [], [])
-    assert system.n_rows == 0 and system.rows == []
+    system = ConstraintSystem(ansatz, ("def1a",), 0, _rref([]))
+    assert system.n_rows == 0 and system.pivots == {}
     space = nullspace(system)
     assert space.dimension == ansatz.n_unknowns
     # free-column basis: one elementary vector per unknown
@@ -398,11 +442,11 @@ def test_int_entries_stay_exact():
                              ([0, 0], [0, 0])]:
         normalized = _normalize_vector(vector)
         assert normalized == expected and exact(normalized)
-    coords = express_in_span([[2, 0, 4], [0, 3, 3]], [2, 3, 7])
+    coords = express_all_in_span([[2, 0, 4], [0, 3, 3]], [[2, 3, 7]])[0]
     assert coords == [1, 1] and exact(coords)
-    coords = express_in_span([[2, 4], [1, 2]], [1, 2])
+    coords = express_all_in_span([[2, 4], [1, 2]], [[1, 2]])[0]
     assert coords == [Fraction(1, 2), 0] and exact(coords)
-    assert express_in_span([[2, 0]], [0, 1]) is None
+    assert express_all_in_span([[2, 0]], [[0, 1]])[0] is None
 
 
 @pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 2, None),
@@ -476,8 +520,9 @@ def test_solution_spans_contain_families():
     system = space.system
     for s in range(2):
         vec = space.ansatz.vector_of(make_family(cw, "cw_shift", shift=s, a=1))
-        assert system.satisfied_by(vec)
-        assert express_in_span(space.vectors, vec) is not None
+        assert all(sum((c * vec[k] for k, c in row.items()), Fraction(0)) == 0
+                   for row in system.rows)
+        assert express_all_in_span(space.vectors, [vec])[0] is not None
 
 
 def test_solver_basis_satisfies_all_identities():
@@ -495,8 +540,8 @@ def test_leibniz_forms_give_same_nullspace():
         s1 = solve_bider(algebra, 2, ["def1a", "def1b"])
         s2 = solve_bider(algebra, 2, ["def1a", "lem1"])
         assert s1.dimension == s2.dimension
-        assert all(express_in_span(s2.vectors, v) is not None for v in s1.vectors)
-        assert all(express_in_span(s1.vectors, v) is not None for v in s2.vectors)
+        assert all(express_all_in_span(s2.vectors, [v])[0] is not None for v in s1.vectors)
+        assert all(express_all_in_span(s1.vectors, [v])[0] is not None for v in s2.vectors)
 
 
 def test_determinism_bit_for_bit():
