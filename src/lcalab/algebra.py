@@ -202,8 +202,9 @@ class Element:
 class BracketRule:
     """Bracket of one ordered family pair: coeff on target_{i+j mod m}.
 
-    ``target is None`` means the bracket of this pair is identically zero.
-    The coefficient may use only d, l and b.
+    ``target is None`` means the bracket of this pair is identically zero,
+    so its coefficient must be zero once Algebra has substituted b.  The
+    coefficient may use only d, l and b.
     """
 
     left: str
@@ -264,6 +265,9 @@ class Algebra:
                                    f"use only d, l, b")
             if b_value is not None:
                 coeff = coeff.subst({Var.B: b_value})
+            if rule.target is None and not coeff.is_zero:
+                raise AlgebraError(f"rule ({rule.left},{rule.right}): a null target "
+                                   f"needs a zero coefficient")
             target = rule.target if not coeff.is_zero else None
             table[key] = BracketRule(rule.left, rule.right, target,
                                      coeff if target is not None else ZERO)
@@ -563,14 +567,13 @@ def make_catalog(kind: str, m: int = 1, b: Scalar | None = None) -> Algebra:
     it symbolic, a Fraction instantiates it.
     """
     d, lam, bb = Poly.variable(Var.D), Poly.variable(Var.L), Poly.variable(Var.B)
-    if not isinstance(m, int) or m < 1:
-        raise AlgebraError(f"modulus must be a positive integer, got {m!r}")
     if kind == "vir":
-        if m != 1:
+        vir = Algebra("Vir", m, ["L"], [BracketRule("L", "L", "L", d + 2 * lam)])
+        if vir.modulus != 1:
             raise AlgebraError("vir is rank one; use kind 'cw' for m > 1")
         if b is not None:
             raise AlgebraError("b is only accepted for kind 'clw'")
-        return Algebra("Vir", 1, ["L"], [BracketRule("L", "L", "L", d + 2 * lam)])
+        return vir
     if kind == "cw":
         if b is not None:
             raise AlgebraError("b is only accepted for kind 'clw'")

@@ -499,6 +499,9 @@ def map_from_dict(data: dict, algebra: Algebra) -> BilinearMap:
 
     {"algebra": str, "entries": [{"left": "L:0", "right": "L:1",
       "value": [{"gen": "L:1", "coeff": expr-string}]}]}
+
+    At a numeric b, the algebra's b is substituted into every
+    coefficient, as Algebra does for its rules; at symbolic b it stays.
     """
     if not isinstance(data, dict):
         raise MapError("map definition must be a JSON object")
@@ -536,6 +539,8 @@ def map_from_dict(data: dict, algebra: Algebra) -> BilinearMap:
                 coeff = parse_poly(coeff_text)
             except (AlgebraError, ParseError) as exc:
                 raise MapError(f"entry ({left},{right}): {exc}") from None
+            if algebra.b_value is not None:
+                coeff = coeff.subst({Var.B: algebra.b_value})
             terms[gt] = terms.get(gt, Poly.zero()) + coeff
         table[(gi, gj)] = algebra.element(terms)
     return BilinearMap(algebra, table)

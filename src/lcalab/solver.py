@@ -44,6 +44,11 @@ the template match is one elimination of the template columns with every
 basis vector as one more column.  One builder, Ansatz._map, makes every
 map from the unknowns: the tagged ansatz map, the tagged basis map and,
 with the tag b^0, each concrete map.
+
+Every vector over the unknowns is a sparse Row, {unknown index: nonzero
+value} with the indices ascending: the constraint rows, the pivot rows,
+the solution vectors and the template columns alike.  No vector holds an
+entry per unknown, so the work on a vector grows with its support.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import Algebra, GeneratorId
 from .bimaps import (
@@ -89,9 +94,11 @@ MAX_UNKNOWNS = 50_000
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# A constraint row, a pivot row, a solution vector or a template column.
+Row = dict[int, Fraction]
 
-@dataclass(frozen=True)
-class Unknown:
+
+class Unknown(NamedTuple):
     """One ansatz coefficient: the d^dpow * l^lpow part of the target
     component of phi(left, right)."""
 
@@ -165,11 +172,14 @@ class Ansatz:
         }
         return BilinearMap(self.algebra, table)
 
-    def map_from_vector(self, vector: Sequence[Fraction]) -> BilinearMap:
-        """Assemble the concrete map with the given unknown values."""
-        if len(vector) != self.n_unknowns:
-            raise SolverError("vector length does not match unknown count")
-        return self._map((0, k, coeff) for k, coeff in enumerate(vector) if coeff)
+    def map_from_vector(self, vector: Row) -> BilinearMap:
+        """Assemble the concrete map with the given unknown values, a Row;
+        an index outside 0 .. n_unknowns - 1 raises SolverError."""
+        for k in vector:
+            if not 0 <= k < self.n_unknowns:
+                raise SolverError(f"vector index {k} outside the unknowns "
+                                  f"0 .. {self.n_unknowns - 1}")
+        return self._map((0, k, coeff) for k, coeff in vector.items())
 
     def shift(self, k: int, s: int) -> int:
         """The index of sigma_s of unknown k: the same unknown with its
@@ -183,13 +193,11 @@ class Ansatz:
         i = self.unknowns[k].target.index
         return k + ((i + s) % self.algebra.modulus - i) * self._n_monos
 
-    def lift(self, entries: dict[int, int], s: int) -> list[int]:
-        """The dense vector of sigma_s o phi, for phi given by its nonzero
-        entries {unknown index: value}."""
-        vector = [0] * self.n_unknowns
-        for k, value in entries.items():
-            vector[self.shift(k, s)] = value
-        return vector
+    def lift(self, entries: Row, s: int) -> Row:
+        """The Row of sigma_s o phi, for phi given by its Row: each value
+        moves to the shifted unknown, and the indices stay ascending (see
+        shift)."""
+        return {self.shift(k, s): value for k, value in entries.items()}
 
     def tagged_map(self) -> BilinearMap:
         """The class-0 ansatz map with unknown k set to the tag b^k.
@@ -200,13 +208,13 @@ class Ansatz:
         """
         return self._map((k, k, 1) for k in self.class0)
 
-    def vector_of(self, phi: BilinearMap) -> list[Fraction]:
-        """Flatten a concrete map onto the unknown coordinates.
+    def vector_of(self, phi: BilinearMap) -> Row:
+        """The Row of a concrete map on the unknown coordinates.
 
         Raises if the map has support outside the ansatz space (degree too
         high, or a b-dependent coefficient).
         """
-        vector = [_ZERO] * self.n_unknowns
+        vector: Row = {}
         for (gi, gj), value in phi.table.items():
             for gt, poly in value.terms.items():
                 for mono, coeff in poly.terms.items():
@@ -219,7 +227,7 @@ class Ansatz:
                         raise SolverError(
                             f"map exceeds the degree-{self.degree} ansatz at {u}")
                     vector[k] = coeff
-        return vector
+        return {k: vector[k] for k in sorted(vector)}
 
 
 @dataclass(frozen=True)
@@ -235,9 +243,6 @@ class Provenance:
         args = ", ".join(str(g) for g in self.args)
         mono = str(Poly.monomial(self.monomial))
         return f"{self.tag} ({args}) coefficient of {mono} on {self.gen}"
-
-
-Row = dict[int, Fraction]
 
 
 @dataclass
@@ -355,29 +360,25 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
 # Exact nullspace
 # ---------------------------------------------------------------------------
 
-def _normalize_vector(vector: list[Fraction]) -> list[int]:
-    """Scale int/Fraction entries to coprime ints with the first nonzero
-    entry positive, in integer arithmetic only."""
-    denoms = lcm(*(v.denominator for v in vector))
-    ints = [v.numerator * (denoms // v.denominator) for v in vector]
-    common = gcd(*ints)
-    if common > 1:
-        ints = [v // common for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+def _normalize_vector(vector: Row) -> Row:
+    """Scale a Row of int/Fraction entries to coprime ints with the entry
+    of the lowest unknown positive, in integer arithmetic only."""
+    denoms = lcm(*(v.denominator for v in vector.values()))
+    ints = {k: v.numerator * (denoms // v.denominator) for k, v in vector.items()}
+    common = gcd(*ints.values())
+    if ints and ints[min(ints)] < 0:
+        common = -common
+    return {k: v // common for k, v in ints.items()}
 
 
 @dataclass
 class SolutionSpace:
-    """Exact nullspace of a constraint system, as concrete maps."""
+    """Exact nullspace of a constraint system: the basis vectors, as Rows
+    of coprime ints, and the concrete maps they give."""
 
     ansatz: Ansatz
     dimension: int
-    vectors: list[list[Fraction]]
+    vectors: list[Row]
     basis: list[BilinearMap]
     system: ConstraintSystem | None = None
 
@@ -458,8 +459,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
             coeff = prow.get(f)
             if coeff:
                 entries[pc] = -coeff
-        cols = sorted(entries)
-        entries = dict(zip(cols, _normalize_vector([entries[c] for c in cols])))
+        entries = _normalize_vector({c: entries[c] for c in sorted(entries)})
         lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
                    for s in range(m)]
     lifted.sort(key=lambda free_vector: free_vector[0])
@@ -491,7 +491,7 @@ def solve_bider(algebra: Algebra, degree: int,
     if not space.basis:
         return space
     tagged = ansatz._map((i, k, c) for i, vector in enumerate(space.vectors)
-                         for k, c in enumerate(vector) if c)
+                         for k, c in vector.items())
     report = verify_map(tagged, system.tags)
     if not report.passed:
         i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
@@ -527,26 +527,29 @@ def family_templates(algebra: Algebra) -> list[tuple[str, BilinearMap]]:
     return templates
 
 
-def express_all_in_span(columns: Sequence[Sequence[Fraction]],
-                        targets: Sequence[Sequence[Fraction]]) -> list[list[Fraction] | None]:
+def express_all_in_span(columns: Sequence[Row],
+                        targets: Sequence[Row]) -> list[list[Fraction] | None]:
     """Exact coordinates of each target in the span of columns, or None for
     a target outside it, from one elimination of [columns | targets].
 
-    Target t is column n + t, right of the n given columns.  The RREF is
-    unique, and no row reduction among the target columns changes a
-    target in the span, so each result is the same as an elimination of
-    [columns | target] alone: target t is in the span iff no pivot row
-    whose pivot is a target column has a nonzero entry in column n + t,
-    and its coordinates are then column n + t of the pivot rows of the
-    given columns.  If the columns are linearly dependent, free
-    coordinates are set to 0.
+    Columns and targets are Rows over the unknowns.  Their entries are
+    scattered into one row per unknown in their support, {column: value},
+    and eliminated in ascending unknown order; target t is column n + t,
+    right of the n given columns, and each coordinate list runs over the
+    columns.  The RREF is unique, and no row reduction among the target
+    columns changes a target in the span, so each result is the same as
+    an elimination of [columns | target] alone: target t is in the span
+    iff no pivot row whose pivot is a target column has a nonzero entry in
+    column n + t, and its coordinates are then column n + t of the pivot
+    rows of the given columns.  If the columns are linearly dependent,
+    free coordinates are set to 0.
     """
-    if not targets:
-        return []
     n_cols = len(columns)
-    vectors = [*columns, *targets]
-    rows = ({j: v[i] for j, v in enumerate(vectors) if v[i]} for i in range(len(targets[0])))
-    pivots = _rref(row for row in rows if row)
+    rows: dict[int, Row] = {}
+    for j, vector in enumerate([*columns, *targets]):
+        for k, value in vector.items():
+            rows.setdefault(k, {})[j] = value
+    pivots = _rref(rows[k] for k in sorted(rows))
     outside = [prow for pc, prow in pivots.items() if pc >= n_cols]
     results: list[list[Fraction] | None] = []
     for c in range(n_cols, n_cols + len(targets)):

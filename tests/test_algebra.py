@@ -110,6 +110,12 @@ def test_catalog_rejects_bad_parameters():
         make_catalog("clw", 0)
     with pytest.raises(AlgebraError):
         make_catalog("w_infinity")
+    # the modulus check is Algebra's alone, for vir as for the loop kinds:
+    # True equals 1, but it is no modulus
+    for kind in ("vir", "cw", "clw"):
+        for m in (True, 0, 1.0, -3):
+            with pytest.raises(AlgebraError, match="modulus must be a positive integer"):
+                make_catalog(kind, m)
 
 
 # A float would enter as a binary rational (0.1 is 3602879701896397/2**55):
@@ -462,6 +468,22 @@ def test_numeric_b_substituted_on_load():
     alg = algebra_from_dict(data)
     assert alg.rule("L", "G").coeff == D + 2 * L
     assert alg.rule("G", "L").target is None  # omitted pairs are zero
+
+
+def test_null_target_needs_a_zero_coefficient():
+    # a null target is the zero bracket; a nonzero coefficient on it is
+    # malformed, not silently dropped
+    with pytest.raises(AlgebraError, match=r"rule \(L,L\): a null target needs a zero"):
+        Algebra("X", 1, ["L"], [BracketRule("L", "L", None, D + 2 * L)])
+    with pytest.raises(AlgebraError, match="a null target needs a zero"):
+        Algebra("X", 1, ["L", "G"], [BracketRule("L", "G", None, B + 1)])
+    # zero once b is substituted: valid, and the zero bracket
+    for coeff, b in ((Poly.zero(), None), (B + 1, -1)):
+        alg = Algebra("X", 1, ["L", "G"], [BracketRule("L", "G", None, coeff)], b=b)
+        assert alg.rule("L", "G") == BracketRule("L", "G", None, Poly.zero())
+    data = cw_file_dict(1)
+    data["rules"][0].update(target=None, coeff="0")
+    assert algebra_from_dict(data).rule("L", "L").target is None
 
 
 def test_invalid_json_file(tmp_path):

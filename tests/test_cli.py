@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,28 @@ def test_residual_inner_map(capsys, inner_map_file):
                        "--map", inner_map_file, "--eq", "def1b")
     assert code == 0
     assert "PASS" in out
+
+
+# The inner map of CLW(m=1), its coefficients written with b.
+INNER_CLW_WITH_B = [
+    {"left": "L:0", "right": "L:0", "value": [{"gen": "L:0", "coeff": "d + 2*l"}]},
+    {"left": "L:0", "right": "G:0", "value": [{"gen": "G:0", "coeff": "d + l - b*l"}]},
+    {"left": "G:0", "right": "L:0", "value": [{"gen": "G:0", "coeff": "-(b*d + (b-1)*l)"}]},
+]
+
+
+@pytest.mark.parametrize("b", ["-1", "symbolic"])
+def test_map_file_takes_the_algebra_b(capsys, tmp_path, b):
+    # at a numeric b, the b of a map file is the algebra's b, as in its
+    # rules: the file reads as the inner map written out at that b
+    algebra = make_catalog("clw", 1, None if b == "symbolic" else Fraction(b))
+    with_b, inner = tmp_path / "with_b.json", tmp_path / "inner.json"
+    with_b.write_text(json.dumps({"algebra": algebra.name, "entries": INNER_CLW_WITH_B}))
+    inner.write_text(json.dumps(map_to_dict(make_family(algebra, "inner", t=1))))
+    argv = ["residual", "--catalog", "clw", f"--b={b}", "--eq", "all", "--map"]
+    code, out, err = run(capsys, *argv, str(with_b))
+    assert (code, err) == (0, "") and out.endswith("PASS\n")
+    assert run(capsys, *argv, str(inner)) == (code, out, err)
 
 
 def test_residual_requires_map(capsys):
@@ -347,8 +370,11 @@ def assert_one_line_error(code, err, fragment):
      "invalid JSON"),
     (json.dumps({"name": "V", "modulus": 2000, "families": ["L"], "rules": VIR_RULES}),
      "exceeds the cap of 40000"),
+    (json.dumps({"name": "V", "modulus": 1, "families": ["L"],
+                 "rules": [dict(VIR_RULES[0], target=None)]}),
+     "rule (L,L): a null target needs a zero coefficient"),
 ], ids=["garbage", "float-b", "bool-b", "bool-modulus", "deep-parens", "exponent-b",
-        "huge-int", "huge-modulus"])
+        "huge-int", "huge-modulus", "null-target-nonzero-coeff"])
 def test_malformed_algebra_file(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -439,7 +465,7 @@ def test_broken_basis_vector_is_internal_error(capsys, monkeypatch):
     def lift_dropping_an_entry(self, entries, s):
         vector = lift(self, entries, s)
         if s == 1:
-            vector[self.shift(min(entries), s)] = 0
+            del vector[self.shift(min(entries), s)]
         return vector
 
     lift = Ansatz.lift

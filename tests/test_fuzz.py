@@ -304,9 +304,12 @@ def random_rule_algebras(draw):
     """One or two families, m <= 2, a random target and d, l, b coefficient
     per family pair: mostly not a Lie conformal algebra."""
     families = draw(st.sampled_from([("L",), ("L", "G")]))
-    rules = [BracketRule(left, right, draw(st.sampled_from(families + (None,))),
-                         draw(rule_coeffs))
-             for left in families for right in families]
+    rules = []
+    for left in families:
+        for right in families:
+            target, coeff = draw(st.sampled_from(families + (None,))), draw(rule_coeffs)
+            # a null target is the zero bracket, whose coefficient is zero
+            rules.append(BracketRule(left, right, target, coeff if target else Poly.zero()))
     return Algebra("Random", draw(st.integers(1, 2)), families, rules,
                    b=draw(st.sampled_from([None, -1, Fraction(3, 2)])))
 
@@ -411,6 +414,11 @@ def test_rref_matches_dense_gauss_jordan(system, rng):
 
 # -- the template match: one elimination for every target ---------------------------
 
+def sparse(values):
+    """The solver's Row form of a dense vector: its nonzero entries."""
+    return {k: v for k, v in enumerate(values) if v}
+
+
 @st.composite
 def span_problems(draw):
     """Random columns, some of them combinations of earlier ones, and
@@ -437,8 +445,9 @@ def span_problems(draw):
 @given(span_problems())
 def test_one_elimination_matches_one_per_target(problem):
     length, columns, targets = problem
-    results = express_all_in_span(columns, targets)
-    assert results == [express_all_in_span(columns, [t])[0] for t in targets]
+    rows = [sparse(col) for col in columns]
+    results = express_all_in_span(rows, [sparse(t) for t in targets])
+    assert results == [express_all_in_span(rows, [sparse(t)])[0] for t in targets]
 
     # against the dense Gauss-Jordan, which shares no code with _rref
     def dense_pivots(cols):

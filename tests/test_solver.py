@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,16 @@ from lcalab.solver import (
 from randgen import make_rng, random_fraction, random_poly
 
 
+def sparse(values):
+    """The Row of a dense vector: its nonzero entries, indices ascending."""
+    return {k: v for k, v in enumerate(values) if v}
+
+
+def dense(vector, n):
+    """The dense list of a Row over n unknowns, 0 off its support."""
+    return [vector.get(k, 0) for k in range(n)]
+
+
 # -- ansatz ---------------------------------------------------------------------
 
 def test_unknown_count_formula():
@@ -86,8 +97,18 @@ def test_ansatz_size_cap():
 def test_vector_map_round_trip():
     rng = make_rng(30)
     ansatz = Ansatz(make_catalog("cw", 2), 1)
-    vec = [random_fraction(rng) for _ in range(ansatz.n_unknowns)]
-    assert ansatz.vector_of(ansatz.map_from_vector(vec)) == vec
+    n = ansatz.n_unknowns
+    vec = [random_fraction(rng) for _ in range(n)]
+    assert dense(ansatz.vector_of(ansatz.map_from_vector(sparse(vec))), n) == vec
+
+
+def test_map_from_vector_refuses_indices_outside_the_unknowns():
+    ansatz = Ansatz(make_catalog("cw", 2), 1)
+    n = ansatz.n_unknowns
+    for k in (-1, n):
+        with pytest.raises(SolverError, match=f"vector index {k} outside the unknowns"):
+            ansatz.map_from_vector({0: Fraction(1), k: Fraction(1)})
+    assert ansatz.vector_of(ansatz.map_from_vector({n - 1: Fraction(2)})) == {n - 1: 2}
 
 
 def test_vector_of_rejects_out_of_space():
@@ -145,7 +166,7 @@ def test_assembly_matches_residual_engine():
     system = assemble(ansatz, ["def1a", "def1b", "lem1"])
     for _ in range(5):
         vec = [random_fraction(rng, max_abs=3) for _ in range(ansatz.n_unknowns)]
-        phi = ansatz.map_from_vector(vec)
+        phi = ansatz.map_from_vector(sparse(vec))
         values = [sum((c * vec[k] for k, c in row.items()), Fraction(0))
                   for row in system.rows]
         cache = {}
@@ -163,7 +184,7 @@ def per_unknown_assembly(ansatz, tags):
     algebra = ansatz.algebra
     sort_key = algebra.gen_sort_key
     n = ansatz.n_unknowns
-    units = [ansatz.map_from_vector([int(i == k) for i in range(n)]) for k in range(n)]
+    units = [ansatz.map_from_vector(sparse([int(i == k) for i in range(n)])) for k in range(n)]
     rows, provenance = [], []
     for tag in normalize_tags(tags):
         for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
@@ -271,7 +292,7 @@ def unlifted_solve(ansatz, tags):
             for pc, prow in pivots.items():
                 if prow.get(f):
                     vec[pc] = -prow[f]
-            vectors.append(_normalize_vector(vec))
+            vectors.append(_normalize_vector(sparse(vec)))
     return listing, vectors
 
 
@@ -281,8 +302,9 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     system = assemble(ansatz, tags)
     space = nullspace(system)
     assert space.vectors == vectors
-    assert [list(map(type, v)) for v in space.vectors] == \
-        [list(map(type, v)) for v in vectors]
+    assert [list(v) for v in space.vectors] == [list(v) for v in vectors]
+    assert [list(map(type, v.values())) for v in space.vectors] == \
+        [list(map(type, v.values())) for v in vectors]
     assert system.n_rows == len(listing)
     lifted = list(zip(system.provenance, system.rows))
     assert lifted == listing
@@ -313,9 +335,13 @@ def random_loop_table(rng):
     coefficient per family pair: mostly not a Lie conformal algebra, but
     sigma_s commutes with the bracket of any loop table."""
     families = rng.choice([("L",), ("L", "G")])
-    rules = [BracketRule(left, right, rng.choice(families + (None,)),
-                         random_poly(rng, max_terms=3, max_exp=1, variables=(Var.D, Var.L)))
-             for left in families for right in families]
+    rules = []
+    for left in families:
+        for right in families:
+            target = rng.choice(families + (None,))
+            coeff = random_poly(rng, max_terms=3, max_exp=1, variables=(Var.D, Var.L))
+            # a null target is the zero bracket, whose coefficient is zero
+            rules.append(BracketRule(left, right, target, coeff if target else Poly.zero()))
     return Algebra("Random", rng.choice([2, 3]), families, rules)
 
 
@@ -344,9 +370,9 @@ def test_post_solve_check_covers_the_lift(monkeypatch):
         def lift_dropping_an_entry(self, entries, s):
             vector = lift(self, entries, s)
             if s in broken and s not in damaged:
-                intact = list(vector)
-                vector[self.shift(broken[s](entries), s)] = 0
-                damaged[s] = (expected.vectors.index(intact), list(vector))
+                intact = dict(vector)
+                del vector[self.shift(broken[s](entries), s)]
+                damaged[s] = (expected.vectors.index(intact), dict(vector))
             return vector
 
         monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
@@ -406,7 +432,7 @@ def test_nullspace_vir_skew():
     ansatz = Ansatz(make_catalog("vir"), 1)
     space = nullspace(assemble(ansatz, ["def1a"]))
     assert space.dimension == 1
-    assert space.vectors == [[Fraction(0), Fraction(1), Fraction(2)]]
+    assert [dense(v, 3) for v in space.vectors] == [[Fraction(0), Fraction(1), Fraction(2)]]
     gid = ansatz.algebra.gen("L", 0)
     assert space.basis[0].entry(gid, gid) == ansatz.algebra.element({gid: D + 2 * L})
 
@@ -426,6 +452,7 @@ def test_nullspace_empty_system():
     assert space.dimension == ansatz.n_unknowns
     # free-column basis: one elementary vector per unknown
     for k, vec in enumerate(space.vectors):
+        vec = dense(vec, ansatz.n_unknowns)
         assert vec[k] == 1 and sum(map(bool, vec)) == 1
 
 
@@ -440,13 +467,14 @@ def test_int_entries_stay_exact():
                              ([-4, 6], [2, -3]),
                              ([Fraction(1, 2), 3], [1, 6]),
                              ([0, 0], [0, 0])]:
-        normalized = _normalize_vector(vector)
-        assert normalized == expected and exact(normalized)
-    coords = express_all_in_span([[2, 0, 4], [0, 3, 3]], [[2, 3, 7]])[0]
+        normalized = _normalize_vector(sparse(vector))
+        assert normalized == sparse(expected) and exact(normalized.values())
+    coords = express_all_in_span([sparse([2, 0, 4]), sparse([0, 3, 3])],
+                                 [sparse([2, 3, 7])])[0]
     assert coords == [1, 1] and exact(coords)
-    coords = express_all_in_span([[2, 4], [1, 2]], [[1, 2]])[0]
+    coords = express_all_in_span([sparse([2, 4]), sparse([1, 2])], [sparse([1, 2])])[0]
     assert coords == [Fraction(1, 2), 0] and exact(coords)
-    assert express_all_in_span([[2, 0]], [[0, 1]])[0] is None
+    assert express_all_in_span([sparse([2, 0])], [sparse([0, 1])])[0] is None
 
 
 @pytest.mark.parametrize("kind, m, b", [("vir", 1, None), ("cw", 2, None),
@@ -464,7 +492,7 @@ def test_nullspace_matches_sympy(kind, m, b):
                            for row in system.rows])
     theirs = matrix.nullspace()
     assert len(theirs) == space.dimension
-    ours = sympy.Matrix([[q(v) for v in vec] for vec in space.vectors])
+    ours = sympy.Matrix([[q(v) for v in dense(vec, n)] for vec in space.vectors])
     assert (matrix * ours.T).is_zero_matrix
     assert ours.rank() == space.dimension
     assert sympy.Matrix.vstack(ours, *(v.T for v in theirs)).rank() == space.dimension
@@ -520,7 +548,7 @@ def test_solution_spans_contain_families():
     system = space.system
     for s in range(2):
         vec = space.ansatz.vector_of(make_family(cw, "cw_shift", shift=s, a=1))
-        assert all(sum((c * vec[k] for k, c in row.items()), Fraction(0)) == 0
+        assert all(sum((c * vec.get(k, 0) for k, c in row.items()), Fraction(0)) == 0
                    for row in system.rows)
         assert express_all_in_span(space.vectors, [vec])[0] is not None
 
@@ -542,6 +570,20 @@ def test_leibniz_forms_give_same_nullspace():
         assert s1.dimension == s2.dimension
         assert all(express_all_in_span(s2.vectors, [v])[0] is not None for v in s1.vectors)
         assert all(express_all_in_span(s1.vectors, [v])[0] is not None for v in s2.vectors)
+
+
+@pytest.mark.parametrize("kind, m, b", [("cw", 4, None), ("clw", 3, -1),
+                                        ("clw", 2, Fraction(3, 2)), ("cw", 12, None)],
+                         ids=["cw4", "clw3-b-1", "clw2-b3/2", "cw12"])
+def test_basis_vectors_are_canonical_rows(kind, m, b):
+    # the classify cases of the benchmark and the largest lifted case
+    space = solve_bider(make_catalog(kind, m, b), 2)
+    assert space.vectors
+    for vector in space.vectors:
+        keys, values = list(vector), list(vector.values())
+        assert keys == sorted(keys)
+        assert all(type(v) is int and v for v in values)
+        assert math.gcd(*values) == 1 and values[0] > 0
 
 
 def test_determinism_bit_for_bit():
