@@ -31,7 +31,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -327,23 +327,6 @@ class Poly:
         elif memo is not _SHARED:
             memo[replacement] = out
         return out
-
-    def coefficients(self, split_vars: Iterable[Var]) -> dict[Monomial, "Poly"]:
-        """Group terms by their monomial in ``split_vars``.
-
-        Keys are monomials supported only on ``split_vars``; values are
-        polynomials in the remaining variables.  Summing key * value over
-        the map reconstructs the polynomial exactly.
-        """
-        slots = {v.slot for v in split_vars}
-        if not slots:
-            raise ValueError("split_vars must be nonempty")
-        groups: dict[Monomial, dict[Monomial, Scalar]] = {}
-        for mono, coeff in self.terms.items():
-            key = tuple(e if i in slots else 0 for i, e in enumerate(mono))
-            rest = tuple(0 if i in slots else e for i, e in enumerate(mono))
-            groups.setdefault(key, {})[rest] = coeff
-        return {key: Poly._raw(rest) for key, rest in groups.items()}
 
     # -- comparison and printing ------------------------------------------
 

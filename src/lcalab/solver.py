@@ -196,7 +196,8 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift)."""
+        shift).  The one place where sigma_s acts on a vector: nullspace
+        lifts the solution vectors, and _listing the constraint rows."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def tagged_map(self) -> BilinearMap:
@@ -318,9 +319,8 @@ def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Ro
         for gt in sorted(lifted, key=sort_key):
             s, rows = lifted[gt]
             for mono in sorted(rows):
-                row = {ansatz.shift(k, s): c for k, c in rows[mono].items()}
                 listing.append((Provenance(tag, args, gt, mono),
-                                {k: row[k] for k in sorted(row)}))
+                                ansatz.lift(dict(sorted(rows[mono].items())), s)))
     return listing
 
 
@@ -373,14 +373,22 @@ def _normalize_vector(vector: Row) -> Row:
 
 @dataclass
 class SolutionSpace:
-    """Exact nullspace of a constraint system: the basis vectors, as Rows
-    of coprime ints, and the concrete maps they give."""
+    """Exact nullspace of a constraint system, as made by nullspace: the
+    basis vectors, as Rows of coprime ints, and basis[i], the concrete
+    map of vectors[i].  The ansatz is the system's, and the dimension is
+    the number of vectors."""
 
-    ansatz: Ansatz
-    dimension: int
+    system: ConstraintSystem
     vectors: list[Row]
     basis: list[BilinearMap]
-    system: ConstraintSystem | None = None
+
+    @property
+    def ansatz(self) -> Ansatz:
+        return self.system.ansatz
+
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors)
 
 
 def _rref(rows: Iterable[Row]) -> dict[int, Row]:
@@ -465,7 +473,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     lifted.sort(key=lambda free_vector: free_vector[0])
     vectors = [vector for _, vector in lifted]
     basis = [ansatz.map_from_vector(v) for v in vectors]
-    return SolutionSpace(ansatz, len(vectors), vectors, basis, system)
+    return SolutionSpace(system, vectors, basis)
 
 
 def solve_bider(algebra: Algebra, degree: int,
@@ -565,51 +573,22 @@ def express_all_in_span(columns: Sequence[Row],
 
 
 @dataclass
-class MatchEntry:
-    index: int
-    combination: dict[str, Fraction] | None
-    map: BilinearMap
-
-    @property
-    def matched(self) -> bool:
-        return self.combination is not None
-
-
-@dataclass
 class MatchReport:
-    """Expression of each solution basis vector in the family templates."""
+    """Expression of each solution basis vector in the family templates:
+    combinations[i] is {template name: coefficient}, over every template
+    with zeros included, for basis vector i, or None if that vector lies
+    outside the span of the templates."""
 
-    template_names: list[str]
-    entries: list[MatchEntry]
+    combinations: list[dict[str, Fraction] | None]
 
     @property
     def fully_matched(self) -> bool:
-        return all(e.matched for e in self.entries)
-
-    def matched(self) -> list[MatchEntry]:
-        return [e for e in self.entries if e.matched]
-
-    def unmatched(self) -> list[MatchEntry]:
-        return [e for e in self.entries if not e.matched]
-
-    def to_json(self) -> dict:
-        return {
-            "templates": self.template_names,
-            "matched": [
-                {"basis": e.index,
-                 "combination": {name: str(c) for name, c in e.combination.items() if c}}
-                for e in self.matched()
-            ],
-            "unmatched": [
-                {"basis": e.index, "map": map_to_dict(e.map)}
-                for e in self.unmatched()
-            ],
-        }
+        return None not in self.combinations
 
 
 def match_templates(space: SolutionSpace) -> MatchReport:
     """Try to express every basis vector as a rational combination of the
-    family templates; anything that fails is reported verbatim.
+    family templates, one MatchReport entry per vector.
 
     A template that does not fit the ansatz (its degree is above the
     ansatz degree) is left out: no solution can use it.  The template
@@ -624,29 +603,31 @@ def match_templates(space: SolutionSpace) -> MatchReport:
         except SolverError:
             continue
         names.append(name)
-    entries = []
-    for i, coords in enumerate(express_all_in_span(columns, space.vectors)):
-        combination = None
-        if coords is not None:
-            combination = {name: coords[j] for j, name in enumerate(names)}
-        entries.append(MatchEntry(i, combination, space.basis[i]))
-    return MatchReport(names, entries)
+    return MatchReport([None if coords is None else dict(zip(names, coords))
+                        for coords in express_all_in_span(columns, space.vectors)])
 
 
-def solver_report(space: SolutionSpace, match: MatchReport | None = None) -> dict:
-    """The full JSON report of a classification run."""
-    if match is None:
-        match = match_templates(space)
-    system = space.system
-    match_json = match.to_json()
+def solver_report(space: SolutionSpace, match: MatchReport) -> dict:
+    """The full JSON report of a classification run, from its solution
+    space and match_templates(space).
+
+    "matched" gives each matched basis vector with the nonzero
+    coefficients of its combination; "unmatched" gives each other one
+    with its map verbatim, the same dict as its entry in "basis".
+    """
+    ansatz = space.ansatz
+    basis = [map_to_dict(phi) for phi in space.basis]
+    entries = list(enumerate(match.combinations))
     return {
-        "algebra": space.ansatz.algebra.name,
-        "degree": space.ansatz.degree,
-        "tags": list(system.tags) if system else [],
-        "unknowns": space.ansatz.n_unknowns,
-        "rows": system.n_rows if system else 0,
+        "algebra": ansatz.algebra.name,
+        "degree": ansatz.degree,
+        "tags": list(space.system.tags),
+        "unknowns": ansatz.n_unknowns,
+        "rows": space.system.n_rows,
         "dimension": space.dimension,
-        "basis": [map_to_dict(phi) for phi in space.basis],
-        "matched": match_json["matched"],
-        "unmatched": match_json["unmatched"],
+        "basis": basis,
+        "matched": [{"basis": i, "combination": {n: str(c) for n, c in combination.items() if c}}
+                    for i, combination in entries if combination is not None],
+        "unmatched": [{"basis": i, "map": basis[i]}
+                      for i, combination in entries if combination is None],
     }

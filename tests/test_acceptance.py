@@ -112,7 +112,7 @@ def test_criterion_5_loop_classification():
         space = solve_bider(make_catalog("cw", m), 2)
         assert space.dimension == m, f"CW(m={m}) dimension {space.dimension}"
         match = match_templates(space)
-        assert match.fully_matched and not match.unmatched()
+        assert match.fully_matched and None not in match.combinations
 
     dims = {}
     for b in (0, -1):

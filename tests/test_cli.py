@@ -259,6 +259,27 @@ def test_match_fails_without_templates(capsys, tmp_path):
     assert "UNMATCHED" in out
 
 
+def test_match_unmatched_report_is_pinned(capsys):
+    # def1a alone admits the degree-2 map d*d + 2*d*l, which no template spans
+    argv = ["match", "--catalog", "vir", "--degree", "2", "--eq", "def1a"]
+    inner = {"algebra": "Vir", "entries": [{"left": "L:0", "right": "L:0", "value": [
+        {"gen": "L:0", "coeff": "d + 2*l"}]}]}
+    extra = {"algebra": "Vir", "entries": [{"left": "L:0", "right": "L:0", "value": [
+        {"gen": "L:0", "coeff": "d*d + 2*d*l"}]}]}
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "algebra": "Vir", "degree": 2, "tags": ["def1a"], "unknowns": 6, "rows": 5,
+        "dimension": 2, "basis": [inner, extra],
+        "matched": [{"basis": 0, "combination": {"cw_shift(s=0)": "1"}}],
+        "unmatched": [{"basis": 1, "map": extra}],
+    }
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert ('basis[1] UNMATCHED: [{"left": "L:0", "right": "L:0", "value": '
+            '[{"gen": "L:0", "coeff": "d*d + 2*d*l"}]}]') in out.splitlines()
+
+
 INHOMOGENEOUS = str(Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json")
 
 

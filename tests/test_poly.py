@@ -89,42 +89,6 @@ def test_subst_homomorphism_smoke():
         assert (p + q).subst(assignment) == p.subst(assignment) + q.subst(assignment)
 
 
-# -- coefficient extraction ---------------------------------------------------
-
-def test_coefficients_in_d():
-    p = D * D + (3 * L + 2 * M) * D
-    split = p.coefficients([Var.D])
-    assert split == {mono(d=2): Poly.one(), mono(d=1): 3 * L + 2 * M}
-
-
-def test_coefficients_constant():
-    assert Poly.const(5).coefficients([Var.L]) == {mono(): Poly.const(5)}
-
-
-def test_coefficients_in_d_and_l():
-    assert (D + 2 * L).coefficients([Var.D, Var.L]) == {
-        mono(d=1): Poly.one(),
-        mono(l=1): Poly.const(2),
-    }
-
-
-def test_coefficients_reconstruction():
-    rng = make_rng(3)
-    for _ in range(500):
-        p = random_poly(rng, max_terms=4)
-        split_vars = rng.sample([Var.D, Var.L, Var.M, Var.G, Var.B],
-                                k=rng.randint(1, 3))
-        total = Poly.zero()
-        for key, value in p.coefficients(split_vars).items():
-            total = total + Poly.monomial(key) * value
-        assert total == p
-
-
-def test_coefficients_empty_vars_rejected():
-    with pytest.raises(ValueError):
-        (D + L).coefficients([])
-
-
 # -- parsing and printing ------------------------------------------------------
 
 def test_parse_basic():

@@ -523,8 +523,8 @@ def test_cw_loop_classification():
         match = match_templates(space)
         assert match.fully_matched
         used = set()
-        for entry in match.entries:
-            used |= {name for name, c in entry.combination.items() if c}
+        for combination in match.combinations:
+            used |= {name for name, c in combination.items() if c}
         assert used == {f"cw_shift(s={s})" for s in range(m)}
 
 
@@ -587,7 +587,8 @@ def test_basis_vectors_are_canonical_rows(kind, m, b):
 
 
 def test_determinism_bit_for_bit():
-    runs = [solver_report(solve_bider(make_catalog("cw", 2), 2)) for _ in range(2)]
+    spaces = [solve_bider(make_catalog("cw", 2), 2) for _ in range(2)]
+    runs = [solver_report(space, match_templates(space)) for space in spaces]
     assert json.dumps(runs[0]) == json.dumps(runs[1])
 
 
@@ -661,10 +662,10 @@ def test_match_reports_unmatched_verbatim():
         (g0, g1): cw.element({g0: Poly.one()}),
     })
     vec = ansatz.vector_of(phi)
-    space = SolutionSpace(ansatz, 1, [vec], [phi])
+    space = SolutionSpace(assemble(ansatz), [vec], [phi])
     match = match_templates(space)
     assert not match.fully_matched
-    report = match.to_json()
+    report = solver_report(space, match)
     assert report["matched"] == []
     assert report["unmatched"][0]["basis"] == 0
     assert report["unmatched"][0]["map"] == map_to_dict(phi)
@@ -672,7 +673,7 @@ def test_match_reports_unmatched_verbatim():
 
 def test_solver_report_shape():
     space = solve_bider(make_catalog("cw", 2), 2)
-    report = solver_report(space)
+    report = solver_report(space, match_templates(space))
     assert report["algebra"] == "CW(m=2)"
     assert report["degree"] == 2
     assert report["tags"] == ["def1a", "def1b"]
