@@ -7,9 +7,9 @@ on general elements by the bracket's own kernel, ``algebra.slot_eval``:
 coefficient p(d) on the left enters as p(-s), q(d) on the right as
 q(d+s), and the table value's l is renamed to the requested spectral
 parameter (once per map and parameter; the table is read-only).  The
-closed-form families (inner, cw_shift, clw_shift) are all
-the algebra's bracket table scaled and index-shifted, plus the
-g-component of clw_shift.
+closed-form families are one map on every algebra, the bracket table
+scaled and index-shifted, sigma_s o (a [. l .]), plus the g-component,
+which only the CLW table at b = -1 carries.
 
 Each identity is checked as a left-minus-right residual that must vanish
 identically:
@@ -59,6 +59,7 @@ from .algebra import (
     TABLE_VARS,
     Algebra,
     AlgebraError,
+    BracketRule,
     Element,
     GeneratorId,
     bracket,
@@ -67,7 +68,7 @@ from .algebra import (
     second_slot_subst,
     slot_eval,
 )
-from .poly import ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
+from .poly import ZERO, ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
 
 TAGS = ("def1a", "def1b", "lem1", "lem2")
 
@@ -416,26 +417,36 @@ def _shifted_table(algebra: Algebra, shift: int, a: Scalar) -> dict[GenPair, Ele
             for pair, value in algebra.table.items()}
 
 
+# The rules of make_catalog("clw", m, -1), the one table that carries the
+# g-component: [L_l L] = (d+2l)L, [L_l G] = [G_l L] = (d+2l)G, [G_l G] = 0.
+_D_PLUS_2L = Poly.variable(Var.D) + 2 * Poly.variable(Var.L)
+_G_COMPONENT_RULES = [BracketRule("L", "L", "L", _D_PLUS_2L),
+                      BracketRule("L", "G", "G", _D_PLUS_2L),
+                      BracketRule("G", "L", "G", _D_PLUS_2L),
+                      BracketRule("G", "G", None, ZERO)]
+
+
 def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
                 a: Scalar = 1, g: Scalar = 0) -> BilinearMap:
     """Build one of the closed-form map families.
 
-    All three are the bracket table scaled and index-shifted, so they
-    share one builder, _shifted_table(algebra, shift, factor):
+    All three are the one shifted bracket _shifted_table(algebra, shift,
+    t * a), sigma_s o (t a [x_l y]), on any algebra: sigma_s lies in the
+    centroid of every loop algebra, so the map is a biderivation wherever
+    the bracket is a Lie conformal bracket.
 
-    inner      phi(x, y) = t [x_l y], on any algebra: shift 0, factor t.
-    cw_shift   phi(L_i, L_j) = a (d+2l) L_{i+j+shift}, on a single-family
-               algebra: the shifted table with factor a; the shift=0
-               slice is the inner map with t = a.
-    clw_shift  the two-family version of the same shifted table; the
-               g-component additionally routes g (d+2l) G_{i+j+shift}
-               into the (L, L) entries and exists only at b = -1.
+    inner      phi(x, y) = t [x_l y]: shift 0.
+    cw_shift   phi(x_i, y_j) = a [x_l y] with its target index moved by
+               shift; the shift=0 slice is the inner map with t = a.
+    clw_shift  the same shifted bracket, plus the g-component, which
+               routes g (d+2l) G_{i+j+shift} into the (L, L) entries.
 
-    These checks are the one record of which families an algebra carries
-    (solver.family_templates keeps what they let through).  t, a and g
-    must be ints or Fractions, shift an int, and a parameter the kind does
-    not take (shift, a, g for inner; t, g for cw_shift; t for clw_shift)
-    must keep its default.
+    A nonzero g is the one precondition on the algebra: its rules must be
+    those of make_catalog("clw", m, -1) (_G_COMPONENT_RULES), else
+    FamilyError.  t, a and g must be ints or Fractions, shift an int, and
+    a parameter the kind does not take (shift, a, g for inner; t, g for
+    cw_shift; t for clw_shift) must keep its default, so t * a is the
+    kind's own factor.
     """
     t, a, g = (exact_scalar(value, FamilyError, name)
                for value, name in ((t, "t"), (a, "a"), (g, "g")))
@@ -449,25 +460,11 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     for name, value, default in unused:
         if value != default:
             raise FamilyError(f"{kind} takes no {name} (got {value})")
-    if kind == "inner":
-        return BilinearMap(algebra, _shifted_table(algebra, 0, t))
-
-    if kind == "cw_shift":
-        if len(algebra.families) != 1:
-            raise FamilyError("cw_shift requires a single-family algebra")
-        fam = algebra.families[0]
-        if algebra.rule(fam, fam).target != fam:
-            raise FamilyError("cw_shift requires the family to close on itself")
-        return BilinearMap(algebra, _shifted_table(algebra, shift, a))
-
-    # clw_shift
-    if algebra.families != ("L", "G"):
-        raise FamilyError("clw_shift requires families L, G")
-    if g and algebra.b_value != Fraction(-1):
-        raise FamilyError("the g-component exists only at b = -1")
-    table = _shifted_table(algebra, shift, a)
+    if g and algebra.rules() != _G_COMPONENT_RULES:
+        raise FamilyError("the g-component exists only on the CLW table at b = -1")
+    table = _shifted_table(algebra, shift, t * a)
     if g:
-        coeff = algebra.rule("L", "L").coeff * g
+        coeff = _D_PLUS_2L * g
         for gi, gj in table:
             if gi.family == gj.family == "L":
                 tgt = algebra.gen("G", gi.index + gj.index + shift)

@@ -69,11 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-family", help="build a closed-form family and "
                                              "check identity residuals")
     add_common(p)
-    p.add_argument("--family", choices=["inner", "cw", "clw"], required=True)
+    p.add_argument("--family", choices=["inner", "cw", "clw"], required=True,
+                   help="inner: t [x_l y]; cw and clw: the bracket scaled by a with "
+                        "its target index moved by --shift, on any algebra; clw "
+                        "also takes the g-component")
     p.add_argument("--shift", type=int, default=0, metavar="INT")
     p.add_argument("--t", metavar="RAT", help="inner family coefficient (default 1)")
     p.add_argument("--a", metavar="RAT", help="shift family coefficient (default 1)")
-    p.add_argument("--g", metavar="RAT", help="g-component coefficient (default 0)")
+    p.add_argument("--g", metavar="RAT", help="g-component coefficient (default 0); a "
+                                              "nonzero g needs the clw table at b = -1")
     p.add_argument("--eq", choices=list(TAGS) + ["all"], default="all")
 
     p = sub.add_parser("residual", help="check identity residuals of a map file")

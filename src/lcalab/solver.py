@@ -254,9 +254,9 @@ class ConstraintSystem:
     column -> row, see _rref) of the class-0 rows, not the rows.  The
     class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
     of the whole system, and ``n_rows`` counts every class, m times the
-    class-0 rows.  ``rows`` and ``provenance`` are rebuilt from the
-    ansatz and the tags on each access: one more class-0 assembly, lifted
-    onto every class (see _listing).
+    class-0 rows.  ``listing``, the (Provenance, Row) pairs, and ``rows``
+    are rebuilt from the ansatz and the tags on each access: one more
+    class-0 assembly, lifted onto every class (see _listing).
     """
 
     ansatz: Ansatz
@@ -269,12 +269,12 @@ class ConstraintSystem:
         return self.ansatz.n_unknowns
 
     @property
-    def rows(self) -> list[Row]:
-        return [row for _, row in _listing(self.ansatz, self.tags)]
+    def listing(self) -> list[tuple[Provenance, Row]]:
+        return _listing(self.ansatz, self.tags)
 
     @property
-    def provenance(self) -> list[Provenance]:
-        return [prov for prov, _ in _listing(self.ansatz, self.tags)]
+    def rows(self) -> list[Row]:
+        return [row for _, row in self.listing]
 
 
 def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
@@ -333,9 +333,9 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
     straight into _rref, so only the class-0 pivots are ever held.  The
     other m - 1 classes are not assembled: their rows are the class-0
     rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows,
-    and nullspace lifts the solutions.  The system's ``rows`` and
-    ``provenance`` rebuild the rows of every class in the order (tag,
-    tuple, target, monomial), which is deterministic.
+    and nullspace lifts the solutions.  The system's ``listing`` and
+    ``rows`` rebuild the rows of every class in the order (tag, tuple,
+    target, monomial), which is deterministic.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
@@ -516,22 +516,21 @@ def solve_bider(algebra: Algebra, degree: int,
 # ---------------------------------------------------------------------------
 
 def family_templates(algebra: Algebra) -> list[tuple[str, BilinearMap]]:
-    """The closed-form family instances available on this algebra: each
-    template kind once per shift, named "kind(s=shift)".
-
-    Which kinds an algebra carries is make_family's decision alone: a
-    kind it refuses with FamilyError (its conditions do not depend on the
-    shift) is left out.
+    """The closed-form family instances of this algebra, once per shift s
+    = 0..m-1: the shifted bracket, on every algebra, then the g-component
+    "clw_g(s=k)" wherever make_family accepts g.  The shifted bracket is
+    named "clw_a(s=k)" on an (L, G) table and "cw_shift(s=k)" elsewhere,
+    the names the reports of the catalog algebras already carry.
     """
-    templates: list[tuple[str, BilinearMap]] = []
-    for name, kind, params in (("cw_shift", "cw_shift", {"a": 1}),
-                               ("clw_a", "clw_shift", {"a": 1, "g": 0}),
-                               ("clw_g", "clw_shift", {"a": 0, "g": 1})):
-        try:
-            templates += [(f"{name}(s={s})", make_family(algebra, kind, shift=s, **params))
-                          for s in range(algebra.modulus)]
-        except FamilyError:
-            pass
+    shifts = range(algebra.modulus)
+    name = "clw_a" if algebra.families == ("L", "G") else "cw_shift"
+    templates = [(f"{name}(s={s})", make_family(algebra, "cw_shift", shift=s))
+                 for s in shifts]
+    try:
+        templates += [(f"clw_g(s={s})", make_family(algebra, "clw_shift", shift=s, a=0, g=1))
+                      for s in shifts]
+    except FamilyError:
+        pass
     return templates
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from lcalab import (
     MapError,
     TAGS,
     algebra_from_dict,
+    load_algebra,
     load_map,
     make_catalog,
     make_family,
@@ -36,6 +38,8 @@ from lcalab.bimaps import TAG_ARITY, SweepMemo, _integral_multiple
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
+
+INHOMOGENEOUS = Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"
 
 # Equal to the int 1, and hashing like it, but not ints.
 NON_INT_ONES = (1.0, True, Fraction(1), Decimal(1))
@@ -400,21 +404,34 @@ def test_clw_shift_mixed_family_passes_everything():
 
 
 def test_clw_shift_g_guard():
-    with pytest.raises(FamilyError, match="b = -1"):
-        make_family(make_catalog("clw", 1, 0), "clw_shift", a=1, g=1)
-    with pytest.raises(FamilyError, match="b = -1"):
-        make_family(make_catalog("clw", 1), "clw_shift", a=1, g=1)  # symbolic b
-    # g = 0 is fine anywhere
-    make_family(make_catalog("clw", 1, 0), "clw_shift", a=1, g=0)
+    # the g-component needs the rules of the CLW table at b = -1
+    refused = [make_catalog("clw", 1, 0), make_catalog("clw", 1),  # symbolic b
+               make_catalog("vir"), make_catalog("cw", 2),
+               load_algebra(INHOMOGENEOUS)]  # b = -1, with a constant term
+    for algebra in refused:
+        with pytest.raises(FamilyError, match="only on the CLW table at b = -1"):
+            make_family(algebra, "clw_shift", a=1, g=1)
+        # g = 0 is fine anywhere
+        make_family(algebra, "clw_shift", a=1, g=0)
+    # the same table written b-free, with b left symbolic, qualifies
+    b_free = algebra_from_dict({
+        "name": "CLW-b-free", "modulus": 2, "families": ["L", "G"], "b": "symbolic",
+        "rules": [{"left": left, "right": right, "target": target, "coeff": "d + 2*l"}
+                  for left, right, target in (("L", "L", "L"), ("L", "G", "G"),
+                                              ("G", "L", "G"))]})
+    phi = make_family(b_free, "clw_shift", shift=1, a=2, g=1)
+    assert map_to_dict(phi)["entries"] == map_to_dict(make_family(
+        make_catalog("clw", 2, -1), "clw_shift", shift=1, a=2, g=1))["entries"]
+    assert verify_map(phi, TAGS).passed
 
 
 def test_family_kind_validation():
+    # cw_shift and clw_shift at g = 0 are the one shifted bracket, on any table
     vir = make_catalog("vir")
     clw = make_catalog("clw", 2)
-    with pytest.raises(FamilyError):
-        make_family(vir, "clw_shift")
-    with pytest.raises(FamilyError):
-        make_family(clw, "cw_shift")
+    for algebra in (vir, clw):
+        assert make_family(algebra, "cw_shift", shift=1, a=2) == \
+            make_family(algebra, "clw_shift", shift=1, a=2, g=0)
     with pytest.raises(FamilyError, match="unknown family kind"):
         make_family(vir, "outer")
 

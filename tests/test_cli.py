@@ -31,6 +31,9 @@ def tampered_algebra_file(tmp_path):
     return str(path)
 
 
+SCHRODINGER_VIRASORO = str(Path(__file__).resolve().parent / "schrodinger_virasoro.json")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +53,12 @@ def test_check_axioms_clw_symbolic(capsys):
                        "--b", "symbolic")
     assert code == 0
     assert "PASS" in out
+
+
+def test_check_axioms_schrodinger_virasoro(capsys):
+    code, out, err = run(capsys, "check-axioms", "--algebra", SCHRODINGER_VIRASORO)
+    assert (code, err) == (0, "")
+    assert out.endswith("PASS\n")
 
 
 def test_check_axioms_json(capsys):
@@ -121,6 +130,26 @@ def test_verify_family_clw_g_at_bad_b_is_usage_error(capsys):
                        "--b", "0", "--family", "clw", "--g", "1")
     assert code == 2
     assert "--g" in err
+
+
+@pytest.mark.parametrize("source", [
+    ["--algebra", SCHRODINGER_VIRASORO],
+    ["--catalog", "clw", "--m", "2", "--b=-1"],
+], ids=["schrodinger-virasoro", "clw2-bm1"])
+def test_verify_family_cw_is_the_shifted_bracket_on_any_table(capsys, source):
+    code, out, err = run(capsys, "verify-family", *source, "--family", "cw",
+                         "--shift", "1", "--eq", "all")
+    assert (code, err) == (0, "")
+    assert out.endswith("PASS\n")
+
+
+def test_verify_family_g_on_the_inhomogeneous_table_is_usage_error(capsys):
+    # b = -1, but [L_l G] has a constant term: the g-component would fail def1b
+    code, out, err = run(capsys, "verify-family", "--algebra", INHOMOGENEOUS,
+                         "--family", "clw", "--a", "0", "--g", "1")
+    assert (code, out) == (2, "")
+    assert err == ("lcalab: error: --family/--shift/--t/--a/--g: the g-component "
+                   "exists only on the CLW table at b = -1\n")
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -248,7 +277,8 @@ def test_match_pass(capsys):
 
 
 def test_match_fails_without_templates(capsys, tmp_path):
-    # a zero-bracket algebra has skew-only solutions and no family templates
+    # a zero-bracket algebra has skew-only solutions, and its one template,
+    # the shifted bracket, is zero
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({
         "name": "Flat", "modulus": 1, "families": ["X"], "b": "symbolic",
@@ -257,6 +287,18 @@ def test_match_fails_without_templates(capsys, tmp_path):
     code, out, _ = run(capsys, "match", "--algebra", str(path), "--degree", "1")
     assert code == 1
     assert "UNMATCHED" in out
+
+
+def test_match_schrodinger_virasoro(capsys):
+    # beyond the paper: every solution is twice a shifted bracket
+    code, out, err = run(capsys, "match", "--algebra", SCHRODINGER_VIRASORO, "--degree", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        "unknowns 4374  rows 100764  dimension 3",
+        "basis[0] = 2*cw_shift(s=2)",
+        "basis[1] = 2*cw_shift(s=0)",
+        "basis[2] = 2*cw_shift(s=1)",
+    ]
 
 
 def test_match_unmatched_report_is_pinned(capsys):

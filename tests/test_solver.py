@@ -22,6 +22,7 @@ from lcalab import (
     SolverError,
     algebra_from_dict,
     assemble,
+    bracket,
     check_axioms,
     family_templates,
     load_algebra,
@@ -49,6 +50,9 @@ from lcalab.solver import (
 )
 
 from randgen import make_rng, random_fraction, random_poly
+
+INHOMOGENEOUS = Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"
+SCHRODINGER_VIRASORO = Path(__file__).resolve().parent / "schrodinger_virasoro.json"
 
 
 def sparse(values):
@@ -125,14 +129,14 @@ def test_assemble_vir_skew_rows():
     # f(d,l) + f(d,-d-l) = 0 for f = c00 + c10 d + c01 l expands to
     # 2 c00 + (2 c10 - c01) d, so exactly two rows survive.
     ansatz = Ansatz(make_catalog("vir"), 1)
-    system = assemble(ansatz, ["def1a"])
+    listing = assemble(ansatz, ["def1a"]).listing
     assert [str(u) for u in ansatz.unknowns] == [
         "u[L:0,L:0->L:0|d^0*l^0]",
         "u[L:0,L:0->L:0|d^1*l^0]",
         "u[L:0,L:0->L:0|d^0*l^1]",
     ]
-    assert system.rows == [{0: Fraction(2)}, {1: Fraction(2), 2: Fraction(-1)}]
-    assert [str(p) for p in system.provenance] == [
+    assert [row for _, row in listing] == [{0: Fraction(2)}, {1: Fraction(2), 2: Fraction(-1)}]
+    assert [str(p) for p, _ in listing] == [
         "def1a (L:0, L:0) coefficient of 1 on L:0",
         "def1a (L:0, L:0) coefficient of d on L:0",
     ]
@@ -153,7 +157,7 @@ def test_assemble_rowcount_regression_cw2():
     # frozen from the oracle run
     system = assemble(Ansatz(make_catalog("cw", 2), 2), ["def1b"])
     assert system.n_rows == 276
-    assert str(system.provenance[0]) == \
+    assert str(system.listing[0][0]) == \
         "def1b (L:0, L:0, L:0) coefficient of m on L:0"
 
 
@@ -163,14 +167,13 @@ def test_assembly_matches_residual_engine():
     rng = make_rng(31)
     algebra = make_catalog("clw", 1, 0)
     ansatz = Ansatz(algebra, 1)
-    system = assemble(ansatz, ["def1a", "def1b", "lem1"])
+    listing = assemble(ansatz, ["def1a", "def1b", "lem1"]).listing
     for _ in range(5):
         vec = [random_fraction(rng, max_abs=3) for _ in range(ansatz.n_unknowns)]
         phi = ansatz.map_from_vector(sparse(vec))
-        values = [sum((c * vec[k] for k, c in row.items()), Fraction(0))
-                  for row in system.rows]
         cache = {}
-        for value, prov in zip(values, system.provenance):
+        for prov, row in listing:
+            value = sum((c * vec[k] for k, c in row.items()), Fraction(0))
             key = (prov.tag, prov.args)
             if key not in cache:
                 cache[key] = residual(phi, prov.tag, prov.args).value
@@ -179,13 +182,14 @@ def test_assembly_matches_residual_engine():
 
 
 def per_unknown_assembly(ansatz, tags):
-    """Rows rebuilt one unknown at a time: the residual of the map with
-    unknown k set to 1 gives column k, at every tuple, for every k."""
+    """Rows rebuilt one unknown at a time, as (Provenance, row) pairs: the
+    residual of the map with unknown k set to 1 gives column k, at every
+    tuple, for every k."""
     algebra = ansatz.algebra
     sort_key = algebra.gen_sort_key
     n = ansatz.n_unknowns
     units = [ansatz.map_from_vector(sparse([int(i == k) for i in range(n)])) for k in range(n)]
-    rows, provenance = [], []
+    listing = []
     for tag in normalize_tags(tags):
         for args in itertools.product(algebra.generators(), repeat=TAG_ARITY[tag]):
             coords = {}
@@ -194,9 +198,8 @@ def per_unknown_assembly(ansatz, tags):
                     for mono, coeff in poly.terms.items():
                         coords.setdefault((gt, mono), {})[k] = coeff
             for gt, mono in sorted(coords, key=lambda c: (sort_key(c[0]), c[1])):
-                rows.append(coords[(gt, mono)])
-                provenance.append(Provenance(tag, args, gt, mono))
-    return rows, provenance
+                listing.append((Provenance(tag, args, gt, mono), coords[(gt, mono)]))
+    return listing
 
 
 def inhomogeneous_clw(m):
@@ -222,11 +225,10 @@ def inhomogeneous_clw(m):
 ], ids=["vir-d3", "cw2-d2", "clw2-b3/2-d0", "clw2-b-1-lem1-d0", "inhom-clw2-d0"])
 def test_assemble_matches_per_unknown_oracle(algebra, degree, tags):
     ansatz = Ansatz(algebra, degree)
-    rows, provenance = per_unknown_assembly(ansatz, tags)
-    system = assemble(ansatz, tags)
-    assert system.rows == rows
-    assert [list(row) for row in system.rows] == [list(row) for row in rows]
-    assert system.provenance == provenance
+    expected = per_unknown_assembly(ansatz, tags)
+    listing = assemble(ansatz, tags).listing
+    assert listing == expected
+    assert [list(row) for _, row in listing] == [list(row) for _, row in expected]
 
 
 def test_assembly_holds_only_the_pivots():
@@ -252,7 +254,7 @@ def test_rows_regenerate_identically():
     assert system.n_rows == len(rows) == 320
     assert system.rows == rows
     assert [list(row) for row in system.rows] == [list(row) for row in rows]
-    assert system.provenance == system.provenance
+    assert system.listing == system.listing
 
 
 # -- the class-0 solve and its lift against the unlifted solve ------------------------
@@ -306,7 +308,7 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     assert [list(map(type, v.values())) for v in space.vectors] == \
         [list(map(type, v.values())) for v in vectors]
     assert system.n_rows == len(listing)
-    lifted = list(zip(system.provenance, system.rows))
+    lifted = system.listing
     assert lifted == listing
     assert [list(row) for _, row in lifted] == [list(row) for _, row in listing]
     assert [(type(p), type(c)) for _, row in lifted for p, c in row.items()] == \
@@ -602,24 +604,28 @@ def test_family_templates_clw():
 
 
 def family_templates_oracle(algebra):
-    """The preconditions family_templates kept before it read them off
-    make_family: one copy of which families an algebra carries."""
+    """The templates every algebra carries, built without make_family: the
+    bracket, read off the bracket kernel, with its target indices moved by
+    s for s = 0..m-1; then, on the CLW table at b = -1 only (compared rule
+    by rule with the catalog's), the g-component (L_i, L_j) -> (d+2l)
+    G_{i+j+s}."""
     m = algebra.modulus
+    gens = algebra.generators()
+    name = "clw_a" if algebra.families == ("L", "G") else "cw_shift"
     templates = []
-    if len(algebra.families) == 1:
-        fam = algebra.families[0]
-        if algebra.rule(fam, fam).target == fam:
-            for s in range(m):
-                templates.append((f"cw_shift(s={s})",
-                                  make_family(algebra, "cw_shift", shift=s, a=1)))
-    elif algebra.families == ("L", "G"):
+    for s in range(m):
+        table = {}
+        for x, y in itertools.product(gens, repeat=2):
+            value = bracket(algebra.gen_element(x), algebra.gen_element(y))
+            table[(x, y)] = algebra.element({algebra.gen(gt.family, gt.index + s): c
+                                             for gt, c in value.terms.items()})
+        templates.append((f"{name}(s={s})", BilinearMap(algebra, table)))
+    if algebra.rules() == make_catalog("clw", m, -1).rules():
+        ls = [x for x in gens if x.family == "L"]
         for s in range(m):
-            templates.append((f"clw_a(s={s})",
-                              make_family(algebra, "clw_shift", shift=s, a=1, g=0)))
-        if algebra.b_value == Fraction(-1):
-            for s in range(m):
-                templates.append((f"clw_g(s={s})",
-                                  make_family(algebra, "clw_shift", shift=s, a=0, g=1)))
+            templates.append((f"clw_g(s={s})", BilinearMap(algebra, {
+                (x, y): algebra.element({algebra.gen("G", x.index + y.index + s): D + 2 * L})
+                for x in ls for y in ls})))
     return templates
 
 
@@ -629,15 +635,21 @@ TEMPLATE_ORACLE_CASES = {
     "clw2-symbolic": lambda: make_catalog("clw", 2),
     "clw2-b0": lambda: make_catalog("clw", 2, 0),
     "clw2-bm1": lambda: make_catalog("clw", 2, -1),
-    "inhomogeneous-clw": lambda: load_algebra(
-        Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"),
-    # two families, not (L, G): no template kind applies
+    # the b = -1 table written b-free, with b left symbolic
+    "clw2-bm1-b-free": lambda: algebra_from_dict({
+        "name": "CLW-b-free", "modulus": 2, "families": ["L", "G"], "b": "symbolic",
+        "rules": [{"left": left, "right": right, "target": target, "coeff": "d + 2*l"}
+                  for left, right, target in (("L", "L", "L"), ("L", "G", "G"),
+                                              ("G", "L", "G"))]}),
+    # b = -1, but [L_l G] has a constant term: no g-component
+    "inhomogeneous-clw": lambda: load_algebra(INHOMOGENEOUS),
     "two-families-not-LG": lambda: algebra_from_dict({
         "name": "XY", "modulus": 2, "families": ["X", "Y"], "b": "-1",
         "rules": [{"left": "X", "right": "X", "target": "X", "coeff": "d + 2*l"}]}),
-    # one family whose bracket is zero: it does not close on itself
+    # the bracket is zero, and so is every template
     "zero-bracket": lambda: algebra_from_dict({
         "name": "Flat", "modulus": 2, "families": ["X"], "b": "symbolic", "rules": []}),
+    "schrodinger-virasoro": lambda: load_algebra(SCHRODINGER_VIRASORO),
 }
 
 
@@ -645,11 +657,12 @@ TEMPLATE_ORACLE_CASES = {
 def test_family_templates_match_precondition_oracle(case):
     algebra = TEMPLATE_ORACLE_CASES[case]()
     expected = family_templates_oracle(algebra)
-    assert family_templates(algebra) == expected
-    if case in ("two-families-not-LG", "zero-bracket"):
-        assert expected == []
-    else:
-        assert expected
+    templates = family_templates(algebra)
+    assert templates == expected
+    g_component = case in ("clw2-bm1", "clw2-bm1-b-free")
+    assert any(name.startswith("clw_g") for name, _ in templates) == g_component
+    for name, phi in templates:
+        assert verify_map(phi, ("def1a", "def1b")).passed, name
 
 
 def test_match_reports_unmatched_verbatim():
@@ -712,7 +725,6 @@ def test_solver_report_matches_golden_hash(name, kind, m, b, tags):
 
 def test_cli_match_report_matches_golden_hash(tmp_path):
     out = tmp_path / "report.json"
-    algebra_file = Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"
-    assert cli.main(["match", "--algebra", str(algebra_file), "--degree", "2",
+    assert cli.main(["match", "--algebra", str(INHOMOGENEOUS), "--degree", "2",
                      "--format", "json", "--out", str(out)]) == 0
     assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
