@@ -37,10 +37,11 @@ bracket and map evaluation is looked up by the values of its operands and
 its spectral parameter, and the memo dies when the sweep returns.  The
 solver's post-solve re-check is one such sweep, of the tagged basis map
 sum_i b^i phi_i, so each of its brackets is made once for all basis
-vectors.  Assembly (solver) passes no memo: the tagged ansatz map has one
-distinct value per generator pair, so its products never repeat and a
-memo would only hold memory (a sweep-wide memo there raised the classify
-benchmark's peak RSS from 24.2 to 30.4 MB, with no gain in time).
+vectors.  Assembly (solver) passes no memo: it evaluates the tagged
+ansatz map at one tuple per row template, and that map has one distinct
+value per generator pair, so its products never repeat and a memo would
+only hold memory (a sweep-wide memo there raised the classify benchmark's
+peak RSS from 24.2 to 30.4 MB, with no gain in time).
 """
 
 from __future__ import annotations

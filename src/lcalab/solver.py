@@ -12,16 +12,25 @@ closed-form families.
 Identity residuals are linear in the map, so the residual of the ansatz
 at one generator tuple expands into one exact linear row per monomial of
 the result; the nullspace of the stacked rows is the solution space.
-Assembly evaluates that residual once per tuple, on the tagged map in
-which unknown k enters as the coefficient b^k: the algebra is b-free and
-residuals never substitute b, so the b^k part of the one residual is the
-column of unknown k.  The rows stream straight into an incremental
-elimination, so a solve holds only the pivot rows of the reduced row
-echelon form, never the rows; the rows are rebuilt on demand, with their
-provenance, for tests and reports.  Every entry is an exact rational, an
-int or a Fraction (never a float), and every division has a Fraction
-operand or is an exact floor division; the reduced row echelon form is
-unique, so the emitted basis is deterministic bit for bit.
+The residual is taken of the tagged map, in which unknown k enters as
+the coefficient b^k: the algebra is b-free and residuals never
+substitute b, so the b^k part of the one residual is the column of
+unknown k.  Every bracket coefficient is free of the indices, so that
+residual is one computation per row template, keyed by the tag, the
+families of the tuple and the coincidence pattern of the generator pairs
+on which the identity evaluates phi (the slot table PHI_SLOTS): only the
+unknowns it names change from tuple to tuple.  Assembly evaluates one
+residual per template, stores each column as (slot, offset from the
+slot's base unknown) and instantiates the rows of every tuple by integer
+arithmetic; slots on the same pair name the same unknowns, so the
+template already holds their sum (see _tuple_rows).  The rows stream
+straight into an incremental elimination, so a solve holds only the
+pivot rows of the reduced row echelon form, never the rows; the rows are
+rebuilt on demand, with their provenance, for tests and reports.  Every
+entry is an exact rational, an int or a Fraction (never a float), and
+every division has a Fraction operand or is an exact floor division; the
+reduced row echelon form is unique, so the emitted basis is
+deterministic bit for bit.
 
 Every algebra is a loop algebra over Z_m, so the index shift
 sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
@@ -87,6 +96,17 @@ class InternalCheckError(SolverError):
 # and is only ever checked, never assembled.
 ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 
+# The slot table: the generator pairs on which each assembled identity
+# evaluates phi in bimaps.residual, one (left, right) per slot, where an
+# operand is an argument position or, for an inner bracket, a pair of them:
+# def1a phi(x,y), phi(y,x); def1b phi(x,[yz]), phi(x,y), phi(x,z); lem1
+# phi([xy],z), phi(y,z), phi(x,z).
+PHI_SLOTS = {
+    "def1a": ((0, 1), (1, 0)),
+    "def1b": ((0, (1, 2)), (0, 1), (0, 2)),
+    "lem1": (((0, 1), 2), (1, 2), (0, 2)),
+}
+
 # Largest ansatz the solver builds, about five times the largest bench
 # ladder case (10,368 unknowns).
 MAX_UNKNOWNS = 50_000
@@ -123,7 +143,9 @@ class Ansatz:
     ``unknowns`` lists every unknown; ``class0`` holds the indices of the
     index-class-0 ones (target index = left + right mod m), the only ones
     assembled and solved.  ``shift`` and ``lift`` carry class 0 onto
-    class s.
+    class s.  The index of an unknown is the mixed-radix number (left,
+    right, target, monomial), each generator at its position in
+    Algebra.generators() (see _encode).
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -147,15 +169,25 @@ class Ansatz:
             Unknown(gi, gj, gt, p, q)
             for gi in gens for gj in gens for gt in gens for (p, q) in monos
         ]
-        self._index = {u: k for k, u in enumerate(self.unknowns)}
         m = algebra.modulus
         self.class0 = [k for k, u in enumerate(self.unknowns)
                        if (u.target.index - u.left.index - u.right.index) % m == 0]
+        self._n_gens = n_gens
         self._n_monos = len(monos)
+        self._position = {g: i for i, g in enumerate(gens)}
+        self._mono_position = {pq: i for i, pq in enumerate(monos)}
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
+
+    def _encode(self, left: int, right: int, target: int, mono: int) -> int:
+        """The index of the unknown at the given generator positions and
+        monomial position: the mixed-radix number (left, right, target,
+        mono) in the radices (n, n, n, monomials), n generators.  Generators
+        are family-major, so position = family position * m + index."""
+        n = self._n_gens
+        return ((left * n + right) * n + target) * self._n_monos + mono
 
     def _map(self, terms: Iterable[tuple[int, int, Fraction]]) -> BilinearMap:
         """The map sum c * b^i * (unknown k) over the triples (i, k, c),
@@ -185,13 +217,14 @@ class Ansatz:
         """The index of sigma_s of unknown k: the same unknown with its
         target index moved by s (mod m).
 
-        Generators run index-innermost within each family, and monomials
-        innermost within each target, so the shift moves k by a multiple
-        of the monomial count; it keeps the order of the unknowns within
-        one class.
+        The target is the third digit of k (see _encode), and generators
+        run index-innermost within each family, so the shift moves only
+        that digit; it keeps the order of the unknowns within one class.
         """
-        i = self.unknowns[k].target.index
-        return k + ((i + s) % self.algebra.modulus - i) * self._n_monos
+        m = self.algebra.modulus
+        i = k // self._n_monos % self._n_gens % m
+        # the encoding is linear in each digit
+        return k + self._encode(0, 0, (i + s) % m - i, 0)
 
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
@@ -215,6 +248,7 @@ class Ansatz:
         Raises if the map has support outside the ansatz space (degree too
         high, or a b-dependent coefficient).
         """
+        position = self._position
         vector: Row = {}
         for (gi, gj), value in phi.table.items():
             for gt, poly in value.terms.items():
@@ -222,12 +256,11 @@ class Ansatz:
                     if mono[2] or mono[3] or mono[4]:
                         raise SolverError(f"map coefficient {poly} uses a variable "
                                           f"outside d, l")
-                    u = Unknown(gi, gj, gt, mono[0], mono[1])
-                    k = self._index.get(u)
-                    if k is None:
-                        raise SolverError(
-                            f"map exceeds the degree-{self.degree} ansatz at {u}")
-                    vector[k] = coeff
+                    q = self._mono_position.get(mono[:2])
+                    if q is None:
+                        raise SolverError(f"map exceeds the degree-{self.degree} ansatz "
+                                          f"at {Unknown(gi, gj, gt, mono[0], mono[1])}")
+                    vector[self._encode(position[gi], position[gj], position[gt], q)] = coeff
         return {k: vector[k] for k in sorted(vector)}
 
 
@@ -280,25 +313,81 @@ class ConstraintSystem:
 def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
     """The class-0 rows of each (tag, tuple), unsorted: (tag, args,
-    target -> monomial -> row), from one residual of the tagged map.
+    target -> monomial -> row).
 
     Residuals are linear in the map and never substitute b, and the
     algebra is b-free, so the residual of Ansatz.tagged_map is
     Q[b]-linear: its b^k part is unknown k's column.  Each (target
     generator, monomial in d, l, m, g) of the residual is one row
     {k: coefficient of b^k}; no all-zero row arises.
+
+    That residual is evaluated once per template key, at the first tuple
+    that has it: the tag, the families of the tuple, and the coincidence
+    pattern of its slots (PHI_SLOTS), each slot mapped to the first slot
+    on the same generator pair, or to None where an inner bracket is
+    zero.  Bracket coefficients do not depend on the indices, so the
+    residual at any tuple of the key is the same computation; only the
+    unknowns it names change.  A class-0 unknown on the pair at generator
+    positions (a, b) has its target index fixed at a + b, so its index is
+    the slot's base, Ansatz._encode(a, b, (a + b) mod m, 0), plus an
+    offset set by its target family and monomial alone.  The template
+    stores each column as (slot, offset), and each tuple's rows are
+    {base[slot] + offset: value}, in the order of the template's
+    residual.  Slots on one pair name the same unknowns, so the template
+    already holds their sum, under the first of them, without zero sums;
+    slots on distinct pairs share no unknown.  Every target lies at the
+    index sum of the tuple, so a template stores a target by its
+    family's first position.
     """
+    algebra = ansatz.algebra
+    gens = algebra.generators()
+    n, m = len(gens), algebra.modulus
+    stride = n * ansatz._n_monos
+    family = {f: i for i, f in enumerate(algebra.families)}
+    # [x_a y_b] is the generator at position inner[a // m, b // m] +
+    # (a + b) mod m, or zero if that is None.
+    inner = {(family[r.left], family[r.right]):
+             None if r.target is None else family[r.target] * m for r in algebra.rules()}
+
+    def operand(spec, args):
+        if type(spec) is int:
+            return args[spec]
+        a, b = args[spec[0]], args[spec[1]]
+        first = inner[a // m, b // m]
+        return None if first is None else first + (a + b) % m
+
     tagged = ansatz.tagged_map()
-    gens = ansatz.algebra.generators()
+    templates: dict[tuple, list] = {}
     for tag in tags:
-        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
-            by_target = {}
-            for gt, poly in residual(tagged, tag, args).value.terms.items():
-                rows: dict[Monomial, Row] = {}
-                for (p, q, r, s, k), coeff in poly.terms.items():
-                    rows.setdefault((p, q, r, s, 0), {})[k] = coeff
-                by_target[gt] = rows
-            yield tag, args, by_target
+        slots = PHI_SLOTS[tag]
+        for args in itertools.product(range(n), repeat=TAG_ARITY[tag]):
+            bases = []
+            for left, right in slots:
+                a, b = operand(left, args), operand(right, args)
+                bases.append(None if a is None or b is None
+                             else ansatz._encode(a, b, (a + b) % m, 0))
+            key = (tag, tuple(a // m for a in args),
+                   tuple(None if base is None else bases.index(base) for base in bases))
+            gen_args = tuple(gens[a] for a in args)
+            total = sum(args) % m
+            template = templates.get(key)
+            if template is None:
+                first_slot = {}
+                for i, base in enumerate(bases):
+                    if base is not None:
+                        first_slot.setdefault(base // stride, i)
+                template = templates[key] = []
+                for gt, poly in residual(tagged, tag, gen_args).value.terms.items():
+                    rows: dict[Monomial, list] = {}
+                    for (p, q, r, s, k), coeff in poly.terms.items():
+                        i = first_slot[k // stride]
+                        rows.setdefault((p, q, r, s, 0), []).append((i, k - bases[i], coeff))
+                    template.append((ansatz._position[gt] - total, list(rows.items())))
+            yield tag, gen_args, {
+                gens[first + total]: {mono: {bases[i] + offset: coeff
+                                             for i, offset, coeff in columns}
+                                      for mono, columns in rows}
+                for first, rows in template}
 
 
 def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Row]]:
@@ -328,9 +417,10 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
     """Expand the class-0 ansatz residuals into linear rows by coefficient
     matching, and eliminate them as they come.
 
-    For each tag and generator tuple, the residual of the tagged class-0
-    map is computed once (see _tuple_rows), and each of its rows goes
-    straight into _rref, so only the class-0 pivots are ever held.  The
+    The residual of the tagged class-0 map is computed once per row
+    template, not per generator tuple, and the rows of each tuple are
+    instantiated from it (see _tuple_rows); each row goes straight into
+    _rref, so only the class-0 pivots are ever held.  The
     other m - 1 classes are not assembled: their rows are the class-0
     rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows,
     and nullspace lifts the solutions.  The system's ``listing`` and

@@ -231,6 +231,47 @@ def test_assemble_matches_per_unknown_oracle(algebra, degree, tags):
     assert [list(row) for _, row in listing] == [list(row) for _, row in expected]
 
 
+def count_residual_calls(monkeypatch):
+    """The tags of the residuals the solver evaluates from now on."""
+    calls = []
+    real = lcalab.solver.residual
+
+    def counting(phi, tag, args, memo=None):
+        calls.append(tag)
+        return real(phi, tag, args, memo)
+
+    monkeypatch.setattr(lcalab.solver, "residual", counting)
+    return calls
+
+
+def test_assembly_evaluates_one_residual_per_template(monkeypatch):
+    # one residual per (tag, family tuple, coincidence pattern of the phi
+    # slots), so the count does not grow with m: on one family, def1a has
+    # 2 patterns (x = y or not) and def1b 5 (j, k, 0 distinct; k = 0;
+    # j = 0; j = k != 0; j = k = 0)
+    calls = count_residual_calls(monkeypatch)
+    n_rows = {}
+    for m in (4, 12):
+        calls.clear()
+        n_rows[m] = assemble(Ansatz(make_catalog("cw", m), 2)).n_rows
+        assert calls == ["def1a"] * 2 + ["def1b"] * 5
+    assert n_rows == {4: 5_024, 12: 398_880}
+    calls.clear()
+    system = assemble(Ansatz(make_catalog("clw", 3, -1), 2))
+    assert len(calls) <= 28
+    assert system.n_rows == 21_852
+    # the listing is rebuilt from the same templates
+    calls.clear()
+    assert len(system.listing) == system.n_rows
+    assert len(calls) <= 28
+    ansatz = Ansatz(make_catalog("clw", 2, -1), 0)
+    expected = per_unknown_assembly(ansatz, ASSEMBLE_TAGS)
+    calls.clear()
+    system = assemble(ansatz, ASSEMBLE_TAGS)
+    assert len(calls) < 2 ** 4 + 2 * 4 ** 3
+    assert system.n_rows == len(expected)
+
+
 def test_assembly_holds_only_the_pivots():
     # the rows stream into the elimination; storing every row with its
     # provenance took the peak to about 11 MB here
@@ -326,16 +367,20 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     (make_catalog("clw", 2, Fraction(3, 2)), 2, ("def1a", "def1b")),
     (make_catalog("clw", 2, -1), 2, ("def1a", "def1b", "lem1")),
     (inhomogeneous_clw(3), 2, ("def1a", "def1b")),
+    # three families and zero brackets: slots absent from the pattern
+    (load_algebra(SCHRODINGER_VIRASORO), 0, ASSEMBLE_TAGS),
+    # j, k and 0 all distinct, next to every collapsed pattern
+    (make_catalog("cw", 5), 2, ASSEMBLE_TAGS),
 ], ids=["vir-d3", "cw2-d2", "cw3-d2", "cw4-d2", "clw2-b-1-d2", "clw3-b-1-d2",
-        "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2"])
+        "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2", "sv-all-d0", "cw5-all-d2"])
 def test_lift_matches_unlifted_solve(algebra, degree, tags):
     assert_lift_matches_unlifted_solve(algebra, degree, tags)
 
 
-def random_loop_table(rng):
-    """One or two families, m in {2, 3}, a random target and random d, l
-    coefficient per family pair: mostly not a Lie conformal algebra, but
-    sigma_s commutes with the bracket of any loop table."""
+def random_loop_table(rng, moduli=(2, 3)):
+    """One or two families, m drawn from moduli, a random target and random
+    d, l coefficient per family pair: mostly not a Lie conformal algebra,
+    but sigma_s commutes with the bracket of any loop table."""
     families = rng.choice([("L",), ("L", "G")])
     rules = []
     for left in families:
@@ -344,15 +389,21 @@ def random_loop_table(rng):
             coeff = random_poly(rng, max_terms=3, max_exp=1, variables=(Var.D, Var.L))
             # a null target is the zero bracket, whose coefficient is zero
             rules.append(BracketRule(left, right, target, coeff if target else Poly.zero()))
-    return Algebra("Random", rng.choice([2, 3]), families, rules)
+    return Algebra("Random", rng.choice(moduli), families, rules)
 
 
-@pytest.mark.parametrize("salt", range(40, 48))
-def test_lift_matches_unlifted_solve_on_random_loop_tables(salt):
+# Salts 48-55 draw m = 1, where every index coincides, and m = 4, where an
+# index tuple can have j, k and 0 all distinct; degree 0 keeps the
+# unlifted solve of two families at m = 4 under a second.
+@pytest.mark.parametrize("salt, moduli, max_degree",
+                         [(salt, (2, 3), 1) for salt in range(40, 48)]
+                         + [(salt, (1, 4), 0) for salt in range(48, 56)],
+                         ids=[str(salt) for salt in range(40, 56)])
+def test_lift_matches_unlifted_solve_on_random_loop_tables(salt, moduli, max_degree):
     rng = make_rng(salt)
-    algebra = random_loop_table(rng)
+    algebra = random_loop_table(rng, moduli)
     tags = rng.sample(ASSEMBLE_TAGS, k=rng.randint(1, len(ASSEMBLE_TAGS)))
-    assert_lift_matches_unlifted_solve(algebra, rng.randint(0, 1), tags)
+    assert_lift_matches_unlifted_solve(algebra, rng.randint(0, max_degree), tags)
 
 
 def test_post_solve_check_covers_the_lift(monkeypatch):
