@@ -35,9 +35,10 @@ outer brackets repeat too, because its values repeat along the index
 sum.  So each verify_map call hands one SweepMemo to every residual: each
 bracket and map evaluation is looked up by the values of its operands and
 its spectral parameter, and the memo dies when the sweep returns.  The
-solver's post-solve re-check is one such sweep, of the tagged basis map
-sum_i b^i phi_i, so each of its brackets is made once for all basis
-vectors.  Assembly (solver) passes no memo: it evaluates the tagged
+solver's post-solve re-check is one such sweep, of the tagged map
+sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
+without residuals), so each of its brackets is made once for all of
+them.  Assembly (solver) passes no memo: it evaluates the tagged
 ansatz map at one tuple per row template, and that map has one distinct
 value per generator pair, so its products never repeat and a memo would
 only hold memory (a sweep-wide memo there raised the classify benchmark's

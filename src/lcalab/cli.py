@@ -5,8 +5,8 @@ Verbs: check-axioms, verify-family, residual, solve-bider, match.
 Exit codes: 0 when the operation ran and (for checking verbs) the
 mathematical check passed; 1 when a check failed; 2 on usage or I/O
 errors, with a one-line diagnostic naming the offending flag; 3 on an
-internal error (a failed post-solve re-check or any other unexpected
-exception), with a one-line "lcalab: internal error:" diagnostic.
+internal error (a failed post-solve check of the solved basis or any
+other unexpected exception), with a one-line "lcalab: internal error:" diagnostic.
 
 Rational flags (--b, --t, --a, --g) take an integer or p/q with an
 optional leading "-" (poly.parse_rational); negative values must be

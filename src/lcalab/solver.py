@@ -40,19 +40,24 @@ row involves one class only, and phi -> sigma_s o phi maps the rows and
 the solutions of class 0 onto those of class s.  So only class 0 is
 assembled and eliminated, and each class-0 basis vector is lifted by
 sigma_s for s = 0..m-1; the reported row count is m times the class-0
-rows.  The post-solve re-check covers every reported basis map, the
-lifted ones included, so it checks that each is a solution; that the
-lifted basis is complete for the classes s != 0 follows from the centroid
-argument, not from elimination, and the unlifted solve in
-tests/test_solver.py checks it.
+rows.  Every reported basis map is checked to be a solution: the
+class-0 ones by residuals, and the lifted ones as sigma_s of those (see
+below); that the lifted basis is complete for the classes s != 0 follows
+from the centroid argument, not from elimination, and the unlifted solve
+in tests/test_solver.py checks it.
 
-The work after the solve is done once for the whole basis.  The re-check
-is one verify_map sweep of the tagged basis map sum_i b^i phi_i, whose
-b^i parts are the residuals of phi_i, by the argument of assembly; and
-the template match is one elimination of the template columns with every
-basis vector as one more column.  One builder, Ansatz._map, makes every
-map from the unknowns: the tagged ansatz map, the tagged basis map and,
-with the tag b^0, each concrete map.
+The work after the solve is done in class 0, once for the class-0 basis.
+The re-check is one verify_map sweep of the tagged map sum_j b^j phi_j of
+the class-0 basis maps, whose b^j parts are the residuals of phi_j, by
+the argument of assembly.  The lift is checked without residuals: sigma_s
+of a map is its table with every target index moved by s, and vector_of
+of that map must be the reported lifted vector, position by position.
+The template match eliminates the shift-0 templates once, with the
+class components of the basis vectors, each moved down to class 0, as
+more columns; a class-s component takes its coefficients on the shift-s
+templates.  One builder, Ansatz._map, makes every map from the unknowns:
+the tagged ansatz map, the tagged basis map and, with the tag b^0, each
+concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -68,7 +73,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import Algebra, GeneratorId
+from .algebra import Algebra, Element, GeneratorId
 from .bimaps import (
     BilinearMap,
     FamilyError,
@@ -88,8 +93,8 @@ class SolverError(ValueError):
 
 
 class InternalCheckError(SolverError):
-    """A solved basis vector failed the post-solve residual re-check: a
-    solver bug, not bad input."""
+    """A solved basis vector failed the post-solve check, its residual
+    re-check or its lift check: a solver bug, not bad input."""
 
 
 # Tags usable as linear constraints; lem2 is a consequence of the others
@@ -143,9 +148,10 @@ class Ansatz:
     ``unknowns`` lists every unknown; ``class0`` holds the indices of the
     index-class-0 ones (target index = left + right mod m), the only ones
     assembled and solved.  ``shift`` and ``lift`` carry class 0 onto
-    class s.  The index of an unknown is the mixed-radix number (left,
-    right, target, monomial), each generator at its position in
-    Algebra.generators() (see _encode).
+    class s, and ``index_class`` reads the class off an index.  The index
+    of an unknown is the mixed-radix number (left, right, target,
+    monomial), each generator at its position in Algebra.generators()
+    (see _encode).
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -169,11 +175,9 @@ class Ansatz:
             Unknown(gi, gj, gt, p, q)
             for gi in gens for gj in gens for gt in gens for (p, q) in monos
         ]
-        m = algebra.modulus
-        self.class0 = [k for k, u in enumerate(self.unknowns)
-                       if (u.target.index - u.left.index - u.right.index) % m == 0]
         self._n_gens = n_gens
         self._n_monos = len(monos)
+        self.class0 = [k for k in range(count) if self.index_class(k) == 0]
         self._position = {g: i for i, g in enumerate(gens)}
         self._mono_position = {pq: i for i, pq in enumerate(monos)}
 
@@ -213,6 +217,14 @@ class Ansatz:
                                   f"0 .. {self.n_unknowns - 1}")
         return self._map((0, k, coeff) for k, coeff in vector.items())
 
+    def index_class(self, k: int) -> int:
+        """The index class of unknown k: its target index minus its left
+        and right indices (mod m), read off the digits of k (see _encode;
+        a generator position is its index mod m)."""
+        pair, target = divmod(k // self._n_monos, self._n_gens)
+        left, right = divmod(pair, self._n_gens)
+        return (target - left - right) % self.algebra.modulus
+
     def shift(self, k: int, s: int) -> int:
         """The index of sigma_s of unknown k: the same unknown with its
         target index moved by s (mod m).
@@ -229,8 +241,7 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift).  The one place where sigma_s acts on a vector: nullspace
-        lifts the solution vectors, and _listing the constraint rows."""
+        shift).  nullspace lifts the solution vectors with it."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def tagged_map(self) -> BilinearMap:
@@ -264,8 +275,7 @@ class Ansatz:
         return {k: vector[k] for k in sorted(vector)}
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where one constraint row came from."""
 
     tag: str
@@ -310,10 +320,11 @@ class ConstraintSystem:
         return [row for _, row in self.listing]
 
 
-def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
+def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
-    """The class-0 rows of each (tag, tuple), unsorted: (tag, args,
-    target -> monomial -> row).
+    """The rows of each (tag, tuple): (tag, args, target -> monomial ->
+    row), the class-0 rows with unsorted unknowns, or with ``lifted`` the
+    rows of every class with their unknowns ascending.
 
     Residuals are linear in the map and never substitute b, and the
     algebra is b-free, so the residual of Ansatz.tagged_map is
@@ -338,6 +349,13 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
     slots on distinct pairs share no unknown.  Every target lies at the
     index sum of the tuple, so a template stores a target by its
     family's first position.
+
+    The class-s rows of a tuple are its class-0 rows lifted by sigma_s:
+    the residual of sigma_s o phi is sigma_s of the residual of phi, so
+    each target index moves by s, and so does the target index of each
+    slot's unknowns: one Ansatz.shift of each slot's base lifts every
+    row of the tuple.  sigma_s keeps the order of the unknowns within a
+    class, so the columns are sorted once, for class 0.
     """
     algebra = ansatz.algebra
     gens = algebra.generators()
@@ -383,33 +401,37 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
                         i = first_slot[k // stride]
                         rows.setdefault((p, q, r, s, 0), []).append((i, k - bases[i], coeff))
                     template.append((ansatz._position[gt] - total, list(rows.items())))
-            yield tag, gen_args, {
-                gens[first + total]: {mono: {bases[i] + offset: coeff
-                                             for i, offset, coeff in columns}
-                                      for mono, columns in rows}
-                for first, rows in template}
+            shifted = [bases]
+            if lifted:
+                shifted += [[base if base is None else ansatz.shift(base, s) for base in bases]
+                            for s in range(1, m)]
+            by_target = {}
+            for first, rows in template:
+                if lifted:
+                    rows = [(mono, sorted(columns, key=lambda col: bases[col[0]] + col[1]))
+                            for mono, columns in rows]
+                for s, moved in enumerate(shifted):
+                    by_target[gens[first + (total + s) % m]] = {
+                        mono: {moved[i] + offset: coeff for i, offset, coeff in columns}
+                        for mono, columns in rows}
+            yield tag, gen_args, by_target
 
 
 def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Row]]:
     """The assembled rows of every class with their provenance, ordered by
     (tag, tuple, target, monomial), with unknowns ascending within a row.
 
-    The class-s rows are the class-0 rows lifted by sigma_s: the residual
-    of sigma_s o phi is sigma_s of the residual of phi, so each lifted row
-    keeps its tuple and monomial, its target index moves by s and its
-    unknowns move by Ansatz.shift.
+    _tuple_rows instantiates the rows of every class from the class-0
+    templates, each slot's base lifted by sigma_s (one Ansatz.shift per
+    slot, not per entry).
     """
-    algebra = ansatz.algebra
-    sort_key = algebra.gen_sort_key
+    sort_key = ansatz.algebra.gen_sort_key
     listing = []
-    for tag, args, by_target in _tuple_rows(ansatz, tags):
-        lifted = {algebra.gen(gt.family, gt.index + s): (s, rows)
-                  for gt, rows in by_target.items() for s in range(algebra.modulus)}
-        for gt in sorted(lifted, key=sort_key):
-            s, rows = lifted[gt]
+    for tag, args, by_target in _tuple_rows(ansatz, tags, lifted=True):
+        for gt in sorted(by_target, key=sort_key):
+            rows = by_target[gt]
             for mono in sorted(rows):
-                listing.append((Provenance(tag, args, gt, mono),
-                                ansatz.lift(dict(sorted(rows[mono].items())), s)))
+                listing.append((Provenance(tag, args, gt, mono), rows[mono]))
     return listing
 
 
@@ -570,49 +592,88 @@ def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Class 0 is solved and lifted onto every class (see nullspace).  Every
-    reported basis map, lifted or not, is re-checked against the solved
-    identities with the independent residual engine (defense in depth
-    against elimination and lift bugs), in one verify_map sweep of the
-    tagged basis map sum_i b^i phi_i, built by Ansatz._map from the
-    basis vectors.  That is exact for the reason assembly is: the algebra
-    and the phi_i are b-free, the phi_i have int coefficients and no
-    residual substitutes b, so the b^i part of each tagged residual is
-    the residual of phi_i, and the sweep memo makes each bracket once for
-    all vectors.  A failure raises InternalCheckError naming the lowest
-    failing vector i, the lowest b-exponent among the failures, with the
-    first three failures of verify_map on phi_i alone.
+    Class 0 is solved and lifted onto every class (see nullspace), and
+    every reported basis map is checked (defense in depth against
+    elimination and lift bugs) in class 0 only:
+
+    - The re-check: the class-0 basis maps, the vectors that nullspace
+      emits for s = 0 (their free column, the highest unknown, is in
+      class 0), are checked against the solved identities with the
+      independent residual engine, in one verify_map sweep of their
+      tagged sum sum_j b^j phi_j, built by Ansatz._map from their
+      vectors.  That is exact for the reason assembly is: the algebra and
+      the phi_j are b-free, the phi_j have int coefficients and no
+      residual substitutes b, so the b^j part of each tagged residual is
+      the residual of phi_j, and the sweep memo makes each bracket once
+      for all of them.
+    - The lift check, without residuals: sigma_s of each class-0 basis
+      map is its table with every target index moved by s, and vector_of
+      of that map must be the reported vector, position by position, in
+      the reported order (by free column: sigma_s keeps the order within
+      a class).  It shares no code with Ansatz.shift or Ansatz.lift, and
+      sigma_s of a solution is a solution, because sigma_s lies in the
+      centroid.
+
+    If either check fails, one sweep of the tagged sum of the whole basis
+    finds the lowest failing vector i, the lowest b-exponent among the
+    failures, and InternalCheckError names it with the first three
+    failures of verify_map on phi_i alone; if every vector passes, the
+    lift gave valid but wrong vectors, and the error names the lowest
+    position at which the basis differs from the lifts.
     """
     ansatz = Ansatz(algebra, degree)
     system = assemble(ansatz, tags)
     space = nullspace(system)
     if not space.basis:
         return space
-    tagged = ansatz._map((i, k, c) for i, vector in enumerate(space.vectors)
-                         for k, c in vector.items())
+    vectors = space.vectors
+    class0 = [i for i, vector in enumerate(vectors) if ansatz.index_class(max(vector)) == 0]
+    tagged = ansatz._map((j, k, c) for j, i in enumerate(class0) for k, c in vectors[i].items())
+    passed = verify_map(tagged, system.tags).passed
+    lifts = sorted([vectors[i] for i in class0] + [
+        ansatz.vector_of(_shifted_map(space.basis[i], s))
+        for i in class0 for s in range(1, algebra.modulus)], key=max)
+    mismatch = next((i for i, (vector, lift) in enumerate(itertools.zip_longest(vectors, lifts))
+                     if vector != lift), None)
+    if passed and mismatch is None:
+        return space
+    tagged = ansatz._map((i, k, c) for i, vector in enumerate(vectors) for k, c in vector.items())
     report = verify_map(tagged, system.tags)
-    if not report.passed:
-        i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
-                for mono in poly.terms)
-        failures = verify_map(space.basis[i], system.tags).failures
-        raise InternalCheckError(
-            f"internal check failed: basis vector {i} has nonzero residuals: "
-            + "; ".join(str(r) for r in failures[:3]))
-    return space
+    if report.passed:
+        raise InternalCheckError(f"internal check failed: basis vector {mismatch} is not "
+                                 f"the index shift of a class-0 basis vector")
+    i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
+            for mono in poly.terms)
+    failures = verify_map(space.basis[i], system.tags).failures
+    raise InternalCheckError(
+        f"internal check failed: basis vector {i} has nonzero residuals: "
+        + "; ".join(str(r) for r in failures[:3]))
+
+
+def _shifted_map(phi: BilinearMap, s: int) -> BilinearMap:
+    """sigma_s o phi: phi's table with every target index moved by s (one
+    value's targets stay distinct, so its terms are kept as they are)."""
+    algebra = phi.algebra
+    return BilinearMap(algebra, {
+        pair: Element._raw(algebra, {algebra.gen(gt.family, gt.index + s): c
+                                     for gt, c in value.terms.items()})
+        for pair, value in phi.table.items()})
 
 
 # ---------------------------------------------------------------------------
 # Template matching
 # ---------------------------------------------------------------------------
 
-def family_templates(algebra: Algebra) -> list[tuple[str, BilinearMap]]:
+def family_templates(algebra: Algebra, shifts: Iterable[int] | None = None
+                     ) -> list[tuple[str, BilinearMap]]:
     """The closed-form family instances of this algebra, once per shift s
-    = 0..m-1: the shifted bracket, on every algebra, then the g-component
-    "clw_g(s=k)" wherever make_family accepts g.  The shifted bracket is
-    named "clw_a(s=k)" on an (L, G) table and "cw_shift(s=k)" elsewhere,
-    the names the reports of the catalog algebras already carry.
+    in shifts, 0..m-1 by default: the shifted bracket, on every algebra,
+    then the g-component "clw_g(s=k)" wherever make_family accepts g.  The
+    shifted bracket is named "clw_a(s=k)" on an (L, G) table and
+    "cw_shift(s=k)" elsewhere, the names the reports of the catalog
+    algebras already carry.
     """
-    shifts = range(algebra.modulus)
+    shifts = range(algebra.modulus) if shifts is None else shifts
     name = "clw_a" if algebra.families == ("L", "G") else "cw_shift"
     templates = [(f"{name}(s={s})", make_family(algebra, "cw_shift", shift=s))
                  for s in shifts]
@@ -680,20 +741,44 @@ def match_templates(space: SolutionSpace) -> MatchReport:
     family templates, one MatchReport entry per vector.
 
     A template that does not fit the ansatz (its degree is above the
-    ansatz degree) is left out: no solution can use it.  The template
-    columns are eliminated once, with every basis vector as one more
-    column (see express_all_in_span).
+    ansatz degree) is left out: no solution can use it.
+
+    The work is done in class 0.  The shift-s template of each kind is
+    sigma_s of its shift-0 template, which lies in class 0, so a vector is
+    in the span of the templates iff each of its class components, moved
+    down to class 0 by sigma_-s, is in the span of the shift-0 templates,
+    and the coefficients of the class-s component are its coordinates on
+    the shift-s templates.  The shift-0 template columns are eliminated
+    once, with each distinct moved-down component as one more column (see
+    express_all_in_span): sigma_s of a class-0 basis vector gets the
+    coordinates of that vector, and is unmatched iff it is.  Templates of
+    distinct classes share no unknown, so this is the result of one
+    elimination over every template of every shift, the free coordinates
+    0 included.
     """
     ansatz = space.ansatz
     names, columns = [], []
-    for name, phi in family_templates(ansatz.algebra):
+    for name, phi in family_templates(ansatz.algebra, (0,)):
         try:
             columns.append(ansatz.vector_of(phi))
         except SolverError:
             continue
-        names.append(name)
-    return MatchReport([None if coords is None else dict(zip(names, coords))
-                        for coords in express_all_in_span(columns, space.vectors)])
+        names.append(name.removesuffix("(s=0)"))
+    targets: dict[tuple, int] = {}
+    components = []
+    for vector in space.vectors:
+        by_class: dict[int, Row] = {}
+        for k, value in vector.items():
+            s = ansatz.index_class(k)
+            by_class.setdefault(s, {})[ansatz.shift(k, -s)] = value
+        components.append({s: targets.setdefault(tuple(part.items()), len(targets))
+                           for s, part in by_class.items()})
+    coords = express_all_in_span(columns, [dict(part) for part in targets])
+    return MatchReport([
+        None if any(coords[t] is None for t in parts.values()) else
+        {f"{name}(s={s})": coords[parts[s]][j] if s in parts else _ZERO
+         for j, name in enumerate(names) for s in range(ansatz.algebra.modulus)}
+        for parts in components])
 
 
 def solver_report(space: SolutionSpace, match: MatchReport) -> dict:

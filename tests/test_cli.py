@@ -539,6 +539,16 @@ def test_broken_basis_vector_is_internal_error(capsys, monkeypatch):
     assert_internal_error(code, err, "internal check failed: basis vector ")
 
 
+def test_lift_onto_the_wrong_class_is_internal_error(capsys, monkeypatch):
+    # a lift that returns sigma_0 for every s reports valid solutions, each
+    # class-0 vector m times; only the lift check can refuse them
+    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: dict(entries))
+    code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "3", "--b=-1",
+                         "--degree", "2")
+    assert out == ""
+    assert_internal_error(code, err, "is not the index shift of a class-0 basis vector")
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def crash(algebra):
         raise RuntimeError("boom\non two lines")

@@ -17,6 +17,7 @@ from lcalab import (
     BilinearMap,
     BracketRule,
     ConstraintSystem,
+    FamilyError,
     InternalCheckError,
     SolutionSpace,
     SolverError,
@@ -357,7 +358,7 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     assert len(system.pivots) * algebra.modulus == ansatz.n_unknowns - len(vectors)
 
 
-@pytest.mark.parametrize("algebra, degree, tags", [
+LIFT_CASES = [
     (make_catalog("vir"), 3, ("def1a", "def1b")),
     (make_catalog("cw", 2), 2, ("def1a", "def1b")),
     (make_catalog("cw", 3), 2, ("def1a", "def1b")),
@@ -371,8 +372,12 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     (load_algebra(SCHRODINGER_VIRASORO), 0, ASSEMBLE_TAGS),
     # j, k and 0 all distinct, next to every collapsed pattern
     (make_catalog("cw", 5), 2, ASSEMBLE_TAGS),
-], ids=["vir-d3", "cw2-d2", "cw3-d2", "cw4-d2", "clw2-b-1-d2", "clw3-b-1-d2",
-        "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2", "sv-all-d0", "cw5-all-d2"])
+]
+LIFT_CASE_IDS = ["vir-d3", "cw2-d2", "cw3-d2", "cw4-d2", "clw2-b-1-d2", "clw3-b-1-d2",
+                 "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2", "sv-all-d0", "cw5-all-d2"]
+
+
+@pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
 def test_lift_matches_unlifted_solve(algebra, degree, tags):
     assert_lift_matches_unlifted_solve(algebra, degree, tags)
 
@@ -463,8 +468,9 @@ def tagged_sum(maps):
     inhomogeneous_clw(3),
 ], ids=["cw4-d2", "clw3-b-1-d2", "inhom-clw3-d2"])
 def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
-    # the re-check builds its tagged map from the basis vectors; it must be
-    # the tagged sum of the reported basis maps, pair for pair in order
+    # the re-check sweeps only the class-0 basis maps, the vectors nullspace
+    # emits for s = 0 (the lift is checked without residuals): one verify_map
+    # of their tagged sum, in basis order, pair for pair in order
     swept = []
 
     def recording_verify_map(phi, tags):
@@ -473,10 +479,47 @@ def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
 
     monkeypatch.setattr(lcalab.solver, "verify_map", recording_verify_map)
     space = solve_bider(algebra, 2)
-    reference = tagged_sum(space.basis)
+    class0 = set(space.ansatz.class0)
+    maps = [phi for phi, vector in zip(space.basis, space.vectors) if class0.issuperset(vector)]
+    assert len(maps) * algebra.modulus == space.dimension
+    reference = tagged_sum(maps)
     assert len(swept) == 1
     assert swept[0] == reference
     assert list(swept[0].table) == list(reference.table)
+
+
+# Lifts that return valid solutions of the wrong class on CLW(m=3): sigma_0
+# for every s (each class-0 vector 3 times), sigma_1 for every s != 0 (a
+# duplicated lift, class 2 missing) and sigma_{s+1} (the right vectors as a
+# set, in the wrong positions).  Each maps (s, m) to the shift it applies
+# instead of s.
+WRONG_CLASS_LIFTS = {
+    "sigma-0": lambda s, m: 0,
+    "duplicated": lambda s, m: min(s, 1),
+    "permuted": lambda s, m: (s + 1) % m,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_CLASS_LIFTS))
+def test_post_solve_check_refuses_a_lift_onto_the_wrong_class(case, monkeypatch):
+    # every reported map is a solution, so no residual sweep can fail: the
+    # position-by-position lift check has to catch it, and name the lowest
+    # position at which the basis differs from the true lifts
+    algebra = make_catalog("clw", 3, -1)
+    expected = solve_bider(algebra, 2)
+    moved, lift = WRONG_CLASS_LIFTS[case], Ansatz.lift
+    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: lift(
+        self, entries, moved(s, self.algebra.modulus)))
+    broken = nullspace(assemble(Ansatz(algebra, 2)))
+    assert broken.dimension == expected.dimension == 6
+    assert all(verify_map(phi, ("def1a", "def1b")).passed for phi in broken.basis)
+    index = next(i for i, (got, want) in enumerate(zip(broken.vectors, expected.vectors))
+                 if got != want)
+    with pytest.raises(InternalCheckError) as failure:
+        solve_bider(algebra, 2)
+    assert str(failure.value) == (
+        f"internal check failed: basis vector {index} is not the index shift of a class-0 "
+        f"basis vector")
 
 
 # -- nullspace -----------------------------------------------------------------------
@@ -716,6 +759,78 @@ def test_family_templates_match_precondition_oracle(case):
         assert verify_map(phi, ("def1a", "def1b")).passed, name
 
 
+def match_oracle(space):
+    """The match before it moved to class 0: every template of every shift
+    that fits the ansatz as a column, every basis vector as a target, in
+    one elimination."""
+    ansatz = space.ansatz
+    names, columns = [], []
+    for name, phi in family_templates(ansatz.algebra):
+        try:
+            columns.append(ansatz.vector_of(phi))
+        except SolverError:
+            continue
+        names.append(name)
+    return [None if coords is None else dict(zip(names, coords))
+            for coords in express_all_in_span(columns, space.vectors)]
+
+
+def with_mixed_vectors(space):
+    """The space with three more vectors: the sum of the basis (every class
+    at once), a vector with one entry on the last unknown, and the first
+    basis vector plus that entry."""
+    ansatz = space.ansatz
+    total = {}
+    for vector in space.vectors:
+        for k, value in vector.items():
+            total[k] = total.get(k, 0) + value
+    stray = {ansatz.n_unknowns - 1: 1}
+    first = {**space.vectors[0], **stray} if space.vectors else dict(stray)
+    extra = [{k: total[k] for k in sorted(total) if total[k]}, stray, first]
+    return SolutionSpace(space.system, space.vectors + extra,
+                         space.basis + [ansatz.map_from_vector(v) for v in extra])
+
+
+def assert_match_is_oracle(space):
+    for candidate in (space, with_mixed_vectors(space)):
+        combinations = match_templates(candidate).combinations
+        expected = match_oracle(candidate)
+        assert combinations == expected
+        assert [c if c is None else list(c) for c in combinations] == \
+            [c if c is None else list(c) for c in expected]
+
+
+# Every template oracle case but the one whose table keeps b, which no
+# ansatz accepts.
+SOLVABLE_TEMPLATE_CASES = sorted(set(TEMPLATE_ORACLE_CASES) - {"clw2-symbolic"})
+
+
+@pytest.mark.parametrize("case", SOLVABLE_TEMPLATE_CASES)
+def test_match_equals_every_shift_oracle(case):
+    assert_match_is_oracle(solve_bider(TEMPLATE_ORACLE_CASES[case](), 2))
+
+
+@pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
+def test_match_equals_every_shift_oracle_on_the_lift_cases(algebra, degree, tags):
+    assert_match_is_oracle(solve_bider(algebra, degree, tags))
+
+
+@pytest.mark.parametrize("case", SOLVABLE_TEMPLATE_CASES)
+def test_shifted_templates_are_lifts_of_the_shift_zero_template(case):
+    # the premise of the class-0 match, on every shift of every kind
+    algebra = TEMPLATE_ORACLE_CASES[case]()
+    ansatz = Ansatz(algebra, 1)
+    for kind, arguments in (("cw_shift", {}), ("clw_shift", {"a": 0, "g": 1})):
+        try:
+            base = ansatz.vector_of(make_family(algebra, kind, **arguments))
+        except FamilyError:
+            continue
+        for s in range(algebra.modulus):
+            shifted = ansatz.vector_of(make_family(algebra, kind, shift=s, **arguments))
+            assert shifted == ansatz.lift(base, s), (kind, s)
+            assert list(shifted) == list(ansatz.lift(base, s)), (kind, s)
+
+
 def test_match_reports_unmatched_verbatim():
     # a spurious constant entry cannot be absorbed by the shift templates
     cw = make_catalog("cw", 2)
@@ -772,6 +887,18 @@ def canonical_sha256(report: dict) -> str:
 def test_solver_report_matches_golden_hash(name, kind, m, b, tags):
     space = solve_bider(make_catalog(kind, m, b), 2, tags)
     assert canonical_sha256(solver_report(space, match_templates(space))) == GOLDEN[name]
+
+
+# The two largest lifted cases, pinned before the post-solve work moved to
+# class 0: twelve basis vectors each, lifted from one class-0 vector (CW)
+# and from two, with the g-component template (CLW).
+@pytest.mark.parametrize("kind, m, b, digest", [
+    ("cw", 12, None, "aedcc0849ca0306db86941b2c3cceb576d3e02643286c89c34586cd9045eee19"),
+    ("clw", 6, -1, "d9c27cda47a2547dd37e323323ebc8e316fab50f0c095c2ff7e90b9a73d37f3b"),
+], ids=["cw12-d2", "clw6-bm1-d2"])
+def test_large_lifted_report_matches_golden_hash(kind, m, b, digest):
+    space = solve_bider(make_catalog(kind, m, b), 2)
+    assert canonical_sha256(solver_report(space, match_templates(space))) == digest
 
 
 def test_cli_match_report_matches_golden_hash(tmp_path):
