@@ -27,10 +27,26 @@ template already holds their sum (see _tuple_rows).  The rows stream
 straight into an incremental elimination, so a solve holds only the
 pivot rows of the reduced row echelon form, never the rows; the rows are
 rebuilt on demand, with their provenance, for tests and reports.  Every
-entry is an exact rational, an int or a Fraction (never a float), and
-every division has a Fraction operand or is an exact floor division; the
-reduced row echelon form is unique, so the emitted basis is
-deterministic bit for bit.
+row entry is an exact rational, an int or a Fraction (never a float).
+
+The elimination runs over GF(p), p = PRIME = 2^61 - 1: assembly reduces
+each template coefficient mod p once, and _rref keeps residues.  nullspace
+rebuilds each entry of each basis vector v_f (free column f) from its
+residue by rational reconstruction, and the post-solve re-check (below)
+makes the result exact.  v_f has 1 at f, 0 on the other free columns mod
+p, and its support is f and pivot columns below f.  If the re-check
+passes, v_f is a rational solution, so column f depends on earlier columns
+over Q: the free columns mod p are free over Q.  The rank mod p is at most
+the rank over Q, so there are at least as many free columns mod p as over
+Q, and the two sets are equal; v_f is then the exact basis vector of its
+free column, because that vector is unique.  So the emitted basis is the
+one an exact elimination gives, bit for bit, and its dimension is exact.
+If the re-check fails, or p divides a denominator, or an entry cannot be
+reconstructed, solve_bider solves once more with p = 0, in exact
+arithmetic, in which every division has a Fraction operand or is an exact
+floor division.  The reduced row echelon form is unique, so the emitted
+basis is deterministic bit for bit.  The elimination and the
+reconstruction, exact and mod p, are the kernels of lcalab.linalg.
 
 Every algebra is a loop algebra over Z_m, so the index shift
 sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
@@ -70,8 +86,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import Algebra, Element, GeneratorId
 from .bimaps import (
@@ -84,6 +99,15 @@ from .bimaps import (
     normalize_tags,
     residual,
     verify_map,
+)
+from .linalg import (
+    Row,
+    UnluckyPrime,
+    _normalize_vector,
+    _reconstruct,
+    _residue,
+    _rref,
+    express_all_in_span,
 )
 from .poly import Monomial, Poly, Var
 
@@ -116,11 +140,10 @@ PHI_SLOTS = {
 # ladder case (10,368 unknowns).
 MAX_UNKNOWNS = 50_000
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# The prime of the modular elimination, 2^61 - 1 (see the module docstring).
+PRIME = 2 ** 61 - 1
 
-# A constraint row, a pivot row, a solution vector or a template column.
-Row = dict[int, Fraction]
+_ZERO = Fraction(0)
 
 
 class Unknown(NamedTuple):
@@ -294,18 +317,24 @@ class ConstraintSystem:
     """Sparse exact-rational homogeneous system over the ansatz unknowns.
 
     It holds the row count and the reduced row echelon form (pivot
-    column -> row, see _rref) of the class-0 rows, not the rows.  The
-    class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
-    of the whole system, and ``n_rows`` counts every class, m times the
-    class-0 rows.  ``listing``, the (Provenance, Row) pairs, and ``rows``
-    are rebuilt from the ansatz and the tags on each access: one more
-    class-0 assembly, lifted onto every class (see _listing).
+    column -> row, see _rref) of the class-0 rows, not the rows; with a
+    prime ``p``, the form of the rows mod p, whose entries are residues,
+    and with p = 0 the exact one.  A modular form is exact only once the
+    basis nullspace rebuilds from it passes the re-check: solve_bider
+    runs that check, and solves again with p = 0 if it fails or the prime
+    is unlucky (see UnluckyPrime).  The class-0 solutions, lifted by
+    sigma_s for s = 0..m-1, are the solutions of the whole system, and
+    ``n_rows`` counts every class, m times the class-0 rows.
+    ``listing``, the (Provenance, Row) pairs, and ``rows`` are rebuilt
+    exactly from the ansatz and the tags on each access: one more class-0
+    assembly, lifted onto every class (see _ordered_rows).
     """
 
     ansatz: Ansatz
     tags: tuple[str, ...]
     n_rows: int
     pivots: dict[int, Row]
+    p: int = 0
 
     @property
     def n_unknowns(self) -> int:
@@ -313,18 +342,23 @@ class ConstraintSystem:
 
     @property
     def listing(self) -> list[tuple[Provenance, Row]]:
-        return _listing(self.ansatz, self.tags)
+        return [(Provenance(tag, args, gt, mono), row)
+                for tag, args, gt, mono, row in _ordered_rows(self.ansatz, self.tags)]
 
     @property
     def rows(self) -> list[Row]:
-        return [row for _, row in self.listing]
+        return [row for *_, row in _ordered_rows(self.ansatz, self.tags)]
 
 
-def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False) -> Iterator[
+def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
+                p: int = 0) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
     """The rows of each (tag, tuple): (tag, args, target -> monomial ->
     row), the class-0 rows with unsorted unknowns, or with ``lifted`` the
-    rows of every class with their unknowns ascending.
+    rows of every class with their unknowns ascending.  With a prime p,
+    each template coefficient is reduced mod p once, as the template is
+    built (see _residue), and a coefficient that vanishes mod p is left
+    out, so a row can be empty; the row count does not change.
 
     Residuals are linear in the map and never substitute b, and the
     algebra is b-free, so the residual of Ansatz.tagged_map is
@@ -397,9 +431,14 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False) -> 
                 template = templates[key] = []
                 for gt, poly in residual(tagged, tag, gen_args).value.terms.items():
                     rows: dict[Monomial, list] = {}
-                    for (p, q, r, s, k), coeff in poly.terms.items():
+                    for mono, coeff in poly.terms.items():
+                        k = mono[4]
                         i = first_slot[k // stride]
-                        rows.setdefault((p, q, r, s, 0), []).append((i, k - bases[i], coeff))
+                        columns = rows.setdefault(mono[:4] + (0,), [])
+                        if p:
+                            coeff = _residue(coeff, p)
+                        if coeff:
+                            columns.append((i, k - bases[i], coeff))
                     template.append((ansatz._position[gt] - total, list(rows.items())))
             shifted = [bases]
             if lifted:
@@ -417,27 +456,29 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False) -> 
             yield tag, gen_args, by_target
 
 
-def _listing(ansatz: Ansatz, tags: tuple[str, ...]) -> list[tuple[Provenance, Row]]:
-    """The assembled rows of every class with their provenance, ordered by
-    (tag, tuple, target, monomial), with unknowns ascending within a row.
+def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
+        tuple[str, tuple[GeneratorId, ...], GeneratorId, Monomial, Row]]:
+    """The exact rows of every class, each as (tag, tuple, target,
+    monomial, row), ordered by (tag, tuple, target, monomial), with
+    unknowns ascending within a row.
 
     _tuple_rows instantiates the rows of every class from the class-0
     templates, each slot's base lifted by sigma_s (one Ansatz.shift per
     slot, not per entry).
     """
     sort_key = ansatz.algebra.gen_sort_key
-    listing = []
     for tag, args, by_target in _tuple_rows(ansatz, tags, lifted=True):
         for gt in sorted(by_target, key=sort_key):
             rows = by_target[gt]
             for mono in sorted(rows):
-                listing.append((Provenance(tag, args, gt, mono), rows[mono]))
-    return listing
+                yield tag, args, gt, mono, rows[mono]
 
 
-def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> ConstraintSystem:
+def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
+             p: int | None = None) -> ConstraintSystem:
     """Expand the class-0 ansatz residuals into linear rows by coefficient
-    matching, and eliminate them as they come.
+    matching, and eliminate them as they come, mod the prime p, PRIME by
+    default, or exactly with p = 0.
 
     The residual of the tagged class-0 map is computed once per row
     template, not per generator tuple, and the rows of each tuple are
@@ -446,42 +487,33 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b")) -> Constr
     other m - 1 classes are not assembled: their rows are the class-0
     rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows,
     and nullspace lifts the solutions.  The system's ``listing`` and
-    ``rows`` rebuild the rows of every class in the order (tag, tuple,
-    target, monomial), which is deterministic.
+    ``rows`` rebuild the exact rows of every class in the order (tag,
+    tuple, target, monomial), which is deterministic.  If p divides a
+    denominator of a row, UnluckyPrime is raised.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
     if bad:
         raise SolverError(f"tag(s) not assemblable as linear constraints: "
                           f"{', '.join(bad)} (lem2 is checked, not solved)")
+    p = PRIME if p is None else p
     n_rows = 0
 
     def stream() -> Iterator[Row]:
         nonlocal n_rows
-        for _, _, by_target in _tuple_rows(ansatz, tags):
+        for _, _, by_target in _tuple_rows(ansatz, tags, p=p):
             for rows in by_target.values():
                 n_rows += len(rows)
                 yield from rows.values()
 
-    pivots = _rref(stream())
+    pivots = _rref(stream(), p)
     m = ansatz.algebra.modulus
-    return ConstraintSystem(ansatz, tags, m * n_rows, pivots)
+    return ConstraintSystem(ansatz, tags, m * n_rows, pivots, p)
 
 
 # ---------------------------------------------------------------------------
-# Exact nullspace
+# Nullspace
 # ---------------------------------------------------------------------------
-
-def _normalize_vector(vector: Row) -> Row:
-    """Scale a Row of int/Fraction entries to coprime ints with the entry
-    of the lowest unknown positive, in integer arithmetic only."""
-    denoms = lcm(*(v.denominator for v in vector.values()))
-    ints = {k: v.numerator * (denoms // v.denominator) for k, v in vector.items()}
-    common = gcd(*ints.values())
-    if ints and ints[min(ints)] < 0:
-        common = -common
-    return {k: v // common for k, v in ints.items()}
-
 
 @dataclass
 class SolutionSpace:
@@ -503,62 +535,8 @@ class SolutionSpace:
         return len(self.vectors)
 
 
-def _rref(rows: Iterable[Row]) -> dict[int, Row]:
-    """Reduced row echelon form of sparse rows, as pivot-column -> row.
-
-    Rows are taken one at a time (a generator is fine) and only the pivot
-    rows are kept.  Each stored row has coefficient 1 on its pivot column
-    and no support on any other pivot column.  ``holders`` maps each
-    non-pivot column to the pivots of the stored rows that have it, so a
-    new pivot is cleared from exactly those rows.  The RREF is unique, so
-    the result does not depend on the order of the rows, only on their
-    span; int rows stay int as long as every pivot is +-1.
-    """
-    pivots: dict[int, Row] = {}
-    holders: dict[int, set[int]] = {}
-    for row in rows:
-        r = dict(row)
-        # Pivot rows have no other pivot column, so one pass reduces r.
-        for c in [c for c in r if c in pivots]:
-            factor = r.pop(c)
-            for c2, v2 in pivots[c].items():
-                if c2 != c:
-                    s = r.get(c2, 0) - factor * v2
-                    if s:
-                        r[c2] = s
-                    else:
-                        del r[c2]
-        if not r:
-            continue
-        lead = min(r)
-        scale = r[lead]
-        if scale == -1:
-            r = {c: -v for c, v in r.items()}
-        elif scale != 1:
-            # Fraction / (int or Fraction) is exact; int / int would be a float.
-            inv = _ONE / scale
-            r = {c: v * inv for c, v in r.items()}
-        tail = [(c, v) for c, v in r.items() if c != lead]
-        for p in holders.pop(lead, ()):
-            prow = pivots[p]
-            factor = prow.pop(lead)
-            for c2, v2 in tail:
-                s = prow.get(c2, 0) - factor * v2
-                if s:
-                    if c2 not in prow:
-                        holders.setdefault(c2, set()).add(p)
-                    prow[c2] = s
-                else:
-                    del prow[c2]
-                    holders[c2].discard(p)
-        for c, _ in tail:
-            holders.setdefault(c, set()).add(lead)
-        pivots[lead] = r
-    return pivots
-
-
 def nullspace(system: ConstraintSystem) -> SolutionSpace:
-    """Exact rational nullspace with a canonical, integer-normalized basis.
+    """Rational nullspace with a canonical, integer-normalized basis.
 
     One vector per free class-0 column of the RREF, with the free unknown
     set to 1, scaled to coprime integers with positive leading entry; each
@@ -566,19 +544,24 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     vectors are ordered by free column: sigma_s keeps the column order
     within a class, so this is the free-column basis of the whole
     system, and identical inputs give bit-identical bases.
+
+    Of a modular system, each entry -prow[f] mod p is rebuilt by rational
+    reconstruction (see _reconstruct), which raises UnluckyPrime where it
+    fails; the basis is exact once its class-0 vectors pass the re-check
+    of solve_bider (see the module docstring).
     """
     ansatz = system.ansatz
-    pivots = system.pivots
+    pivots, p = system.pivots, system.p
     m = ansatz.algebra.modulus
     lifted = []
     for f in ansatz.class0:
         if f in pivots:
             continue
-        entries = {f: _ONE}
+        entries = {f: 1}
         for pc, prow in pivots.items():
             coeff = prow.get(f)
             if coeff:
-                entries[pc] = -coeff
+                entries[pc] = _reconstruct(p - coeff, p) if p else -coeff
         entries = _normalize_vector({c: entries[c] for c in sorted(entries)})
         lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
                    for s in range(m)]
@@ -588,24 +571,46 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     return SolutionSpace(system, vectors, basis)
 
 
+def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
+    """The post-solve checks of solve_bider: whether the class-0 basis maps
+    pass the re-check, and the lowest position at which the basis differs
+    from the lifts of its class-0 vectors, or None.
+
+    The class-0 basis vectors are the ones nullspace emits for s = 0:
+    their free column, the highest unknown, is in class 0.
+    """
+    ansatz = space.ansatz
+    vectors = space.vectors
+    if not vectors:
+        return True, None
+    class0 = [i for i, vector in enumerate(vectors) if ansatz.index_class(max(vector)) == 0]
+    tagged = ansatz._map((j, k, c) for j, i in enumerate(class0) for k, c in vectors[i].items())
+    passed = verify_map(tagged, space.system.tags).passed
+    lifts = sorted([vectors[i] for i in class0] + [
+        ansatz.vector_of(_shifted_map(space.basis[i], s))
+        for i in class0 for s in range(1, ansatz.algebra.modulus)], key=max)
+    mismatch = next((i for i, (vector, lift) in enumerate(itertools.zip_longest(vectors, lifts))
+                     if vector != lift), None)
+    return passed, mismatch
+
+
 def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Class 0 is solved and lifted onto every class (see nullspace), and
-    every reported basis map is checked (defense in depth against
-    elimination and lift bugs) in class 0 only:
+    Class 0 is solved mod PRIME and lifted onto every class (see
+    nullspace), and every reported basis map is checked (defense in depth
+    against elimination and lift bugs) in class 0 only:
 
-    - The re-check: the class-0 basis maps, the vectors that nullspace
-      emits for s = 0 (their free column, the highest unknown, is in
-      class 0), are checked against the solved identities with the
-      independent residual engine, in one verify_map sweep of their
-      tagged sum sum_j b^j phi_j, built by Ansatz._map from their
-      vectors.  That is exact for the reason assembly is: the algebra and
-      the phi_j are b-free, the phi_j have int coefficients and no
-      residual substitutes b, so the b^j part of each tagged residual is
-      the residual of phi_j, and the sweep memo makes each bracket once
-      for all of them.
+    - The re-check: the class-0 basis maps are checked against the solved
+      identities with the independent residual engine, in one verify_map
+      sweep of their tagged sum sum_j b^j phi_j, built by Ansatz._map from
+      their vectors.  That is exact for the reason assembly is: the
+      algebra and the phi_j are b-free, the phi_j have int coefficients and
+      no residual substitutes b, so the b^j part of each tagged residual
+      is the residual of phi_j, and the sweep memo makes each bracket once
+      for all of them.  Passing it also makes the modular solve exact (see
+      the module docstring).
     - The lift check, without residuals: sigma_s of each class-0 basis
       map is its table with every target index moved by s, and vector_of
       of that map must be the reported vector, position by position, in
@@ -614,29 +619,31 @@ def solve_bider(algebra: Algebra, degree: int,
       sigma_s of a solution is a solution, because sigma_s lies in the
       centroid.
 
-    If either check fails, one sweep of the tagged sum of the whole basis
-    finds the lowest failing vector i, the lowest b-exponent among the
-    failures, and InternalCheckError names it with the first three
-    failures of verify_map on phi_i alone; if every vector passes, the
-    lift gave valid but wrong vectors, and the error names the lowest
-    position at which the basis differs from the lifts.
+    The solve is retried once, with p = 0 in exact arithmetic, if the
+    prime is unlucky (UnluckyPrime: a denominator divisible by it, or an
+    entry that rational reconstruction cannot rebuild), or if the modular
+    re-check fails while the lift check passes.  A lift mismatch does not
+    depend on the prime, so it is never retried.  If either check fails on
+    the final solve, one sweep of the tagged sum of the whole basis finds
+    the lowest failing vector i, the lowest b-exponent among the failures,
+    and InternalCheckError names it with the first three failures of
+    verify_map on phi_i alone; if every vector passes, the lift gave valid
+    but wrong vectors, and the error names the lowest position at which
+    the basis differs from the lifts.
     """
     ansatz = Ansatz(algebra, degree)
-    system = assemble(ansatz, tags)
-    space = nullspace(system)
-    if not space.basis:
-        return space
-    vectors = space.vectors
-    class0 = [i for i, vector in enumerate(vectors) if ansatz.index_class(max(vector)) == 0]
-    tagged = ansatz._map((j, k, c) for j, i in enumerate(class0) for k, c in vectors[i].items())
-    passed = verify_map(tagged, system.tags).passed
-    lifts = sorted([vectors[i] for i in class0] + [
-        ansatz.vector_of(_shifted_map(space.basis[i], s))
-        for i in class0 for s in range(1, algebra.modulus)], key=max)
-    mismatch = next((i for i, (vector, lift) in enumerate(itertools.zip_longest(vectors, lifts))
-                     if vector != lift), None)
+    try:
+        space = nullspace(assemble(ansatz, tags))
+        passed, mismatch = _checks(space)
+        retry = not passed and mismatch is None and space.system.p
+    except UnluckyPrime:
+        retry = True
+    if retry:
+        space = nullspace(assemble(ansatz, tags, p=0))
+        passed, mismatch = _checks(space)
     if passed and mismatch is None:
         return space
+    system, vectors = space.system, space.vectors
     tagged = ansatz._map((i, k, c) for i, vector in enumerate(vectors) for k, c in vector.items())
     report = verify_map(tagged, system.tags)
     if report.passed:
@@ -683,43 +690,6 @@ def family_templates(algebra: Algebra, shifts: Iterable[int] | None = None
     except FamilyError:
         pass
     return templates
-
-
-def express_all_in_span(columns: Sequence[Row],
-                        targets: Sequence[Row]) -> list[list[Fraction] | None]:
-    """Exact coordinates of each target in the span of columns, or None for
-    a target outside it, from one elimination of [columns | targets].
-
-    Columns and targets are Rows over the unknowns.  Their entries are
-    scattered into one row per unknown in their support, {column: value},
-    and eliminated in ascending unknown order; target t is column n + t,
-    right of the n given columns, and each coordinate list runs over the
-    columns.  The RREF is unique, and no row reduction among the target
-    columns changes a target in the span, so each result is the same as
-    an elimination of [columns | target] alone: target t is in the span
-    iff no pivot row whose pivot is a target column has a nonzero entry in
-    column n + t, and its coordinates are then column n + t of the pivot
-    rows of the given columns.  If the columns are linearly dependent,
-    free coordinates are set to 0.
-    """
-    n_cols = len(columns)
-    rows: dict[int, Row] = {}
-    for j, vector in enumerate([*columns, *targets]):
-        for k, value in vector.items():
-            rows.setdefault(k, {})[j] = value
-    pivots = _rref(rows[k] for k in sorted(rows))
-    outside = [prow for pc, prow in pivots.items() if pc >= n_cols]
-    results: list[list[Fraction] | None] = []
-    for c in range(n_cols, n_cols + len(targets)):
-        if any(c in prow for prow in outside):
-            results.append(None)
-            continue
-        coords = [_ZERO] * n_cols
-        for pc, prow in pivots.items():
-            if pc < n_cols:
-                coords[pc] = prow.get(c, _ZERO)
-        results.append(coords)
-    return results
 
 
 @dataclass

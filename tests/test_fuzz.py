@@ -1,6 +1,6 @@
 """Fuzzing of the input boundary, and property tests of the Poly kernel,
-of the axiom check and of the solver's sparse elimination and template
-match.
+of the axiom check and of the solver's sparse elimination, exact and mod
+p, its rational reconstruction and its template match.
 
 parse_poly may raise only ParseError, algebra_from_dict only AlgebraError
 and map_from_dict only MapError, whatever the input; anything else (a
@@ -8,6 +8,7 @@ RecursionError, a TypeError from an unexpected JSON type) would surface
 in the CLI as an internal error instead of a usage error.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,8 @@ from lcalab import (  # noqa: E402
     parse_poly,
 )
 from lcalab.poly import B, D, G, L, M  # noqa: E402
-from lcalab.solver import _rref, express_all_in_span  # noqa: E402
+from lcalab.linalg import _reconstruct, _rref, express_all_in_span  # noqa: E402
+from lcalab.solver import PRIME  # noqa: E402
 from test_algebra import assert_axioms_match_oracle  # noqa: E402
 from test_bimaps import assert_sweep_matches_memo_free  # noqa: E402
 
@@ -352,7 +354,7 @@ def test_verify_map_matches_memo_free_residuals_on_random_maps(case):
 
 # -- the sparse elimination against a dense Gauss-Jordan ---------------------------
 #
-# dense_rref shares no code with solver._rref: it reduces a full Fraction
+# dense_rref shares no code with linalg._rref: it reduces a full Fraction
 # matrix column by column and reads the pivot rows off the result.
 
 def dense_rref(n_cols, rows):
@@ -410,6 +412,65 @@ def test_rref_matches_dense_gauss_jordan(system, rng):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert _rref(iter(shuffled)) == pivots
+
+
+# dense_rref_mod is the same Gauss-Jordan over GF(p), on a full matrix of
+# residues; it shares no code with linalg._rref either.
+
+def dense_rref_mod(n_cols, rows, p):
+    matrix = [[row.get(c, 0) % p for c in range(n_cols)] for row in rows]
+    pivots = {}
+    for c in range(n_cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if pick is None:
+            continue
+        matrix[r], matrix[pick] = matrix[pick], matrix[r]
+        inverse = pow(matrix[r][c], p - 2, p)
+        matrix[r] = [v * inverse % p for v in matrix[r]]
+        for i, other in enumerate(matrix):
+            if i != r and other[c]:
+                factor = other[c]
+                matrix[i] = [(a - factor * b) % p for a, b in zip(other, matrix[r])]
+        pivots[c] = r
+    return {c: {k: v for k, v in enumerate(matrix[r]) if v} for c, r in pivots.items()}
+
+
+def residues(row, p):
+    """A row of rationals whose denominators p does not divide, as the
+    nonzero residues mod p that the modular _rref takes."""
+    reduced = {c: v.numerator * pow(v.denominator, p - 2, p) % p for c, v in row.items()}
+    return {c: v for c, v in reduced.items() if v}
+
+
+# 7 divides no denominator of sparse_systems (at most 5, and their products)
+@KERNEL
+@given(sparse_systems(), st.sampled_from([7, PRIME]), st.randoms(use_true_random=False))
+def test_modular_rref_matches_dense_gauss_jordan_mod_p(system, p, rng):
+    n_cols, rows = system
+    rows = [residues(row, p) for row in rows]
+    snapshot = [dict(row) for row in rows]
+    pivots = _rref(rows, p)
+    assert rows == snapshot
+    assert pivots == dense_rref_mod(n_cols, rows, p)
+    for lead, row in pivots.items():
+        assert row[lead] == 1
+        assert all(c == lead or c not in pivots for c in row)
+        assert all(type(v) is int and 0 < v < p for v in row.values())
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert _rref(iter(shuffled), p) == pivots
+
+
+@KERNEL
+@given(st.sampled_from([5, 7, 101, 10_007, PRIME]), st.data())
+def test_reconstruction_inverts_reduction_within_the_bound(p, data):
+    bound = math.isqrt(p // 2)
+    n = data.draw(st.integers(-bound, bound))
+    d = data.draw(st.integers(1, bound))
+    value = _reconstruct(n * pow(d, p - 2, p) % p, p)
+    assert value == Fraction(n, d)
+    assert type(value) is (int if Fraction(n, d).denominator == 1 else Fraction)
 
 
 # -- the template match: one elimination for every target ---------------------------

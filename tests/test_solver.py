@@ -44,7 +44,10 @@ from lcalab.poly import D, L, Poly, Var
 from lcalab.solver import (
     ASSEMBLE_TAGS,
     MAX_UNKNOWNS,
+    PRIME,
     Provenance,
+    UnluckyPrime,
+    _checks,
     _normalize_vector,
     _rref,
     express_all_in_span,
@@ -877,13 +880,16 @@ def canonical_sha256(report: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name, kind, m, b, tags", [
+GOLDEN_SOLVES = [
     ("vir-d2", "vir", 1, None, ("def1a", "def1b")),
     ("cw2-d2", "cw", 2, None, ("def1a", "def1b")),
     ("cw4-d2", "cw", 4, None, ("def1a", "def1b")),
     ("clw3-bm1-d2", "clw", 3, -1, ("def1a", "def1b")),
     ("clw2-bm1-all-d2", "clw", 2, -1, ("def1a", "def1b", "lem1")),
-])
+]
+
+
+@pytest.mark.parametrize("name, kind, m, b, tags", GOLDEN_SOLVES)
 def test_solver_report_matches_golden_hash(name, kind, m, b, tags):
     space = solve_bider(make_catalog(kind, m, b), 2, tags)
     assert canonical_sha256(solver_report(space, match_templates(space))) == GOLDEN[name]
@@ -906,3 +912,107 @@ def test_cli_match_report_matches_golden_hash(tmp_path):
     assert cli.main(["match", "--algebra", str(INHOMOGENEOUS), "--degree", "2",
                      "--format", "json", "--out", str(out)]) == 0
     assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
+
+
+# -- the modular solve and its exact retry -------------------------------------------
+
+def record_assemble(monkeypatch):
+    """The arguments past (ansatz, tags) of every assemble call from now on."""
+    calls = []
+    real = lcalab.solver.assemble
+
+    def recording(ansatz, tags, *rest, **options):
+        calls.append((rest, options))
+        return real(ansatz, tags, *rest, **options)
+
+    monkeypatch.setattr(lcalab.solver, "assemble", recording)
+    return calls
+
+
+def report_sha256(space):
+    return canonical_sha256(solver_report(space, match_templates(space)))
+
+
+@pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
+def test_lift_cases_take_the_modular_path_without_a_retry(algebra, degree, tags, monkeypatch):
+    # a bug in the modular kernel must not hide behind a silent exact retry
+    calls = record_assemble(monkeypatch)
+    space = solve_bider(algebra, degree, tags)
+    assert calls == [((), {})]
+    assert space.system.p == PRIME
+
+
+def test_golden_solves_take_the_modular_path_without_a_retry(monkeypatch, tmp_path):
+    calls = record_assemble(monkeypatch)
+    for name, kind, m, b, tags in GOLDEN_SOLVES:
+        calls.clear()
+        space = solve_bider(make_catalog(kind, m, b), 2, tags)
+        assert calls == [((), {})], name
+        assert space.system.p == PRIME
+        assert report_sha256(space) == GOLDEN[name]
+    calls.clear()
+    out = tmp_path / "report.json"
+    assert cli.main(["match", "--algebra", str(INHOMOGENEOUS), "--degree", "2",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert calls == [((), {})]
+    assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
+
+
+# Cases whose small primes reach every cause of the exact retry (see
+# test_each_retry_cause_is_reached); b = 1/3 and -7/3 bring Fraction
+# coefficients, with a denominator divisible by 3.
+RETRY_CASES = {
+    "cw4": lambda: make_catalog("cw", 4),
+    "clw3-b-1": lambda: make_catalog("clw", 3, -1),
+    "clw2-b1/3": lambda: make_catalog("clw", 2, Fraction(1, 3)),
+    "clw2-b-7/3": lambda: make_catalog("clw", 2, Fraction(-7, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRY_CASES))
+def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
+    algebra = RETRY_CASES[case]()
+    expected = report_sha256(solve_bider(algebra, 2))
+    calls = record_assemble(monkeypatch)
+    for p in (2, 3, 5, 7):
+        monkeypatch.setattr(lcalab.solver, "PRIME", p)
+        calls.clear()
+        space = solve_bider(algebra, 2)
+        assert calls == [((), {}), ((), {"p": 0})], p
+        assert space.system.p == 0
+        assert report_sha256(space) == expected, p
+
+
+def test_each_retry_cause_is_reached():
+    # p = 3 divides the denominator of b = 1/3
+    with pytest.raises(UnluckyPrime, match="the prime 3 divides the denominator 3"):
+        assemble(Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2), p=3)
+    # mod 5, only 0 and +-1 can be rebuilt
+    with pytest.raises(UnluckyPrime, match="no rational with numerator and denominator at "
+                                           "most 1 is 3 mod 5"):
+        nullspace(assemble(Ansatz(make_catalog("cw", 4), 2), p=5))
+    # mod 3 every entry is rebuilt, but to a wrong rational: the re-check
+    # fails and the lift check passes
+    space = nullspace(assemble(Ansatz(make_catalog("cw", 4), 2), p=3))
+    assert space.dimension == 4 and _checks(space) == (False, None)
+    # mod 2 the rank drops below the rank over Q, 190 against 191, so one
+    # more vector per class: the re-check fails
+    ansatz = Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2)
+    assert len(assemble(ansatz, p=0).pivots) == 191
+    space = nullspace(assemble(ansatz, p=2))
+    assert len(space.system.pivots) == 190 and space.dimension == 4
+    assert _checks(space) == (False, None)
+
+
+def test_modular_solve_reconstructs_the_exact_basis():
+    # the same vectors, value and type, as the exact solve
+    for algebra in (make_catalog("clw", 2, Fraction(1, 3)), make_catalog("cw", 4),
+                    inhomogeneous_clw(3)):
+        ansatz = Ansatz(algebra, 2)
+        modular, exact = nullspace(assemble(ansatz)), nullspace(assemble(ansatz, p=0))
+        assert modular.system.p == PRIME and exact.system.p == 0
+        assert modular.vectors == exact.vectors
+        assert [[(k, type(v)) for k, v in vector.items()] for vector in modular.vectors] == \
+            [[(k, type(v)) for k, v in vector.items()] for vector in exact.vectors]
+        assert modular.system.n_rows == exact.system.n_rows
+        assert modular.system.pivots.keys() == exact.system.pivots.keys()
