@@ -32,13 +32,16 @@ A sweep (verify_map) evaluates the same slot products again and again:
 the inner brackets and map values of a tuple depend on two generators
 only, n^2 of them against n^3 or n^4 tuples, and for a concrete map the
 outer brackets repeat too, because its values repeat along the index
-sum.  So each verify_map call hands one SweepMemo to every residual: each
-bracket and map evaluation is looked up by the values of its operands and
-its spectral parameter, and the memo dies when the sweep returns.  The
-solver's post-solve re-check is one such sweep, of the tagged map
-sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
-without residuals), so each of its brackets is made once for all of
-them.  Assembly (solver) passes no memo: it evaluates the tagged
+sum.  So each verify_map call keeps one SweepMemo for all its residuals:
+the memo interns every value it hands out, so equal values are one
+object, and looks each bracket and map evaluation up by the identities of
+its operands and spectral parameter; it dies when the sweep returns.  The
+sweep runs the four formulas through the kernel residual uses, on the
+memo's generator elements, and builds a Residual only where the value is
+not zero.  The solver's post-solve re-check is one such sweep, of the
+tagged map sum_j b^j phi_j of the class-0 basis maps (the lifted ones
+are checked without residuals), so each of its brackets is made once for
+all of them.  Assembly (solver) passes no memo: it evaluates the tagged
 ansatz map at one tuple per row template, and that map has one distinct
 value per generator pair, so its products never repeat and a memo would
 only hold memory (a sweep-wide memo there raised the classify benchmark's
@@ -231,41 +234,91 @@ class SweepMemo:
     """The slot evaluations of one residual sweep over one map (see the
     module docstring for why they repeat).
 
-    Each bracket and each map evaluation of a residual is stored under
-    (kind, value of the left operand, value of the right operand, spectral
-    parameter), an operand's value being tuple(element.terms.items()); the
-    generator elements are built once.  Map entries are valid for their
+    Each bracket and each map evaluation is stored under the identities
+    of its operands and spectral parameter, (id(x), id(y), id(s)), and
+    the entry holds x, y and s, so no id is reused while the memo lives.
+    Every value the memo makes or hands out, generator elements included,
+    is interned by its content, tuple(element.terms.items()): equal values
+    are one object, so an identity hit is exactly a content hit, and each
+    distinct (operand, operand, spectral) triple is evaluated once.  An
+    operand built elsewhere only misses.  Map entries are valid for their
     own map only: residual refuses a memo of another map.  Elements are
     never written after construction, so a stored value may be shared by
     many residuals.
     """
 
-    __slots__ = ("phi", "_elements", "_values")
+    __slots__ = ("phi", "_elements", "_values", "_brackets", "_maps")
 
     def __init__(self, phi: BilinearMap):
         self.phi = phi
         self._elements: dict[GeneratorId, Element] = {}
         self._values: dict[tuple, Element] = {}
+        self._brackets: dict[tuple, tuple] = {}
+        self._maps: dict[tuple, tuple] = {}
+
+    def _intern(self, value: Element) -> Element:
+        return self._values.setdefault(tuple(value.terms.items()), value)
 
     def element(self, gid: GeneratorId) -> Element:
         e = self._elements.get(gid)
         if e is None:
-            e = self._elements[gid] = self.phi.algebra.gen_element(gid)
+            e = self._elements[gid] = self._intern(self.phi.algebra.gen_element(gid))
         return e
 
     def bracket(self, x: Element, y: Element, spectral: Union[Var, Poly]) -> Element:
-        key = ("bracket", tuple(x.terms.items()), tuple(y.terms.items()), spectral)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = bracket(x, y, spectral)
-        return value
+        key = (id(x), id(y), id(spectral))
+        entry = self._brackets.get(key)
+        if entry is None:
+            entry = self._brackets[key] = (x, y, spectral,
+                                           self._intern(bracket(x, y, spectral)))
+        return entry[3]
 
     def map_eval(self, x: Element, y: Element, spectral: Union[Var, Poly]) -> Element:
-        key = ("map", tuple(x.terms.items()), tuple(y.terms.items()), spectral)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = map_eval(self.phi, x, y, spectral)
-        return value
+        key = (id(x), id(y), id(spectral))
+        entry = self._maps.get(key)
+        if entry is None:
+            entry = self._maps[key] = (x, y, spectral,
+                                       self._intern(map_eval(self.phi, x, y, spectral)))
+        return entry[3]
+
+
+def _signed_sum(first: Element, second: Element, third: Element, sign: int) -> Element:
+    """first - second + sign * third, summed in one dict (Element's + and
+    - would build first - second as well)."""
+    out = dict(first.terms)
+    for terms, negate in ((second.terms, True), (third.terms, sign < 0)):
+        for gid, coeff in terms.items():
+            s = out.get(gid)
+            if s is None:
+                out[gid] = -coeff if negate else coeff
+                continue
+            s = s - coeff if negate else s + coeff
+            if s:
+                out[gid] = s
+            else:
+                del out[gid]
+    return Element._raw(first.algebra, out)
+
+
+def _identity(tag: str, e: Sequence[Element], br, ph) -> Element:
+    """The residual value of one identity (module docstring) at the
+    generator elements e, for residual and verify_map alike; br and ph
+    evaluate brackets and map values, through a memo or not."""
+    lam, mu = Var.L, Var.M
+    if tag == "def1a":
+        x, y = e
+        return ph(x, y, lam) + second_slot_subst(ph(y, x, lam), lam)
+    if tag == "def1b":
+        x, y, z = e
+        return _signed_sum(ph(x, br(y, z, mu), lam), br(ph(x, y, lam), z, _L_PLUS_M),
+                           br(y, ph(x, z, lam), mu), -1)
+    if tag == "lem1":
+        x, y, z = e
+        return _signed_sum(ph(br(x, y, mu), z, _L_PLUS_M), br(x, ph(y, z, lam), mu),
+                           br(y, ph(x, z, mu), lam), 1)
+    x, y, u, v = e  # lem2
+    return br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G) \
+        - br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G)
 
 
 def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId],
@@ -288,28 +341,7 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId],
         raise MapError("the sweep memo belongs to another map")
     else:
         gen_element, br, ph = memo.element, memo.bracket, memo.map_eval
-    e = [gen_element(g) for g in args]
-    lam, mu = Var.L, Var.M
-
-    if tag == "def1a":
-        x, y = e
-        value = ph(x, y, lam) + second_slot_subst(ph(y, x, lam), lam)
-    elif tag == "def1b":
-        x, y, z = e
-        value = ph(x, br(y, z, mu), lam) \
-            - br(ph(x, y, lam), z, _L_PLUS_M) \
-            - br(y, ph(x, z, lam), mu)
-    elif tag == "lem1":
-        x, y, z = e
-        value = ph(br(x, y, mu), z, _L_PLUS_M) \
-            - br(x, ph(y, z, lam), mu) \
-            + br(y, ph(x, z, mu), lam)
-    else:  # lem2
-        x, y, u, v = e
-        value = br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G) \
-            - br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G)
-
-    return Residual(tag, args, value)
+    return Residual(tag, args, _identity(tag, [gen_element(g) for g in args], br, ph))
 
 
 @dataclass
@@ -382,10 +414,12 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
 
     The residuals share one SweepMemo of den * phi, so each distinct
     bracket and map evaluation of the sweep is made once; the memo is
-    dropped on return.  On the verify benchmark this cuts the map
-    evaluations of a pass from 18,400 to 876 and the brackets from 26,176
-    to 1,521, for about 0.8 MB more peak RSS.  Assembly keeps no memo
-    (see the module docstring).
+    dropped on return.  On the verify benchmark this cuts the brackets and
+    map evaluations of a pass from 26,176 and 18,400 to 1,521 and 876:
+    777 and 336 on the CLW(4) clw_shift sweep of all tags, 600 and 372 on
+    check_axioms of CLW(6), 144 and 168 on the def1b control, for about
+    0.15 MB more peak RSS than the same sweeps without a memo.  Assembly
+    keeps no memo (see the module docstring).
     """
     tags = normalize_tags(tags)
     gens = phi.algebra.generators()
@@ -395,17 +429,18 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
                        f"{','.join(tags)}) exceeds the cap of {MAX_SWEEP_RESIDUALS}")
     scaled, den = _integral_multiple(phi)
     memo = SweepMemo(scaled)
+    elements = [memo.element(g) for g in gens]
+    br, ph = memo.bracket, memo.map_eval
     failures: list[Residual] = []
-    checked = 0
     for tag in tags:
-        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
-            r = residual(scaled, tag, args, memo)
-            checked += 1
-            if not r.is_zero:
-                if den != 1:
-                    r = Residual(r.tag, r.args, r.value * Fraction(1, den))
-                failures.append(r)
-    return VerifyReport(phi.algebra.name, tags, checked, failures)
+        for e in itertools.product(elements, repeat=TAG_ARITY[tag]):
+            value = _identity(tag, e, br, ph)
+            if value.terms:
+                # the one term of a generator element is its generator
+                args = tuple(g for x in e for g in x.terms)
+                failures.append(Residual(tag, args, value if den == 1
+                                         else value * Fraction(1, den)))
+    return VerifyReport(phi.algebra.name, tags, count, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -517,10 +517,13 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
 
 @dataclass
 class SolutionSpace:
-    """Exact nullspace of a constraint system, as made by nullspace: the
-    basis vectors, as Rows of coprime ints, and basis[i], the concrete
-    map of vectors[i].  The ansatz is the system's, and the dimension is
-    the number of vectors."""
+    """Nullspace of a constraint system, as made by nullspace: the basis
+    vectors, as Rows of coprime ints, and basis[i], the concrete map of
+    vectors[i].  The ansatz is the system's, and the dimension is the
+    number of vectors.  Of an exact system (p = 0) the basis is exact; of
+    a modular one (assemble's default) it is exact only once the re-check
+    of solve_bider has passed, which nullspace(assemble(...)) alone does
+    not run."""
 
     system: ConstraintSystem
     vectors: list[Row]

@@ -1,5 +1,6 @@
 """Unit tests for bilinear maps, identity residuals and families."""
 
+import gc
 import itertools
 import json
 from decimal import Decimal
@@ -563,6 +564,11 @@ SWEEP_CASES = {
     "tampered-inner": (lambda: make_family(algebra_from_dict(TAMPERED), "inner", t=1), False),
     "clw2-g-symbolic": (lambda: g_component_map(make_catalog("clw", 2), shift=1), False),
     "clw1-random-rational": (lambda: oracle_maps(make_catalog("clw", 1))[1], False),
+    # the benchmark's two sweeps, on CLW(3): a rational clw_shift at
+    # symbolic b, and the g-component control that fails def1b there
+    "clw3-shift-a9/5-symbolic": (lambda: make_family(make_catalog("clw", 3), "clw_shift",
+                                                     shift=2, a=Fraction(9, 5)), True),
+    "clw3-g-symbolic": (lambda: g_component_map(make_catalog("clw", 3), shift=1), False),
 }
 
 
@@ -618,6 +624,109 @@ def test_consecutive_sweeps_do_not_share_entries(monkeypatch):
     assert not assert_sweep_matches_memo_free(psi).passed
     assert len(memos) == 2 and memos[0] is not memos[1]
     assert [memo.phi for memo in memos] == [phi, psi]
+
+
+def count_memo_misses(monkeypatch, sweep):
+    """(brackets, map evaluations) made by bimaps during sweep(): with a
+    memo, the memo's misses."""
+    counts = {"bracket": 0, "map_eval": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(bimaps, name, counting(name, getattr(bimaps, name)))
+    sweep()
+    return counts["bracket"], counts["map_eval"]
+
+
+@pytest.mark.parametrize("shift, a, misses", [
+    (0, Fraction(9, 5), (777, 336)), (2, Fraction(9, 5), (777, 336)),
+    (3, Fraction(-7, 2), (777, 336)), (1, 5, (777, 336)),
+    # at a = 1 some map values equal bracket values, and the outer
+    # brackets on them are shared across the two kinds
+    (2, 1, (609, 336)),
+], ids=["s0-a9/5", "s2-a9/5", "s3-a-7/2", "s1-a5", "s2-a1"])
+def test_identity_keys_evaluate_each_distinct_product_once(monkeypatch, shift, a, misses):
+    # The misses of a memo keyed by operand content, on the benchmark's
+    # family sweep of CLW(4) over all tags.
+    phi = make_family(make_catalog("clw", 4), "clw_shift", shift=shift, a=a)
+    assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == misses
+
+
+def test_identity_keys_evaluate_each_distinct_axiom_product_once(monkeypatch):
+    clw6 = make_catalog("clw", 6)
+    assert count_memo_misses(monkeypatch, lambda: check_axioms(clw6)) == (600, 372)
+    control = g_component_map(make_catalog("clw", 4), shift=1)
+    assert count_memo_misses(monkeypatch, lambda: verify_map(control, ["def1b"])) == \
+        (144, 168)
+
+
+class ContentKeyedMemo(SweepMemo):
+    """The sweep memo keyed by operand values, tuple(element.terms.items()),
+    and the spectral parameter: the sharing identity keys must match."""
+
+    def __init__(self, phi):
+        super().__init__(phi)
+        self.entries = {}
+
+    def lookup(self, kind, evaluate, x, y, spectral):
+        key = (kind, tuple(x.terms.items()), tuple(y.terms.items()), spectral)
+        if key not in self.entries:
+            self.entries[key] = evaluate(x, y, spectral)
+        return self.entries[key]
+
+    def bracket(self, x, y, spectral):
+        return self.lookup("bracket", lambda *a: bimaps.bracket(*a), x, y, spectral)
+
+    def map_eval(self, x, y, spectral):
+        return self.lookup("map", lambda *a: bimaps.map_eval(self.phi, *a), x, y, spectral)
+
+
+def unit_value_map():
+    """phi(L, L) = L on Virasoro: a map value equal to a generator element."""
+    vir = make_catalog("vir")
+    gid = vir.gen("L", 0)
+    return BilinearMap(vir, {(gid, gid): vir.element({gid: 1})})
+
+
+@pytest.mark.parametrize("build", [
+    unit_value_map,
+    lambda: oracle_maps(make_catalog("clw", 2))[1],
+    lambda: make_family(make_catalog("clw", 2), "clw_shift", shift=1, a=1),
+    lambda: make_family(make_catalog("cw", 3), "cw_shift", shift=2, a=Fraction(-4, 3)),
+], ids=["vir-unit-value", "clw2-random", "clw2-shift-a1", "cw3-shift"])
+def test_identity_keys_share_what_content_keys_share(monkeypatch, build):
+    phi = build()
+    misses = count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS))
+    monkeypatch.setattr(bimaps, "SweepMemo", ContentKeyedMemo)
+    assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == misses
+
+
+def test_memo_answers_fresh_operands_like_the_memo_free_kernels():
+    # Operands and spectral parameters are built afresh for every call and
+    # dropped at once, with a collection after each round, so an id could
+    # be recycled for an operand of another value; entries hold their
+    # operands, so none is.  Equal results are one interned object.
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)) + g_component_map(clw)
+    memo = SweepMemo(phi)
+    l0, g1 = clw.gen("L", 0), clw.gen("G", 1)
+    contents = [{l0: D + 1}, {g1: D * D - 3 * B}, {l0: 2 * D, g1: M}]
+    spectrals = (lambda: Var.L, lambda: L + M, lambda: M + G, lambda: M * 1)
+    kernels = ((memo.bracket, bracket), (memo.map_eval, lambda x, y, s: map_eval(phi, x, y, s)))
+    first = {}
+    for _ in range(2):
+        for i, j, k in itertools.product(range(3), range(3), range(4)):
+            for kind, (cached, fresh) in enumerate(kernels):
+                got = cached(clw.element(contents[i]), clw.element(contents[j]), spectrals[k]())
+                assert got == fresh(clw.element(contents[i]), clw.element(contents[j]),
+                                    spectrals[k]())
+                assert first.setdefault((kind, i, j, k), got) is got
+            gc.collect()
 
 
 def test_integral_multiple_has_int_coefficients():
