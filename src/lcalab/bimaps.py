@@ -41,7 +41,7 @@ memo's generator elements, and builds a Residual only where the value is
 not zero.  The solver's post-solve re-check is one such sweep, of the
 tagged map sum_j b^j phi_j of the class-0 basis maps (the lifted ones
 are checked without residuals), so each of its brackets is made once for
-all of them.  Assembly (solver) passes no memo: it evaluates the tagged
+all of them.  Assembly (solver) keeps no memo: it evaluates the tagged
 ansatz map at one tuple per row template, and that map has one distinct
 value per generator pair, so its products never repeat and a memo would
 only hold memory (a sweep-wide memo there raised the classify benchmark's
@@ -241,8 +241,8 @@ class SweepMemo:
     is interned by its content, tuple(element.terms.items()): equal values
     are one object, so an identity hit is exactly a content hit, and each
     distinct (operand, operand, spectral) triple is evaluated once.  An
-    operand built elsewhere only misses.  Map entries are valid for their
-    own map only: residual refuses a memo of another map.  Elements are
+    operand built elsewhere only misses.  Map entries are valid for phi
+    only, and verify_map keeps one memo per sweep.  Elements are
     never written after construction, so a stored value may be shared by
     many residuals.
     """
@@ -321,27 +321,17 @@ def _identity(tag: str, e: Sequence[Element], br, ph) -> Element:
         - br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G)
 
 
-def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId],
-             memo: SweepMemo | None = None) -> Residual:
-    """Compute the residual of one identity at one generator tuple.
-
-    With a memo (see SweepMemo), every bracket and map evaluation goes
-    through it; the memo must belong to phi.  Without one, each is
-    evaluated afresh.
-    """
+def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residual:
+    """Compute the residual of one identity at one generator tuple, each
+    bracket and map evaluation afresh (verify_map sweeps through a memo)."""
     if tag not in TAGS:
         raise MapError(f"unknown identity tag {tag!r}")
     if len(args) != TAG_ARITY[tag]:
         raise MapError(f"{tag} takes {TAG_ARITY[tag]} generators, got {len(args)}")
     alg = phi.algebra
     args = tuple(alg.gen(*g) for g in args)
-    if memo is None:
-        gen_element, br, ph = alg.gen_element, bracket, partial(map_eval, phi)
-    elif memo.phi is not phi:
-        raise MapError("the sweep memo belongs to another map")
-    else:
-        gen_element, br, ph = memo.element, memo.bracket, memo.map_eval
-    return Residual(tag, args, _identity(tag, [gen_element(g) for g in args], br, ph))
+    return Residual(tag, args, _identity(tag, [alg.gen_element(g) for g in args], bracket,
+                                         partial(map_eval, phi)))
 
 
 @dataclass

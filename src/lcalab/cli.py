@@ -9,14 +9,14 @@ internal error (a failed post-solve check of the solved basis or any
 other unexpected exception), with a one-line "lcalab: internal error:" diagnostic.
 
 Rational flags (--b, --t, --a, --g) take an integer or p/q with an
-optional leading "-" (poly.parse_rational); negative values must be
-passed in the --flag=value form, e.g. --b=-3/2.
+optional leading "-" (poly.parse_rational), as --b -3/2 or --b=-3/2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +35,8 @@ from .solver import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERNAL_ERROR = 3
+
+RATIONAL_FLAGS = ("--b", "--t", "--a", "--g")
 
 
 class UsageError(Exception):
@@ -55,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, metavar="INT",
                        help="grading modulus for catalog algebras (default 1)")
         p.add_argument("--b", metavar="RAT|symbolic",
-                       help="structure parameter for --catalog clw "
-                            "(default symbolic; use --b=-1 for negatives)")
+                       help="structure parameter for --catalog clw (default symbolic)")
         if degree:
             p.add_argument("--degree", type=int, required=True, metavar="INT",
                            help="ansatz degree bound in d, l")
@@ -97,6 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", choices=list(ASSEMBLE_TAGS) + ["all"], default="def1b")
 
     return parser
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each rational flag followed by a value such as -3/2 joined
+    as --flag=-3/2: argparse reads -7 as a value but -3/2 as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_rational(text: str, flag: str) -> Scalar:
@@ -214,7 +227,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

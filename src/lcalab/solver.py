@@ -29,24 +29,30 @@ pivot rows of the reduced row echelon form, never the rows; the rows are
 rebuilt on demand, with their provenance, for tests and reports.  Every
 row entry is an exact rational, an int or a Fraction (never a float).
 
-The elimination runs over GF(p), p = PRIME = 2^61 - 1: assembly reduces
+solve_bider eliminates a subset S of the rows, over GF(p), p = PRIME =
+2^61 - 1.  S is the rows of every def1a tuple and of the def1b and lem1
+tuples whose z, or y, has index 0 (SUBSET_ARGS), about 1/m of those; a
+skipped tuple is still keyed and counted, so the row count and the rows
+rebuilt for reports are those of the complete system.  Assembly reduces
 each template coefficient mod p once, and _rref keeps residues.  nullspace
 rebuilds each entry of each basis vector v_f (free column f) from its
-residue by rational reconstruction, and the post-solve re-check (below)
-makes the result exact.  v_f has 1 at f, 0 on the other free columns mod
-p, and its support is f and pivot columns below f.  If the re-check
-passes, v_f is a rational solution, so column f depends on earlier columns
-over Q: the free columns mod p are free over Q.  The rank mod p is at most
-the rank over Q, so there are at least as many free columns mod p as over
-Q, and the two sets are equal; v_f is then the exact basis vector of its
-free column, because that vector is unique.  So the emitted basis is the
-one an exact elimination gives, bit for bit, and its dimension is exact.
-If the re-check fails, or p divides a denominator, or an entry cannot be
-reconstructed, solve_bider solves once more with p = 0, in exact
-arithmetic, in which every division has a Fraction operand or is an exact
-floor division.  The reduced row echelon form is unique, so the emitted
-basis is deterministic bit for bit.  The elimination and the
-reconstruction, exact and mod p, are the kernels of lcalab.linalg.
+residue by rational reconstruction, and the post-solve re-check (below),
+which sweeps every tuple, makes the result exact.  v_f has 1 at f, 0 on
+the other free columns of S mod p, and its support is f and pivot columns
+below f.  If the re-check passes, v_f is a rational solution of the
+complete system, so column f depends on earlier columns over Q: the free
+columns of S mod p are free over Q.  The kernel of S contains the complete
+kernel, so rank_p(S) <= rank_Q(S) <= rank_Q(complete): there are at least
+as many free columns of S mod p as over Q, and the two sets are equal; v_f
+is then the exact basis vector of its free column, because that vector is
+unique.  So the emitted basis is the one an exact elimination of every row
+gives, bit for bit, and its dimension is exact.  If the re-check fails, or
+p divides a denominator, or an entry cannot be reconstructed, solve_bider
+solves the complete system once more with p = 0, in exact arithmetic, in
+which every division has a Fraction operand or is an exact floor
+division.  The reduced row echelon form is unique, so the emitted basis is
+deterministic bit for bit.  The elimination and the reconstruction, exact
+and mod p, are the kernels of lcalab.linalg.
 
 Every algebra is a loop algebra over Z_m, so the index shift
 sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
@@ -135,6 +141,11 @@ PHI_SLOTS = {
     "def1b": ((0, (1, 2)), (0, 1), (0, 2)),
     "lem1": (((0, 1), 2), (1, 2), (0, 2)),
 }
+
+# The row subset solve_bider eliminates (see the module docstring): for each
+# tag, the argument whose index must be 0, or None to keep every tuple; def1b
+# keeps the tuples with z of index 0 and lem1 those with y of index 0.
+SUBSET_ARGS = {"def1a": None, "def1b": 2, "lem1": 1}
 
 # Largest ansatz the solver builds, about five times the largest bench
 # ladder case (10,368 unknowns).
@@ -319,15 +330,18 @@ class ConstraintSystem:
     It holds the row count and the reduced row echelon form (pivot
     column -> row, see _rref) of the class-0 rows, not the rows; with a
     prime ``p``, the form of the rows mod p, whose entries are residues,
-    and with p = 0 the exact one.  A modular form is exact only once the
-    basis nullspace rebuilds from it passes the re-check: solve_bider
-    runs that check, and solves again with p = 0 if it fails or the prime
-    is unlucky (see UnluckyPrime).  The class-0 solutions, lifted by
-    sigma_s for s = 0..m-1, are the solutions of the whole system, and
-    ``n_rows`` counts every class, m times the class-0 rows.
-    ``listing``, the (Provenance, Row) pairs, and ``rows`` are rebuilt
-    exactly from the ansatz and the tags on each access: one more class-0
-    assembly, lifted onto every class (see _ordered_rows).
+    and with p = 0 the exact one.  The pivots may be those of the row
+    subset solve_bider eliminates (see assemble), while ``n_rows``,
+    ``rows`` and ``listing`` are always the complete system.  A modular
+    or subset form is exact only once the basis nullspace rebuilds from
+    it passes the re-check: solve_bider runs that check, and solves the
+    complete system again with p = 0 if it fails or the prime is unlucky
+    (see UnluckyPrime).  The class-0 solutions, lifted by sigma_s for
+    s = 0..m-1, are the solutions of the whole system, and ``n_rows``
+    counts every class, m times the class-0 rows.  ``listing``, the
+    (Provenance, Row) pairs, and ``rows`` are rebuilt exactly from the
+    ansatz and the tags on each access: one more class-0 assembly,
+    lifted onto every class (see _ordered_rows).
     """
 
     ansatz: Ansatz
@@ -351,14 +365,16 @@ class ConstraintSystem:
 
 
 def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
-                p: int = 0) -> Iterator[
-        tuple[str, tuple[GeneratorId, ...], dict[GeneratorId, dict[Monomial, Row]]]]:
-    """The rows of each (tag, tuple): (tag, args, target -> monomial ->
-    row), the class-0 rows with unsorted unknowns, or with ``lifted`` the
-    rows of every class with their unknowns ascending.  With a prime p,
-    each template coefficient is reduced mod p once, as the template is
-    built (see _residue), and a coefficient that vanishes mod p is left
-    out, so a row can be empty; the row count does not change.
+                p: int = 0, subset: bool = False) -> Iterator[
+        tuple[str, tuple[GeneratorId, ...], int, dict[GeneratorId, dict[Monomial, Row]]]]:
+    """The rows of each (tag, tuple): (tag, args, class-0 row count,
+    target -> monomial -> row), the class-0 rows with unsorted unknowns,
+    or with ``lifted`` the rows of every class with their unknowns
+    ascending.  With ``subset``, a tuple outside SUBSET_ARGS is keyed and
+    counted but yields no rows.  With a prime p, each template
+    coefficient is reduced mod p once, as the template is built (see
+    _residue), and a coefficient that vanishes mod p is left out, so a row
+    can be empty; the row count does not change.
 
     Residuals are linear in the map and never substitute b, and the
     algebra is b-free, so the residual of Ansatz.tagged_map is
@@ -409,9 +425,10 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
         return None if first is None else first + (a + b) % m
 
     tagged = ansatz.tagged_map()
-    templates: dict[tuple, list] = {}
+    templates: dict[tuple, tuple[int, list]] = {}
     for tag in tags:
         slots = PHI_SLOTS[tag]
+        restrict = SUBSET_ARGS[tag] if subset else None
         for args in itertools.product(range(n), repeat=TAG_ARITY[tag]):
             bases = []
             for left, right in slots:
@@ -422,13 +439,13 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
                    tuple(None if base is None else bases.index(base) for base in bases))
             gen_args = tuple(gens[a] for a in args)
             total = sum(args) % m
-            template = templates.get(key)
-            if template is None:
+            entry = templates.get(key)
+            if entry is None:
                 first_slot = {}
                 for i, base in enumerate(bases):
                     if base is not None:
                         first_slot.setdefault(base // stride, i)
-                template = templates[key] = []
+                template = []
                 for gt, poly in residual(tagged, tag, gen_args).value.terms.items():
                     rows: dict[Monomial, list] = {}
                     for mono, coeff in poly.terms.items():
@@ -440,6 +457,11 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
                         if coeff:
                             columns.append((i, k - bases[i], coeff))
                     template.append((ansatz._position[gt] - total, list(rows.items())))
+                entry = templates[key] = (sum(len(rows) for _, rows in template), template)
+            size, template = entry
+            if restrict is not None and args[restrict] % m:
+                yield tag, gen_args, size, {}
+                continue
             shifted = [bases]
             if lifted:
                 shifted += [[base if base is None else ansatz.shift(base, s) for base in bases]
@@ -453,7 +475,7 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
                     by_target[gens[first + (total + s) % m]] = {
                         mono: {moved[i] + offset: coeff for i, offset, coeff in columns}
                         for mono, columns in rows}
-            yield tag, gen_args, by_target
+            yield tag, gen_args, size, by_target
 
 
 def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
@@ -467,7 +489,7 @@ def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
     slot, not per entry).
     """
     sort_key = ansatz.algebra.gen_sort_key
-    for tag, args, by_target in _tuple_rows(ansatz, tags, lifted=True):
+    for tag, args, _, by_target in _tuple_rows(ansatz, tags, lifted=True):
         for gt in sorted(by_target, key=sort_key):
             rows = by_target[gt]
             for mono in sorted(rows):
@@ -475,10 +497,13 @@ def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
-             p: int | None = None) -> ConstraintSystem:
+             p: int | None = None, subset: bool = False) -> ConstraintSystem:
     """Expand the class-0 ansatz residuals into linear rows by coefficient
     matching, and eliminate them as they come, mod the prime p, PRIME by
-    default, or exactly with p = 0.
+    default, or exactly with p = 0.  With ``subset``, only the rows of
+    the tuples SUBSET_ARGS keeps are eliminated, the subset solve_bider
+    solves (see the module docstring); ``n_rows``, ``rows`` and
+    ``listing`` still count and rebuild every row.
 
     The residual of the tagged class-0 map is computed once per row
     template, not per generator tuple, and the rows of each tuple are
@@ -501,9 +526,9 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
 
     def stream() -> Iterator[Row]:
         nonlocal n_rows
-        for _, _, by_target in _tuple_rows(ansatz, tags, p=p):
+        for _, _, size, by_target in _tuple_rows(ansatz, tags, p=p, subset=subset):
+            n_rows += size
             for rows in by_target.values():
-                n_rows += len(rows)
                 yield from rows.values()
 
     pivots = _rref(stream(), p)
@@ -601,9 +626,10 @@ def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Class 0 is solved mod PRIME and lifted onto every class (see
-    nullspace), and every reported basis map is checked (defense in depth
-    against elimination and lift bugs) in class 0 only:
+    Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS and
+    lifted onto every class (see nullspace), and every reported basis map
+    is checked (defense in depth against elimination and lift bugs) in
+    class 0 only:
 
     - The re-check: the class-0 basis maps are checked against the solved
       identities with the independent residual engine, in one verify_map
@@ -612,8 +638,9 @@ def solve_bider(algebra: Algebra, degree: int,
       algebra and the phi_j are b-free, the phi_j have int coefficients and
       no residual substitutes b, so the b^j part of each tagged residual
       is the residual of phi_j, and the sweep memo makes each bracket once
-      for all of them.  Passing it also makes the modular solve exact (see
-      the module docstring).
+      for all of them.  It sweeps every tuple, so passing it also makes
+      the modular solve of the row subset exact (see the module
+      docstring).
     - The lift check, without residuals: sigma_s of each class-0 basis
       map is its table with every target index moved by s, and vector_of
       of that map must be the reported vector, position by position, in
@@ -622,23 +649,24 @@ def solve_bider(algebra: Algebra, degree: int,
       sigma_s of a solution is a solution, because sigma_s lies in the
       centroid.
 
-    The solve is retried once, with p = 0 in exact arithmetic, if the
-    prime is unlucky (UnluckyPrime: a denominator divisible by it, or an
-    entry that rational reconstruction cannot rebuild), or if the modular
-    re-check fails while the lift check passes.  A lift mismatch does not
-    depend on the prime, so it is never retried.  If either check fails on
-    the final solve, one sweep of the tagged sum of the whole basis finds
-    the lowest failing vector i, the lowest b-exponent among the failures,
-    and InternalCheckError names it with the first three failures of
-    verify_map on phi_i alone; if every vector passes, the lift gave valid
-    but wrong vectors, and the error names the lowest position at which
-    the basis differs from the lifts.
+    The solve is retried once, on every row with p = 0 in exact
+    arithmetic, if the prime is unlucky (UnluckyPrime: a denominator
+    divisible by it, or an entry that rational reconstruction cannot
+    rebuild), or if the re-check fails while the lift check passes.  A
+    lift mismatch depends on neither the prime nor the rows, so it is
+    never retried.  If either check fails on the final solve, one sweep
+    of the tagged sum of the whole basis finds the lowest failing vector
+    i, the lowest b-exponent among the failures, and InternalCheckError
+    names it with the first three failures of verify_map on phi_i alone;
+    if every vector passes, the lift gave valid but wrong vectors, and
+    the error names the lowest position at which the basis differs from
+    the lifts.
     """
     ansatz = Ansatz(algebra, degree)
     try:
-        space = nullspace(assemble(ansatz, tags))
+        space = nullspace(assemble(ansatz, tags, subset=True))
         passed, mismatch = _checks(space)
-        retry = not passed and mismatch is None and space.system.p
+        retry = not passed and mismatch is None
     except UnluckyPrime:
         retry = True
     if retry:

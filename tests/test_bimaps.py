@@ -593,20 +593,19 @@ def test_verify_map_rational_map_matches_residuals(scale):
     assert verify_map(make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)), TAGS).passed
 
 
-def test_memo_of_another_map_is_refused():
+def test_sweeps_of_two_maps_keep_their_own_values():
     clw = make_catalog("clw", 2)
     phi = make_family(clw, "inner", t=1)
     psi = g_component_map(clw)
-    memo = SweepMemo(phi)
     x, y, z = clw.gen("L", 0), clw.gen("L", 1), clw.gen("L", 0)
-    assert residual(phi, "def1b", (x, y, z), memo).is_zero
-    # psi's residual at the same tuple is not zero; phi's entries must not
-    # answer for it, and an equal copy of phi is another map too.
-    assert not residual(psi, "def1b", (x, y, z)).is_zero
-    for other in (psi, make_family(clw, "inner", t=1)):
-        with pytest.raises(MapError, match="memo belongs to another map"):
-            residual(other, "def1b", (x, y, z), memo)
-    assert residual(phi, "def1b", (x, y, z), memo).is_zero
+    # psi's def1b residual at this tuple is not zero and phi's is; the sweep
+    # of one map must not answer for the other, in either order.
+    value = residual(psi, "def1b", (x, y, z)).value
+    assert not value.is_zero and residual(phi, "def1b", (x, y, z)).is_zero
+    for _ in range(2):
+        assert verify_map(phi, ["def1b"]).passed
+        failures = {r.args: r.value for r in verify_map(psi, ["def1b"]).failures}
+        assert failures[(x, y, z)] == value
 
 
 def test_consecutive_sweeps_do_not_share_entries(monkeypatch):

@@ -182,6 +182,21 @@ def test_verify_family_negative_rational_equals_form(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["check-axioms", "--catalog", "clw", "--m", "2"], "--b", "-3/2"),
+    (["verify-family", "--catalog", "vir", "--family", "inner"], "--t", "-2/3"),
+    (["verify-family", "--catalog", "clw", "--m", "3", "--b=2/3", "--family", "cw",
+      "--shift", "2"], "--a", "-7/4"),
+    (["verify-family", "--catalog", "clw", "--m", "2", "--b=-1", "--family", "clw",
+      "--a", "0"], "--g", "-2/3"),
+], ids=["b", "t", "a", "g"])
+def test_negative_rational_as_separate_argument(capsys, argv, flag, value):
+    # argparse reads -7/4 as an option; the separate form must still mean --a=-7/4
+    joined = run(capsys, *argv, f"{flag}={value}", "--format", "json")
+    assert joined[0] == 0
+    assert run(capsys, *argv, flag, value, "--format", "json") == joined
+
+
 # -- residual -----------------------------------------------------------------------
 
 def test_residual_inner_map(capsys, inner_map_file):
@@ -511,8 +526,8 @@ def assert_internal_error(code, err, fragment):
 def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     # assembly that drops every row leaves basis vectors that fail the
     # solved identities; the re-check must blame the solver, not the user
-    def assemble_dropping_rows(ansatz, tags):
-        system = assemble(ansatz, tags)
+    def assemble_dropping_rows(ansatz, tags, **options):
+        system = assemble(ansatz, tags, **options)
         return ConstraintSystem(ansatz, system.tags, 0, _rref([]))
 
     assemble = lcalab.solver.assemble

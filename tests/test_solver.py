@@ -240,9 +240,9 @@ def count_residual_calls(monkeypatch):
     calls = []
     real = lcalab.solver.residual
 
-    def counting(phi, tag, args, memo=None):
+    def counting(phi, tag, args):
         calls.append(tag)
-        return real(phi, tag, args, memo)
+        return real(phi, tag, args)
 
     monkeypatch.setattr(lcalab.solver, "residual", counting)
     return calls
@@ -933,12 +933,18 @@ def report_sha256(space):
     return canonical_sha256(solver_report(space, match_templates(space)))
 
 
+# The fast path is one modular assembly of the row subset; the retry is one
+# complete exact assembly.
+FAST_PATH = [((), {"subset": True})]
+RETRY = FAST_PATH + [((), {"p": 0})]
+
+
 @pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
 def test_lift_cases_take_the_modular_path_without_a_retry(algebra, degree, tags, monkeypatch):
     # a bug in the modular kernel must not hide behind a silent exact retry
     calls = record_assemble(monkeypatch)
     space = solve_bider(algebra, degree, tags)
-    assert calls == [((), {})]
+    assert calls == FAST_PATH
     assert space.system.p == PRIME
 
 
@@ -947,14 +953,14 @@ def test_golden_solves_take_the_modular_path_without_a_retry(monkeypatch, tmp_pa
     for name, kind, m, b, tags in GOLDEN_SOLVES:
         calls.clear()
         space = solve_bider(make_catalog(kind, m, b), 2, tags)
-        assert calls == [((), {})], name
+        assert calls == FAST_PATH, name
         assert space.system.p == PRIME
         assert report_sha256(space) == GOLDEN[name]
     calls.clear()
     out = tmp_path / "report.json"
     assert cli.main(["match", "--algebra", str(INHOMOGENEOUS), "--degree", "2",
                      "--format", "json", "--out", str(out)]) == 0
-    assert calls == [((), {})]
+    assert calls == FAST_PATH
     assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
 
 
@@ -978,7 +984,7 @@ def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
         monkeypatch.setattr(lcalab.solver, "PRIME", p)
         calls.clear()
         space = solve_bider(algebra, 2)
-        assert calls == [((), {}), ((), {"p": 0})], p
+        assert calls == RETRY, p
         assert space.system.p == 0
         assert report_sha256(space) == expected, p
 
@@ -1016,3 +1022,44 @@ def test_modular_solve_reconstructs_the_exact_basis():
             [[(k, type(v)) for k, v in vector.items()] for vector in exact.vectors]
         assert modular.system.n_rows == exact.system.n_rows
         assert modular.system.pivots.keys() == exact.system.pivots.keys()
+
+
+# -- the row subset that solve_bider eliminates ----------------------------------------
+
+SUBSET_CASES = {
+    "cw4-d2": (lambda: make_catalog("cw", 4), 2),
+    "cw5-d3": (lambda: make_catalog("cw", 5), 3),
+    "clw2-b1/3-d2": (lambda: make_catalog("clw", 2, Fraction(1, 3)), 2),
+    "clw2-b-7/3-d2": (lambda: make_catalog("clw", 2, Fraction(-7, 3)), 2),
+    "clw6-b-1-d2": (lambda: make_catalog("clw", 6, -1), 2),
+    "inhom-clw-d2": (lambda: load_algebra(INHOMOGENEOUS), 2),
+    "sv-d2": (lambda: load_algebra(SCHRODINGER_VIRASORO), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBSET_CASES))
+def test_row_subset_has_the_full_rank_and_basis(case):
+    make, degree = SUBSET_CASES[case]
+    ansatz = Ansatz(make(), degree)
+    for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
+        full, subset = assemble(ansatz, tags), assemble(ansatz, tags, subset=True)
+        assert subset.n_rows == full.n_rows, tags
+        assert subset.pivots.keys() == full.pivots.keys(), tags
+        assert nullspace(subset).vectors == nullspace(full).vectors, tags
+
+
+def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
+    # lem1 restricted on z instead of y leaves the def1a + lem1 subset of
+    # CW(m=4) short, rank 71 against 95: the re-check fails, the lift check
+    # passes, and the one retry solves the complete system exactly
+    cw4, tags = make_catalog("cw", 4), ("def1a", "lem1")
+    expected = report_sha256(solve_bider(cw4, 2, tags))
+    ansatz = Ansatz(cw4, 2)
+    assert len(assemble(ansatz, tags, subset=True).pivots) == 95
+    monkeypatch.setitem(lcalab.solver.SUBSET_ARGS, "lem1", 2)
+    assert len(assemble(ansatz, tags, subset=True).pivots) == 71
+    calls = record_assemble(monkeypatch)
+    space = solve_bider(cw4, 2, tags)
+    assert calls == RETRY
+    assert space.system.p == 0
+    assert report_sha256(space) == expected
