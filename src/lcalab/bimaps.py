@@ -35,13 +35,18 @@ outer brackets repeat too, because its values repeat along the index
 sum.  So each verify_map call keeps one SweepMemo for all its residuals:
 the memo interns every value it hands out, so equal values are one
 object, and looks each bracket and map evaluation up by the identities of
-its operands and spectral parameter; it dies when the sweep returns.  The
-sweep runs the four formulas through the kernel residual uses, on the
-memo's generator elements, and builds a Residual only where the value is
-not zero.  The solver's post-solve re-check is one such sweep, of the
-tagged map sum_j b^j phi_j of the class-0 basis maps (the lifted ones
-are checked without residuals), so each of its brackets is made once for
-all of them.  Assembly (solver) keeps no memo: it evaluates the tagged
+its operands and spectral parameter; it dies when the sweep returns.
+Since those operands are interned, the last step of each identity, the
+sum or difference of its two or three outer values, is a function of
+their identities too, and they repeat as well: the memo's combination
+table sums each distinct one once (68 for the 5,184 tuples of the
+benchmark's CLW(4) family sweep of all tags).  The sweep runs the four
+formulas through the kernel residual uses, on the memo's generator
+elements, and builds a Residual only where the value is not zero.  The
+solver's post-solve re-check is one such sweep, of the tagged map
+sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
+without residuals), so each of its brackets is made once for all of
+them.  Assembly (solver) keeps no memo: it evaluates the tagged
 ansatz map at one tuple per row template, and that map has one distinct
 value per generator pair, so its products never repeat and a memo would
 only hold memory (a sweep-wide memo there raised the classify benchmark's
@@ -241,13 +246,16 @@ class SweepMemo:
     is interned by its content, tuple(element.terms.items()): equal values
     are one object, so an identity hit is exactly a content hit, and each
     distinct (operand, operand, spectral) triple is evaluated once.  An
-    operand built elsewhere only misses.  Map entries are valid for phi
-    only, and verify_map keeps one memo per sweep.  Elements are
-    never written after construction, so a stored value may be shared by
-    many residuals.
+    operand built elsewhere only misses.  The combination table holds the
+    last step of each identity (_combine) under (tag, id(a), id(b),
+    id(c)), c None for def1a and lem2, and its entry holds a, b and c; the
+    tag sets the step and its sign.  Its values are the residuals and are
+    not interned.  Map entries are valid for phi only, and verify_map
+    keeps one memo per sweep.  Elements are never written after
+    construction, so a stored value may be shared by many residuals.
     """
 
-    __slots__ = ("phi", "_elements", "_values", "_brackets", "_maps")
+    __slots__ = ("phi", "_elements", "_values", "_brackets", "_maps", "_combined")
 
     def __init__(self, phi: BilinearMap):
         self.phi = phi
@@ -255,6 +263,7 @@ class SweepMemo:
         self._values: dict[tuple, Element] = {}
         self._brackets: dict[tuple, tuple] = {}
         self._maps: dict[tuple, tuple] = {}
+        self._combined: dict[tuple, tuple] = {}
 
     def _intern(self, value: Element) -> Element:
         return self._values.setdefault(tuple(value.terms.items()), value)
@@ -281,6 +290,13 @@ class SweepMemo:
                                        self._intern(map_eval(self.phi, x, y, spectral)))
         return entry[3]
 
+    def combine(self, tag: str, a: Element, b: Element, c: Element | None = None) -> Element:
+        key = (tag, id(a), id(b), id(c))
+        entry = self._combined.get(key)
+        if entry is None:
+            entry = self._combined[key] = (a, b, c, _combine(tag, a, b, c))
+        return entry[3]
+
 
 def _signed_sum(first: Element, second: Element, third: Element, sign: int) -> Element:
     """first - second + sign * third, summed in one dict (Element's + and
@@ -300,25 +316,35 @@ def _signed_sum(first: Element, second: Element, third: Element, sign: int) -> E
     return Element._raw(first.algebra, out)
 
 
-def _identity(tag: str, e: Sequence[Element], br, ph) -> Element:
+def _combine(tag: str, a: Element, b: Element, c: Element | None = None) -> Element:
+    """The last step of identity tag on the values _identity computes."""
+    if tag == "def1a":
+        return a + second_slot_subst(b, Var.L)
+    if tag == "lem2":
+        return a - b
+    return _signed_sum(a, b, c, -1 if tag == "def1b" else 1)
+
+
+def _identity(tag: str, e: Sequence[Element], br, ph, co) -> Element:
     """The residual value of one identity (module docstring) at the
     generator elements e, for residual and verify_map alike; br and ph
-    evaluate brackets and map values, through a memo or not."""
+    evaluate brackets and map values, and co the last step (_combine),
+    through a memo or not."""
     lam, mu = Var.L, Var.M
     if tag == "def1a":
         x, y = e
-        return ph(x, y, lam) + second_slot_subst(ph(y, x, lam), lam)
+        return co(tag, ph(x, y, lam), ph(y, x, lam))
     if tag == "def1b":
         x, y, z = e
-        return _signed_sum(ph(x, br(y, z, mu), lam), br(ph(x, y, lam), z, _L_PLUS_M),
-                           br(y, ph(x, z, lam), mu), -1)
+        return co(tag, ph(x, br(y, z, mu), lam), br(ph(x, y, lam), z, _L_PLUS_M),
+                  br(y, ph(x, z, lam), mu))
     if tag == "lem1":
         x, y, z = e
-        return _signed_sum(ph(br(x, y, mu), z, _L_PLUS_M), br(x, ph(y, z, lam), mu),
-                           br(y, ph(x, z, mu), lam), 1)
+        return co(tag, ph(br(x, y, mu), z, _L_PLUS_M), br(x, ph(y, z, lam), mu),
+                  br(y, ph(x, z, mu), lam))
     x, y, u, v = e  # lem2
-    return br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G) \
-        - br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G)
+    return co(tag, br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G),
+              br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G))
 
 
 def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residual:
@@ -331,7 +357,7 @@ def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residua
     alg = phi.algebra
     args = tuple(alg.gen(*g) for g in args)
     return Residual(tag, args, _identity(tag, [alg.gen_element(g) for g in args], bracket,
-                                         partial(map_eval, phi)))
+                                         partial(map_eval, phi), _combine))
 
 
 @dataclass
@@ -408,8 +434,10 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     map evaluations of a pass from 26,176 and 18,400 to 1,521 and 876:
     777 and 336 on the CLW(4) clw_shift sweep of all tags, 600 and 372 on
     check_axioms of CLW(6), 144 and 168 on the def1b control, for about
-    0.15 MB more peak RSS than the same sweeps without a memo.  Assembly
-    keeps no memo (see the module docstring).
+    0.15 MB more peak RSS than the same sweeps without a memo.  The
+    combination table sums the last steps of the 5,184 + 1,872 + 512
+    tuples of those sweeps 68 + 44 + 5 times.  Assembly keeps no memo (see
+    the module docstring).
     """
     tags = normalize_tags(tags)
     gens = phi.algebra.generators()
@@ -420,11 +448,11 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     scaled, den = _integral_multiple(phi)
     memo = SweepMemo(scaled)
     elements = [memo.element(g) for g in gens]
-    br, ph = memo.bracket, memo.map_eval
+    br, ph, co = memo.bracket, memo.map_eval, memo.combine
     failures: list[Residual] = []
     for tag in tags:
         for e in itertools.product(elements, repeat=TAG_ARITY[tag]):
-            value = _identity(tag, e, br, ph)
+            value = _identity(tag, e, br, ph, co)
             if value.terms:
                 # the one term of a generator element is its generator
                 args = tuple(g for x in e for g in x.terms)

@@ -328,20 +328,20 @@ class ConstraintSystem:
     """Sparse exact-rational homogeneous system over the ansatz unknowns.
 
     It holds the row count and the reduced row echelon form (pivot
-    column -> row, see _rref) of the class-0 rows, not the rows; with a
-    prime ``p``, the form of the rows mod p, whose entries are residues,
-    and with p = 0 the exact one.  The pivots may be those of the row
-    subset solve_bider eliminates (see assemble), while ``n_rows``,
-    ``rows`` and ``listing`` are always the complete system.  A modular
-    or subset form is exact only once the basis nullspace rebuilds from
-    it passes the re-check: solve_bider runs that check, and solves the
-    complete system again with p = 0 if it fails or the prime is unlucky
-    (see UnluckyPrime).  The class-0 solutions, lifted by sigma_s for
-    s = 0..m-1, are the solutions of the whole system, and ``n_rows``
-    counts every class, m times the class-0 rows.  ``listing``, the
-    (Provenance, Row) pairs, and ``rows`` are rebuilt exactly from the
-    ansatz and the tags on each access: one more class-0 assembly,
-    lifted onto every class (see _ordered_rows).
+    column -> row, see _rref) of the class-0 rows, not the rows; with
+    p = 0, assemble's default, the exact form, and with a prime ``p``,
+    the form of the rows mod p, whose entries are residues.  The pivots may
+    be those of the row subset solve_bider eliminates (see assemble),
+    while ``n_rows``, ``rows`` and ``listing`` are always the complete
+    system.  A modular or subset form is exact only once the basis
+    nullspace rebuilds from it passes the re-check: solve_bider runs that
+    check, and solves the complete system again with p = 0 if it fails or
+    the prime is unlucky (see UnluckyPrime).  The class-0 solutions,
+    lifted by sigma_s for s = 0..m-1, are the solutions of the whole
+    system, and ``n_rows`` counts every class, m times the class-0 rows.
+    ``listing``, the (Provenance, Row) pairs, and ``rows`` are rebuilt
+    exactly from the ansatz and the tags on each access: one more class-0
+    assembly, lifted onto every class (see _ordered_rows).
     """
 
     ansatz: Ansatz
@@ -497,13 +497,15 @@ def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
-             p: int | None = None, subset: bool = False) -> ConstraintSystem:
+             p: int = 0, subset: bool = False) -> ConstraintSystem:
     """Expand the class-0 ansatz residuals into linear rows by coefficient
-    matching, and eliminate them as they come, mod the prime p, PRIME by
-    default, or exactly with p = 0.  With ``subset``, only the rows of
-    the tuples SUBSET_ARGS keeps are eliminated, the subset solve_bider
-    solves (see the module docstring); ``n_rows``, ``rows`` and
-    ``listing`` still count and rebuild every row.
+    matching, and eliminate them as they come, exactly by default, or mod
+    the prime p.  With ``subset``, only the rows of the tuples SUBSET_ARGS
+    keeps are eliminated.  solve_bider asks for p = PRIME and the subset,
+    and its re-check makes that solve exact (see the module docstring);
+    nullspace(assemble(...)) with the defaults is exact on its own.
+    ``n_rows``, ``rows`` and ``listing`` always count and rebuild every
+    row.
 
     The residual of the tagged class-0 map is computed once per row
     template, not per generator tuple, and the rows of each tuple are
@@ -521,7 +523,6 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     if bad:
         raise SolverError(f"tag(s) not assemblable as linear constraints: "
                           f"{', '.join(bad)} (lem2 is checked, not solved)")
-    p = PRIME if p is None else p
     n_rows = 0
 
     def stream() -> Iterator[Row]:
@@ -545,10 +546,9 @@ class SolutionSpace:
     """Nullspace of a constraint system, as made by nullspace: the basis
     vectors, as Rows of coprime ints, and basis[i], the concrete map of
     vectors[i].  The ansatz is the system's, and the dimension is the
-    number of vectors.  Of an exact system (p = 0) the basis is exact; of
-    a modular one (assemble's default) it is exact only once the re-check
-    of solve_bider has passed, which nullspace(assemble(...)) alone does
-    not run."""
+    number of vectors.  Of an exact system (p = 0, assemble's default) the
+    basis is exact; of a modular one, which solve_bider asks for, it is
+    exact only once the re-check of solve_bider has passed."""
 
     system: ConstraintSystem
     vectors: list[Row]
@@ -664,13 +664,13 @@ def solve_bider(algebra: Algebra, degree: int,
     """
     ansatz = Ansatz(algebra, degree)
     try:
-        space = nullspace(assemble(ansatz, tags, subset=True))
+        space = nullspace(assemble(ansatz, tags, p=PRIME, subset=True))
         passed, mismatch = _checks(space)
         retry = not passed and mismatch is None
     except UnluckyPrime:
         retry = True
     if retry:
-        space = nullspace(assemble(ansatz, tags, p=0))
+        space = nullspace(assemble(ansatz, tags))
         passed, mismatch = _checks(space)
     if passed and mismatch is None:
         return space

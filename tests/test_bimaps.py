@@ -572,6 +572,16 @@ SWEEP_CASES = {
 }
 
 
+def test_committed_g_component_map_is_the_failing_control():
+    # the map file of the CI hash-seed check of a failing sweep
+    clw3 = make_catalog("clw", 3)
+    phi = load_map(Path(__file__).resolve().parent / "clw3_g_component_map.json", clw3)
+    assert phi == g_component_map(clw3, shift=1)
+    report = verify_map(phi)
+    assert (report.checked, len(report.failures)) == (1_764, 135)
+    assert {r.tag for r in report.failures} == {"def1b", "lem1", "lem2"}
+
+
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_verify_map_matches_memo_free_residuals(case):
     build, passes = SWEEP_CASES[case]
@@ -626,9 +636,9 @@ def test_consecutive_sweeps_do_not_share_entries(monkeypatch):
 
 
 def count_memo_misses(monkeypatch, sweep):
-    """(brackets, map evaluations) made by bimaps during sweep(): with a
-    memo, the memo's misses."""
-    counts = {"bracket": 0, "map_eval": 0}
+    """(brackets, map evaluations, last steps) made by bimaps during
+    sweep(): with a memo, the misses of its three tables."""
+    counts = {"bracket": 0, "map_eval": 0, "_combine": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -639,29 +649,31 @@ def count_memo_misses(monkeypatch, sweep):
     for name in counts:
         monkeypatch.setattr(bimaps, name, counting(name, getattr(bimaps, name)))
     sweep()
-    return counts["bracket"], counts["map_eval"]
+    return counts["bracket"], counts["map_eval"], counts["_combine"]
 
 
 @pytest.mark.parametrize("shift, a, misses", [
-    (0, Fraction(9, 5), (777, 336)), (2, Fraction(9, 5), (777, 336)),
-    (3, Fraction(-7, 2), (777, 336)), (1, 5, (777, 336)),
+    (0, Fraction(9, 5), (777, 336, 68)), (2, Fraction(9, 5), (777, 336, 68)),
+    (3, Fraction(-7, 2), (777, 336, 68)), (1, 5, (777, 336, 68)),
     # at a = 1 some map values equal bracket values, and the outer
     # brackets on them are shared across the two kinds
-    (2, 1, (609, 336)),
+    (2, 1, (609, 336, 68)),
 ], ids=["s0-a9/5", "s2-a9/5", "s3-a-7/2", "s1-a5", "s2-a1"])
 def test_identity_keys_evaluate_each_distinct_product_once(monkeypatch, shift, a, misses):
     # The misses of a memo keyed by operand content, on the benchmark's
-    # family sweep of CLW(4) over all tags.
+    # family sweep of CLW(4) over all tags: 5,184 tuples, whose last steps
+    # take 13, 17, 17 and 21 distinct operand tuples under def1a, def1b,
+    # lem1 and lem2.
     phi = make_family(make_catalog("clw", 4), "clw_shift", shift=shift, a=a)
     assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == misses
 
 
 def test_identity_keys_evaluate_each_distinct_axiom_product_once(monkeypatch):
     clw6 = make_catalog("clw", 6)
-    assert count_memo_misses(monkeypatch, lambda: check_axioms(clw6)) == (600, 372)
+    assert count_memo_misses(monkeypatch, lambda: check_axioms(clw6)) == (600, 372, 44)
     control = g_component_map(make_catalog("clw", 4), shift=1)
     assert count_memo_misses(monkeypatch, lambda: verify_map(control, ["def1b"])) == \
-        (144, 168)
+        (144, 168, 5)
 
 
 class ContentKeyedMemo(SweepMemo):
@@ -683,6 +695,12 @@ class ContentKeyedMemo(SweepMemo):
 
     def map_eval(self, x, y, spectral):
         return self.lookup("map", lambda *a: bimaps.map_eval(self.phi, *a), x, y, spectral)
+
+    def combine(self, tag, a, b, c=None):
+        key = (tag,) + tuple(None if v is None else tuple(v.terms.items()) for v in (a, b, c))
+        if key not in self.entries:
+            self.entries[key] = bimaps._combine(tag, a, b, c)
+        return self.entries[key]
 
 
 def unit_value_map():
@@ -714,7 +732,7 @@ def test_memo_answers_fresh_operands_like_the_memo_free_kernels():
     phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)) + g_component_map(clw)
     memo = SweepMemo(phi)
     l0, g1 = clw.gen("L", 0), clw.gen("G", 1)
-    contents = [{l0: D + 1}, {g1: D * D - 3 * B}, {l0: 2 * D, g1: M}]
+    contents = [{l0: D + 1}, {g1: D * D - 3 * B}, {l0: 2 * D, g1: M}, {g1: D * L - 1}]
     spectrals = (lambda: Var.L, lambda: L + M, lambda: M + G, lambda: M * 1)
     kernels = ((memo.bracket, bracket), (memo.map_eval, lambda x, y, s: map_eval(phi, x, y, s)))
     first = {}
@@ -726,6 +744,23 @@ def test_memo_answers_fresh_operands_like_the_memo_free_kernels():
                                     spectrals[k]())
                 assert first.setdefault((kind, i, j, k), got) is got
             gc.collect()
+    # The last steps of the four identities, written out: the combination
+    # table must answer each tag with its own step and sign, on fresh
+    # operands and on held ones, which hit.
+    steps = {"def1a": lambda a, b, c: a + b.subst_coeffs({Var.L: -D - L}),
+             "def1b": lambda a, b, c: a - b - c,
+             "lem1": lambda a, b, c: a - b + c,
+             "lem2": lambda a, b, c: a - b}
+    held = [clw.element(c) for c in contents]
+    for _ in range(2):
+        for tag, ijk in itertools.product(TAGS, itertools.product(range(4), repeat=3)):
+            ops = ijk[:3 if tag in ("def1b", "lem1") else 2]
+            expected = steps[tag](*(clw.element(contents[n]) for n in ijk))
+            assert memo.combine(tag, *(clw.element(contents[n]) for n in ops)) == expected
+            got = memo.combine(tag, *(held[n] for n in ops))
+            assert got == expected
+            assert first.setdefault((tag, ops), got) is got
+        gc.collect()
 
 
 def test_integral_multiple_has_int_coefficients():

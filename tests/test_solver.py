@@ -933,10 +933,16 @@ def report_sha256(space):
     return canonical_sha256(solver_report(space, match_templates(space)))
 
 
-# The fast path is one modular assembly of the row subset; the retry is one
-# complete exact assembly.
-FAST_PATH = [((), {"subset": True})]
-RETRY = FAST_PATH + [((), {"p": 0})]
+def fast_path(p=PRIME):
+    """The assemble calls of a solve without a retry: one assembly of the
+    row subset mod p."""
+    return [((), {"p": p, "subset": True})]
+
+
+def retry(p=PRIME):
+    """The assemble calls of a solve that retries: the fast path, then one
+    complete exact assembly, assemble's default."""
+    return fast_path(p) + [((), {})]
 
 
 @pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
@@ -944,7 +950,7 @@ def test_lift_cases_take_the_modular_path_without_a_retry(algebra, degree, tags,
     # a bug in the modular kernel must not hide behind a silent exact retry
     calls = record_assemble(monkeypatch)
     space = solve_bider(algebra, degree, tags)
-    assert calls == FAST_PATH
+    assert calls == fast_path()
     assert space.system.p == PRIME
 
 
@@ -953,14 +959,14 @@ def test_golden_solves_take_the_modular_path_without_a_retry(monkeypatch, tmp_pa
     for name, kind, m, b, tags in GOLDEN_SOLVES:
         calls.clear()
         space = solve_bider(make_catalog(kind, m, b), 2, tags)
-        assert calls == FAST_PATH, name
+        assert calls == fast_path(), name
         assert space.system.p == PRIME
         assert report_sha256(space) == GOLDEN[name]
     calls.clear()
     out = tmp_path / "report.json"
     assert cli.main(["match", "--algebra", str(INHOMOGENEOUS), "--degree", "2",
                      "--format", "json", "--out", str(out)]) == 0
-    assert calls == FAST_PATH
+    assert calls == fast_path()
     assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
 
 
@@ -984,7 +990,7 @@ def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
         monkeypatch.setattr(lcalab.solver, "PRIME", p)
         calls.clear()
         space = solve_bider(algebra, 2)
-        assert calls == RETRY, p
+        assert calls == retry(p), p
         assert space.system.p == 0
         assert report_sha256(space) == expected, p
 
@@ -1015,7 +1021,7 @@ def test_modular_solve_reconstructs_the_exact_basis():
     for algebra in (make_catalog("clw", 2, Fraction(1, 3)), make_catalog("cw", 4),
                     inhomogeneous_clw(3)):
         ansatz = Ansatz(algebra, 2)
-        modular, exact = nullspace(assemble(ansatz)), nullspace(assemble(ansatz, p=0))
+        modular, exact = nullspace(assemble(ansatz, p=PRIME)), nullspace(assemble(ansatz))
         assert modular.system.p == PRIME and exact.system.p == 0
         assert modular.vectors == exact.vectors
         assert [[(k, type(v)) for k, v in vector.items()] for vector in modular.vectors] == \
@@ -1042,7 +1048,8 @@ def test_row_subset_has_the_full_rank_and_basis(case):
     make, degree = SUBSET_CASES[case]
     ansatz = Ansatz(make(), degree)
     for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
-        full, subset = assemble(ansatz, tags), assemble(ansatz, tags, subset=True)
+        full = assemble(ansatz, tags, p=PRIME)
+        subset = assemble(ansatz, tags, p=PRIME, subset=True)
         assert subset.n_rows == full.n_rows, tags
         assert subset.pivots.keys() == full.pivots.keys(), tags
         assert nullspace(subset).vectors == nullspace(full).vectors, tags
@@ -1055,11 +1062,11 @@ def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
     cw4, tags = make_catalog("cw", 4), ("def1a", "lem1")
     expected = report_sha256(solve_bider(cw4, 2, tags))
     ansatz = Ansatz(cw4, 2)
-    assert len(assemble(ansatz, tags, subset=True).pivots) == 95
+    assert len(assemble(ansatz, tags, p=PRIME, subset=True).pivots) == 95
     monkeypatch.setitem(lcalab.solver.SUBSET_ARGS, "lem1", 2)
-    assert len(assemble(ansatz, tags, subset=True).pivots) == 71
+    assert len(assemble(ansatz, tags, p=PRIME, subset=True).pivots) == 71
     calls = record_assemble(monkeypatch)
     space = solve_bider(cw4, 2, tags)
-    assert calls == RETRY
+    assert calls == retry()
     assert space.system.p == 0
     assert report_sha256(space) == expected
