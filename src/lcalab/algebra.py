@@ -60,8 +60,11 @@ from .poly import (
 # entries.  clw reaches it at m = 100, cw at m = 200.
 MAX_TABLE_ENTRIES = 40_000
 
-# Most residuals one sweep (check_axioms, bimaps.verify_map) evaluates:
-# about 2-3 min at symbolic b.
+# Most residuals one sweep (check_axioms, bimaps.verify_map) checks:
+# about 2-3 min at symbolic b when every tuple is evaluated, the sweep of
+# a map that is not index-equivariant.  An equivariant map evaluates one
+# tuple per family tuple, but may still fail at every tuple, so the cap
+# also bounds the failure list.
 MAX_SWEEP_RESIDUALS = 1_000_000
 
 

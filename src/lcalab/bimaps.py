@@ -42,7 +42,17 @@ their identities too, and they repeat as well: the memo's combination
 table sums each distinct one once (68 for the 5,184 tuples of the
 benchmark's CLW(4) family sweep of all tags).  The sweep runs the four
 formulas through the kernel residual uses, on the memo's generator
-elements, and builds a Residual only where the value is not zero.  The
+elements, and builds a Residual only where the value is not zero.
+
+Most swept maps also repeat along whole sigma-orbits: the index shift
+sigma_s commutes with every bracket here, so for an index-equivariant
+map, phi(x_i, y_j) = sigma_{i+j} phi(x_0, y_0), each residual is the
+shift of the residual at the index-0 generators of its families.
+verify_map tests the table for that in O(n^2) and then evaluates one
+tuple per family tuple, m^arity times fewer, and shifts each failure
+into place; the benchmark's CLW(4) family sweep then takes 36 tuples,
+63 brackets, 24 map evaluations and 20 last steps, against 5,184, 777,
+336 and 68.  A map that fails the test is swept over every tuple.  The
 solver's post-solve re-check is one such sweep, of the tagged map
 sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
 without residuals), so each of its brackets is made once for all of
@@ -253,6 +263,13 @@ class SweepMemo:
     not interned.  Map entries are valid for phi only, and verify_map
     keeps one memo per sweep.  Elements are never written after
     construction, so a stored value may be shared by many residuals.
+
+    verify_map sweeps an index-equivariant map over the tuples of the
+    index-0 generators only, and any other map over all tuples, through
+    the same memo: it makes 63 brackets, 24 map evaluations and 20 last
+    steps for the 36 representative tuples of the benchmark's CLW(4)
+    family sweep, and 777, 336 and 96 for all 5,184 tuples of that map
+    with one target index moved, which is not equivariant.
     """
 
     __slots__ = ("phi", "_elements", "_values", "_brackets", "_maps", "_combined")
@@ -415,6 +432,30 @@ def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
     return BilinearMap(phi.algebra, table), den
 
 
+def shift_targets(value: Element, s: int) -> Element:
+    """sigma_s of an element: every target index moved by s (mod m).  The
+    targets of one element stay distinct, so its terms are kept as they
+    are."""
+    algebra = value.algebra
+    return Element._raw(algebra, {algebra.gen(gt.family, gt.index + s): c
+                                  for gt, c in value.terms.items()})
+
+
+def _is_equivariant(phi: BilinearMap) -> bool:
+    """Whether phi(x_i, y_j) = sigma_{i+j} phi(x_0, y_0) on every generator
+    pair, an absent pair counting as zero: each pair's value is its
+    families' index-0 value with every target index moved by i + j, so a
+    family pair is wholly present or wholly absent."""
+    alg = phi.algebra
+    table = phi.table
+    zero = alg.zero_element()
+    for gi, gj in itertools.product(alg.generators(), repeat=2):
+        base = table.get((alg.gen(gi.family, 0), alg.gen(gj.family, 0)), zero)
+        if table.get((gi, gj), zero).terms != shift_targets(base, gi.index + gj.index).terms:
+            return False
+    return True
+
+
 def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     """Evaluate every residual of the given tags over all generator tuples.
 
@@ -428,49 +469,67 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     per tag for n generators, is checked against MAX_SWEEP_RESIDUALS
     before any is evaluated.
 
+    One residual per sigma-orbit.  The bracket of every algebra here
+    commutes with the index shift sigma_s in either slot (it lies in the
+    centroid), so if den * phi is index-equivariant, phi(x_i, y_j) =
+    sigma_{i+j} phi(x_0, y_0) on every pair (_is_equivariant, an O(n^2)
+    test of its table), then the residual at (x_i, y_j, z_k, ...) is
+    sigma_{i+j+k+...} of the residual at the index-0 generators of the
+    same families.  Such a map is swept over the family tuples of the
+    index-0 generators only, and each failure is the shift of its
+    representative's residual by the tuple's index sum, emitted in the
+    usual (tag, tuple) order.  Every other map is swept over all tuples.
+    The check is exact either way: no tuple is skipped, only computed by
+    the shift.
+
     The residuals share one SweepMemo of den * phi, so each distinct
     bracket and map evaluation of the sweep is made once; the memo is
-    dropped on return.  On the verify benchmark this cuts the brackets and
-    map evaluations of a pass from 26,176 and 18,400 to 1,521 and 876:
-    777 and 336 on the CLW(4) clw_shift sweep of all tags, 600 and 372 on
-    check_axioms of CLW(6), 144 and 168 on the def1b control, for about
-    0.15 MB more peak RSS than the same sweeps without a memo.  The
-    combination table sums the last steps of the 5,184 + 1,872 + 512
-    tuples of those sweeps 68 + 44 + 5 times.  Assembly keeps no memo (see
-    the module docstring).
+    dropped on return.  On the verify benchmark, whose three sweeps are
+    equivariant, the orbit sweep cuts the brackets and map evaluations of
+    a pass from 1,521 and 876 (the full sweep with the memo; 26,176 and
+    18,400 without it) to 95 and 48: 63 and 24 on the CLW(4) clw_shift
+    sweep of all tags, 20 and 12 on check_axioms of CLW(6), 12 and 12 on
+    the def1b control.  The combination table sums the last steps of the
+    36 + 24 + 8 representative tuples of those sweeps 20 + 9 + 2 times
+    (68 + 44 + 5 for the 5,184 + 1,872 + 512 tuples of the full sweep).
+    Assembly keeps no memo (see the module docstring).
     """
     tags = normalize_tags(tags)
-    gens = phi.algebra.generators()
+    alg = phi.algebra
+    gens = alg.generators()
     count = sum(len(gens) ** TAG_ARITY[tag] for tag in tags)
     if count > MAX_SWEEP_RESIDUALS:
         raise MapError(f"check of {count} residuals ({len(gens)} generators, "
                        f"{','.join(tags)}) exceeds the cap of {MAX_SWEEP_RESIDUALS}")
     scaled, den = _integral_multiple(phi)
     memo = SweepMemo(scaled)
-    elements = [memo.element(g) for g in gens]
+    orbits = _is_equivariant(scaled)
+    swept = [alg.gen(f, 0) for f in alg.families] if orbits else gens
+    elements = [memo.element(g) for g in swept]
     br, ph, co = memo.bracket, memo.map_eval, memo.combine
     failures: list[Residual] = []
     for tag in tags:
+        nonzero: dict[tuple[GeneratorId, ...], Element] = {}
         for e in itertools.product(elements, repeat=TAG_ARITY[tag]):
             value = _identity(tag, e, br, ph, co)
             if value.terms:
                 # the one term of a generator element is its generator
-                args = tuple(g for x in e for g in x.terms)
-                failures.append(Residual(tag, args, value if den == 1
-                                         else value * Fraction(1, den)))
-    return VerifyReport(phi.algebra.name, tags, count, failures)
+                nonzero[tuple(g for x in e for g in x.terms)] = \
+                    value if den == 1 else value * Fraction(1, den)
+        if not (orbits and nonzero):
+            failures += [Residual(tag, args, value) for args, value in nonzero.items()]
+            continue
+        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
+            value = nonzero.get(tuple((g.family, 0) for g in args))
+            if value is not None:
+                failures.append(Residual(tag, args,
+                                         shift_targets(value, sum(g.index for g in args))))
+    return VerifyReport(alg.name, tags, count, failures)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form families
 # ---------------------------------------------------------------------------
-
-def _shifted_table(algebra: Algebra, shift: int, a: Scalar) -> dict[GenPair, Element]:
-    """The bracket table scaled by a, with every target index moved by shift."""
-    return {pair: algebra.element({algebra.gen(gt.family, gt.index + shift): c * a
-                                   for gt, c in value.terms.items()})
-            for pair, value in algebra.table.items()}
-
 
 # The rules of make_catalog("clw", m, -1), the one table that carries the
 # g-component: [L_l L] = (d+2l)L, [L_l G] = [G_l L] = (d+2l)G, [G_l G] = 0.
@@ -485,10 +544,11 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
                 a: Scalar = 1, g: Scalar = 0) -> BilinearMap:
     """Build one of the closed-form map families.
 
-    All three are the one shifted bracket _shifted_table(algebra, shift,
-    t * a), sigma_s o (t a [x_l y]), on any algebra: sigma_s lies in the
-    centroid of every loop algebra, so the map is a biderivation wherever
-    the bracket is a Lie conformal bracket.
+    All three are the one shifted bracket, the bracket table scaled by
+    t * a with every target index moved by shift, sigma_s o (t a [x_l y]),
+    on any algebra: sigma_s lies in the centroid of every loop algebra, so
+    the map is a biderivation wherever the bracket is a Lie conformal
+    bracket.
 
     inner      phi(x, y) = t [x_l y]: shift 0.
     cw_shift   phi(x_i, y_j) = a [x_l y] with its target index moved by
@@ -517,7 +577,8 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
             raise FamilyError(f"{kind} takes no {name} (got {value})")
     if g and algebra.rules() != _G_COMPONENT_RULES:
         raise FamilyError("the g-component exists only on the CLW table at b = -1")
-    table = _shifted_table(algebra, shift, t * a)
+    table = {pair: shift_targets(value, shift) * (t * a)
+             for pair, value in algebra.table.items()}
     if g:
         coeff = _D_PLUS_2L * g
         for gi, gj in table:

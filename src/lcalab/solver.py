@@ -37,7 +37,7 @@ rebuilt for reports are those of the complete system.  Assembly reduces
 each template coefficient mod p once, and _rref keeps residues.  nullspace
 rebuilds each entry of each basis vector v_f (free column f) from its
 residue by rational reconstruction, and the post-solve re-check (below),
-which sweeps every tuple, makes the result exact.  v_f has 1 at f, 0 on
+which covers every tuple, makes the result exact.  v_f has 1 at f, 0 on
 the other free columns of S mod p, and its support is f and pivot columns
 below f.  If the re-check passes, v_f is a rational solution of the
 complete system, so column f depends on earlier columns over Q: the free
@@ -71,9 +71,15 @@ in tests/test_solver.py checks it.
 The work after the solve is done in class 0, once for the class-0 basis.
 The re-check is one verify_map sweep of the tagged map sum_j b^j phi_j of
 the class-0 basis maps, whose b^j parts are the residuals of phi_j, by
-the argument of assembly.  The lift is checked without residuals: sigma_s
-of a map is its table with every target index moved by s, and vector_of
-of that map must be the reported lifted vector, position by position.
+the argument of assembly.  It covers every tuple: when the tagged map is
+index-equivariant, as it is whenever its basis maps are combinations of
+the shift-0 templates, through one representative tuple per sigma-orbit,
+whose residual is shifted onto the others by the centroid argument;
+otherwise tuple by tuple.  Either way no residual goes unchecked, so the
+certification of the row subset stays exact.  The lift is checked
+without residuals: sigma_s of a map is its table with every target index
+moved by s, and vector_of of that map must be the reported lifted
+vector, position by position.
 The template match eliminates the shift-0 templates once, with the
 class components of the basis vectors, each moved down to class 0, as
 more columns; a class-s component takes its coefficients on the shift-s
@@ -94,7 +100,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Algebra, Element, GeneratorId
+from .algebra import Algebra, GeneratorId
 from .bimaps import (
     BilinearMap,
     FamilyError,
@@ -104,6 +110,7 @@ from .bimaps import (
     map_to_dict,
     normalize_tags,
     residual,
+    shift_targets,
     verify_map,
 )
 from .linalg import (
@@ -638,7 +645,9 @@ def solve_bider(algebra: Algebra, degree: int,
       algebra and the phi_j are b-free, the phi_j have int coefficients and
       no residual substitutes b, so the b^j part of each tagged residual
       is the residual of phi_j, and the sweep memo makes each bracket once
-      for all of them.  It sweeps every tuple, so passing it also makes
+      for all of them.  It covers every tuple, through one representative
+      per sigma-orbit when the tagged map is index-equivariant (see
+      verify_map) and tuple by tuple otherwise, so passing it also makes
       the modular solve of the row subset exact (see the module
       docstring).
     - The lift check, without residuals: sigma_s of each class-0 basis
@@ -689,13 +698,9 @@ def solve_bider(algebra: Algebra, degree: int,
 
 
 def _shifted_map(phi: BilinearMap, s: int) -> BilinearMap:
-    """sigma_s o phi: phi's table with every target index moved by s (one
-    value's targets stay distinct, so its terms are kept as they are)."""
-    algebra = phi.algebra
-    return BilinearMap(algebra, {
-        pair: Element._raw(algebra, {algebra.gen(gt.family, gt.index + s): c
-                                     for gt, c in value.terms.items()})
-        for pair, value in phi.table.items()})
+    """sigma_s o phi: phi's table with every target index moved by s."""
+    return BilinearMap(phi.algebra, {pair: shift_targets(value, s)
+                                     for pair, value in phi.table.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from lcalab import (
     verify_map,
 )
 from lcalab import bimaps
-from lcalab.bimaps import TAG_ARITY, SweepMemo, _integral_multiple
+from lcalab.bimaps import (TAG_ARITY, SweepMemo, _integral_multiple, _is_equivariant,
+                           shift_targets)
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
@@ -547,6 +548,23 @@ def g_component_map(clw, shift=0):
                              for x in ls for y in ls})
 
 
+def perturbed(phi, how):
+    """phi with the value on its last pair, whose indices are both m - 1,
+    changed so that phi is not index-equivariant (for m > 1): its target
+    index moved by one, its coefficients doubled, or the pair dropped.  An
+    orbit sweep reads only the pairs at index 0, so it would miss the
+    change."""
+    table = dict(phi.table)
+    pair = phi.pairs()[-1]
+    if how == "moved":
+        table[pair] = shift_targets(table[pair], 1)
+    elif how == "scaled":
+        table[pair] = table[pair] * 2
+    else:
+        del table[pair]
+    return BilinearMap(phi.algebra, table)
+
+
 TAMPERED = {"name": "BadVir", "modulus": 1, "families": ["L"], "b": "symbolic",
             "rules": [{"left": "L", "right": "L", "target": "L", "coeff": "d + l"}]}
 
@@ -569,6 +587,13 @@ SWEEP_CASES = {
     "clw3-shift-a9/5-symbolic": (lambda: make_family(make_catalog("clw", 3), "clw_shift",
                                                      shift=2, a=Fraction(9, 5)), True),
     "clw3-g-symbolic": (lambda: g_component_map(make_catalog("clw", 3), shift=1), False),
+    # maps that are not index-equivariant, which take the full sweep
+    "cw3-shift-target-moved": (lambda: perturbed(make_family(make_catalog("cw", 3), "cw_shift",
+                                                             shift=1, a=3), "moved"), False),
+    "clw2-shift-coeff-changed": (lambda: perturbed(make_family(
+        make_catalog("clw", 2), "clw_shift", shift=1, a=2), "scaled"), False),
+    "clw3-shift-member-dropped": (lambda: perturbed(make_family(
+        make_catalog("clw", 3), "clw_shift", shift=2, a=Fraction(9, 5)), "dropped"), False),
 }
 
 
@@ -578,6 +603,22 @@ def test_committed_g_component_map_is_the_failing_control():
     phi = load_map(Path(__file__).resolve().parent / "clw3_g_component_map.json", clw3)
     assert phi == g_component_map(clw3, shift=1)
     report = verify_map(phi)
+    assert (report.checked, len(report.failures)) == (1_764, 135)
+    assert {r.tag for r in report.failures} == {"def1b", "lem1", "lem2"}
+
+
+def test_committed_perturbed_g_component_map_takes_the_full_sweep():
+    # the map file of the CI hash-seed check of the full sweep: the same
+    # g-component with its (L:0, L:0) value moved from G:1 to G:2, so it is
+    # not index-equivariant
+    clw3 = make_catalog("clw", 3)
+    phi = load_map(Path(__file__).resolve().parent / "clw3_perturbed_g_map.json", clw3)
+    table = dict(g_component_map(clw3, shift=1).table)
+    l0 = clw3.gen("L", 0)
+    table[(l0, l0)] = clw3.element({clw3.gen("G", 2): D + 2 * L})
+    assert phi == BilinearMap(clw3, table)
+    assert not _is_equivariant(phi)
+    report = assert_sweep_matches_memo_free(phi)
     assert (report.checked, len(report.failures)) == (1_764, 135)
     assert {r.tag for r in report.failures} == {"def1b", "lem1", "lem2"}
 
@@ -653,27 +694,61 @@ def count_memo_misses(monkeypatch, sweep):
 
 
 @pytest.mark.parametrize("shift, a, misses", [
-    (0, Fraction(9, 5), (777, 336, 68)), (2, Fraction(9, 5), (777, 336, 68)),
-    (3, Fraction(-7, 2), (777, 336, 68)), (1, 5, (777, 336, 68)),
-    # at a = 1 some map values equal bracket values, and the outer
-    # brackets on them are shared across the two kinds
-    (2, 1, (609, 336, 68)),
+    (0, Fraction(9, 5), (63, 24, 20)), (2, Fraction(9, 5), (63, 24, 20)),
+    (3, Fraction(-7, 2), (63, 24, 20)), (1, 5, (63, 24, 20)),
+    # at a = 1 the map values at index 0 lie at index shift, the brackets
+    # at index 0, so the orbit sweep shares no outer bracket between them
+    (2, 1, (63, 24, 20)),
 ], ids=["s0-a9/5", "s2-a9/5", "s3-a-7/2", "s1-a5", "s2-a1"])
 def test_identity_keys_evaluate_each_distinct_product_once(monkeypatch, shift, a, misses):
     # The misses of a memo keyed by operand content, on the benchmark's
-    # family sweep of CLW(4) over all tags: 5,184 tuples, whose last steps
-    # take 13, 17, 17 and 21 distinct operand tuples under def1a, def1b,
-    # lem1 and lem2.
+    # family sweep of CLW(4) over all tags: the map is index-equivariant,
+    # so the 36 tuples of the index-0 generators stand for the 5,184, and
+    # their last steps take 4, 5, 5 and 6 distinct operand tuples under
+    # def1a, def1b, lem1 and lem2.
     phi = make_family(make_catalog("clw", 4), "clw_shift", shift=shift, a=a)
     assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == misses
 
 
 def test_identity_keys_evaluate_each_distinct_axiom_product_once(monkeypatch):
+    # check_axioms of CLW(6) and the def1b control, both index-equivariant:
+    # 4 + 8 and 8 representative tuples for 144 + 1,728 and 512
     clw6 = make_catalog("clw", 6)
-    assert count_memo_misses(monkeypatch, lambda: check_axioms(clw6)) == (600, 372, 44)
+    assert count_memo_misses(monkeypatch, lambda: check_axioms(clw6)) == (20, 12, 9)
     control = g_component_map(make_catalog("clw", 4), shift=1)
     assert count_memo_misses(monkeypatch, lambda: verify_map(control, ["def1b"])) == \
-        (144, 168, 5)
+        (12, 12, 2)
+
+
+def test_full_sweep_of_a_non_equivariant_map_evaluates_each_distinct_product_once(
+        monkeypatch):
+    # The benchmark's CLW(4) family with one target index moved takes the
+    # full sweep of all 5,184 tuples, through the memo alone
+    phi = perturbed(make_family(make_catalog("clw", 4), "clw_shift", shift=2,
+                                a=Fraction(9, 5)), "moved")
+    assert not _is_equivariant(phi)
+    assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == (777, 336, 96)
+
+
+def equivariant_families():
+    """Every make_family kind on cw and clw, m = 2, 3, 4: the shifted
+    bracket at each shift, and the g-component on clw at b = -1."""
+    for m in (2, 3, 4):
+        for alg in (make_catalog("cw", m), make_catalog("clw", m), make_catalog("clw", m, -1)):
+            yield make_family(alg, "inner", t=Fraction(-3, 2))
+            for s in range(m):
+                yield make_family(alg, "cw_shift", shift=s, a=2)
+                yield make_family(alg, "clw_shift", shift=s, a=Fraction(5, 3),
+                                  g=1 if alg.rules() == bimaps._G_COMPONENT_RULES else 0)
+
+
+def test_index_equivariance_predicate():
+    for phi in equivariant_families():
+        assert _is_equivariant(phi)
+        for how in ("moved", "scaled", "dropped"):
+            assert not _is_equivariant(perturbed(phi, how))
+    assert _is_equivariant(BilinearMap.zero(make_catalog("clw", 3)))
+    assert _is_equivariant(g_component_map(make_catalog("clw", 3), shift=1))
 
 
 class ContentKeyedMemo(SweepMemo):

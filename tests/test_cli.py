@@ -1,5 +1,6 @@
 """CLI contract tests: verbs, exit codes, report formats, round-trips."""
 
+import gc
 import json
 import time
 from fractions import Fraction
@@ -580,3 +581,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["passed"] is True
+
+
+def test_repeated_runs_leave_no_parser_garbage(capsys):
+    # main() reuses one parser: a parser built per call is a web of
+    # reference cycles, a few hundred objects left to the cyclic
+    # collector after every call
+    argv = ("check-axioms", "--catalog", "clw", "--m", "2", "--format", "json")
+    first = run(capsys, *argv)
+    gc.collect()
+    assert run(capsys, *argv) == first
+    assert gc.collect() < 100
+    assert lcalab.cli.build_parser() is lcalab.cli.build_parser()
