@@ -56,11 +56,14 @@ into place; the benchmark's CLW(4) family sweep then takes 36 tuples,
 solver's post-solve re-check is one such sweep, of the tagged map
 sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
 without residuals), so each of its brackets is made once for all of
-them.  Assembly (solver) keeps no memo: it evaluates the tagged
-ansatz map at one tuple per row template, and that map has one distinct
-value per generator pair, so its products never repeat and a memo would
-only hold memory (a sweep-wide memo there raised the classify benchmark's
-peak RSS from 24.2 to 30.4 MB, with no gain in time).
+them.  Assembly (solver) keeps no memo: it calls residual once per
+(tag, family tuple), at the index-0 generators of an m = 1 copy of the
+algebra, with one map per phi slot (PHI_SLOTS, the call order of
+_identity), each tagging the unknowns of its slot with its own powers of
+b; no product repeats, so a memo would only hold memory (a sweep-wide
+memo on the tagged ansatz map that assembly once swept raised the
+classify benchmark's peak RSS from 24.2 to 30.4 MB, with no gain in
+time).
 """
 
 from __future__ import annotations
@@ -342,11 +345,25 @@ def _combine(tag: str, a: Element, b: Element, c: Element | None = None) -> Elem
     return _signed_sum(a, b, c, -1 if tag == "def1b" else 1)
 
 
+# The phi slots of each identity: the generator pairs on which _identity
+# evaluates phi, in call order, one (left, right) per slot, where an operand
+# is an argument position or, for an inner bracket, a pair of them: def1a
+# phi(x,y), phi(y,x); def1b phi(x,[yz]), phi(x,y), phi(x,z); lem1
+# phi([xy],z), phi(y,z), phi(x,z); lem2 phi(x,y), phi(u,v).
+PHI_SLOTS = {
+    "def1a": ((0, 1), (1, 0)),
+    "def1b": ((0, (1, 2)), (0, 1), (0, 2)),
+    "lem1": (((0, 1), 2), (1, 2), (0, 2)),
+    "lem2": ((0, 1), (2, 3)),
+}
+
+
 def _identity(tag: str, e: Sequence[Element], br, ph, co) -> Element:
     """The residual value of one identity (module docstring) at the
     generator elements e, for residual and verify_map alike; br and ph
     evaluate brackets and map values, and co the last step (_combine),
-    through a memo or not."""
+    through a memo or not.  ph is called once per phi slot, in the order
+    of PHI_SLOTS."""
     lam, mu = Var.L, Var.M
     if tag == "def1a":
         x, y = e
@@ -364,17 +381,34 @@ def _identity(tag: str, e: Sequence[Element], br, ph, co) -> Element:
               br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G))
 
 
-def residual(phi: BilinearMap, tag: str, args: Sequence[GeneratorId]) -> Residual:
+def residual(phi: BilinearMap | Sequence[BilinearMap], tag: str,
+             args: Sequence[GeneratorId]) -> Residual:
     """Compute the residual of one identity at one generator tuple, each
-    bracket and map evaluation afresh (verify_map sweeps through a memo)."""
+    bracket and map evaluation afresh (verify_map sweeps through a memo).
+
+    phi is one map, or one map per phi slot of the identity, over one
+    algebra, in the order of PHI_SLOTS: slot i is then evaluated on the
+    i-th map.  Residuals are linear in each slot, so the residual is the
+    sum of the slots' contributions; the solver tells them apart that way.
+    """
     if tag not in TAGS:
         raise MapError(f"unknown identity tag {tag!r}")
     if len(args) != TAG_ARITY[tag]:
         raise MapError(f"{tag} takes {TAG_ARITY[tag]} generators, got {len(args)}")
-    alg = phi.algebra
+    if isinstance(phi, BilinearMap):
+        alg, ph = phi.algebra, partial(map_eval, phi)
+    else:
+        maps = list(phi)
+        if len(maps) != len(PHI_SLOTS[tag]):
+            raise MapError(f"{tag} evaluates phi at {len(PHI_SLOTS[tag])} slots, "
+                           f"got {len(maps)} maps")
+        alg, slots = maps[0].algebra, iter(maps)
+
+        def ph(x, y, spectral):
+            return map_eval(next(slots), x, y, spectral)
     args = tuple(alg.gen(*g) for g in args)
     return Residual(tag, args, _identity(tag, [alg.gen_element(g) for g in args], bracket,
-                                         partial(map_eval, phi), _combine))
+                                         ph, _combine))
 
 
 @dataclass

@@ -12,32 +12,35 @@ closed-form families.
 Identity residuals are linear in the map, so the residual of the ansatz
 at one generator tuple expands into one exact linear row per monomial of
 the result; the nullspace of the stacked rows is the solution space.
-The residual is taken of the tagged map, in which unknown k enters as
-the coefficient b^k: the algebra is b-free and residuals never
-substitute b, so the b^k part of the one residual is the column of
-unknown k.  Every bracket coefficient is free of the indices, so that
-residual is one computation per row template, keyed by the tag, the
-families of the tuple and the coincidence pattern of the generator pairs
-on which the identity evaluates phi (the slot table PHI_SLOTS): only the
-unknowns it names change from tuple to tuple.  Assembly evaluates one
-residual per template, stores each column as (slot, offset from the
-slot's base unknown) and instantiates the rows of every tuple by integer
-arithmetic; slots on the same pair name the same unknowns, so the
-template already holds their sum (see _tuple_rows).  The rows stream
+Every bracket coefficient is free of the indices and sigma_s lies in the
+centroid, so what each of the generator pairs on which an identity
+evaluates phi (its slots, PHI_SLOTS) contributes to the residual at a
+tuple depends on the tag and the families of the tuple alone, up to the
+unknowns it names.  Assembly evaluates one residual per (tag, family
+tuple), at the index-0 generators of an m = 1 copy of the algebra, with
+one map per slot in which each class-0 unknown enters as a tag b^k: the
+copy is b-free and residuals never substitute b, so the b^k part of the
+residual is the column of tag k.  It stores each column as (slot, offset
+from the slot's base unknown); the template of a tuple merges the columns
+of its slots on one pair, which name the same unknowns, and the rows of
+every tuple are instantiated from it by integer arithmetic (see
+_tuple_rows).  No list of the unknowns is kept: an unknown is decoded
+from its index on demand (see Ansatz).  The rows stream
 straight into an incremental elimination, so a solve holds only the
 pivot rows of the reduced row echelon form, never the rows; the rows are
 rebuilt on demand, with their provenance, for tests and reports.  Every
 row entry is an exact rational, an int or a Fraction (never a float).
 
 solve_bider eliminates a subset S of the rows, over GF(p), p = PRIME =
-2^61 - 1.  S is the rows of every def1a tuple and of the def1b and lem1
-tuples whose z, or y, has index 0 (SUBSET_ARGS), about 1/m of those; a
-skipped tuple is still keyed and counted, so the row count and the rows
-rebuilt for reports are those of the complete system.  Assembly reduces
-each template coefficient mod p once, and _rref keeps residues.  nullspace
-rebuilds each entry of each basis vector v_f (free column f) from its
-residue by rational reconstruction, and the post-solve re-check (below),
-which covers every tuple, makes the result exact.  v_f has 1 at f, 0 on
+2^61 - 1.  S is the rows of every def1a tuple, of the def1b tuples whose
+z has index 0 and, unless def1b is assembled too, of the lem1 tuples
+whose y has index 0 (SUBSET_ARGS), about 1/m of those; a skipped tuple is
+still keyed and counted, so the row count and the rows rebuilt for
+reports are those of the complete system.  Assembly reduces each
+template coefficient mod p once (see _tuple_rows), and _rref keeps
+residues.  nullspace rebuilds each entry of each basis vector v_f (free
+column f) from its residue by rational reconstruction, and the post-solve
+re-check (below), which covers every tuple, makes the result exact.  v_f has 1 at f, 0 on
 the other free columns of S mod p, and its support is f and pivot columns
 below f.  If the re-check passes, v_f is a rational solution of the
 complete system, so column f depends on earlier columns over Q: the free
@@ -84,8 +87,7 @@ The template match eliminates the shift-0 templates once, with the
 class components of the basis vectors, each moved down to class 0, as
 more columns; a class-s component takes its coefficients on the shift-s
 templates.  One builder, Ansatz._map, makes every map from the unknowns:
-the tagged ansatz map, the tagged basis map and, with the tag b^0, each
-concrete map.
+the tagged basis map and, with the tag b^0, each concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -98,14 +100,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import Algebra, GeneratorId
+from .algebra import Algebra, BracketRule, GeneratorId
 from .bimaps import (
+    PHI_SLOTS,
+    TAG_ARITY,
     BilinearMap,
     FamilyError,
-    GenPair,
-    TAG_ARITY,
     make_family,
     map_to_dict,
     normalize_tags,
@@ -138,20 +141,12 @@ class InternalCheckError(SolverError):
 # and is only ever checked, never assembled.
 ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 
-# The slot table: the generator pairs on which each assembled identity
-# evaluates phi in bimaps.residual, one (left, right) per slot, where an
-# operand is an argument position or, for an inner bracket, a pair of them:
-# def1a phi(x,y), phi(y,x); def1b phi(x,[yz]), phi(x,y), phi(x,z); lem1
-# phi([xy],z), phi(y,z), phi(x,z).
-PHI_SLOTS = {
-    "def1a": ((0, 1), (1, 0)),
-    "def1b": ((0, (1, 2)), (0, 1), (0, 2)),
-    "lem1": (((0, 1), 2), (1, 2), (0, 2)),
-}
-
 # The row subset solve_bider eliminates (see the module docstring): for each
 # tag, the argument whose index must be 0, or None to keep every tuple; def1b
-# keeps the tuples with z of index 0 and lem1 those with y of index 0.
+# keeps the tuples with z of index 0 and lem1 those with y of index 0.  Next
+# to def1b no lem1 tuple is kept: the def1b rows of the subset already have
+# the full rank (1,004 of the 2,168 subset rows of CLW(m=2, b=-1) at degree
+# 2 were lem1 rows, with rank 190 either way), and the re-check covers lem1.
 SUBSET_ARGS = {"def1a": None, "def1b": 2, "lem1": 1}
 
 # Largest ansatz the solver builds, about five times the largest bench
@@ -184,21 +179,22 @@ class Ansatz:
     Unknown count is (#pairs) * (#generators) * (D+1)(D+2)/2, at most
     MAX_UNKNOWNS.  Requires a bracket table free of b (numeric b): the
     constraint rows must be rational numbers, and assembly uses b as the
-    tag of the unknowns (see tagged_map).
+    tag of the unknowns (see _tuple_rows).
 
-    ``unknowns`` lists every unknown; ``class0`` holds the indices of the
-    index-class-0 ones (target index = left + right mod m), the only ones
-    assembled and solved.  ``shift`` and ``lift`` carry class 0 onto
-    class s, and ``index_class`` reads the class off an index.  The index
-    of an unknown is the mixed-radix number (left, right, target,
-    monomial), each generator at its position in Algebra.generators()
-    (see _encode).
+    The index of an unknown is the mixed-radix number (left, right,
+    target, monomial), each generator at its position in
+    Algebra.generators() (see _encode), and no list of the unknowns is
+    kept: ``unknown`` decodes one from its index, ``index_class`` reads
+    its class off the digits, and only class 0 (target index = left +
+    right mod m) is assembled and solved.  ``shift`` and ``lift`` carry
+    class 0 onto class s.
     """
 
     def __init__(self, algebra: Algebra, degree: int):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise SolverError(f"degree must be a non-negative integer, got {degree!r}")
-        n_gens = len(algebra.generators())
+        gens = algebra.generators()
+        n_gens = len(gens)
         count = n_gens ** 3 * (degree + 1) * (degree + 2) // 2
         if count > MAX_UNKNOWNS:
             raise SolverError(f"ansatz of {count} unknowns ({n_gens} generators, degree "
@@ -207,24 +203,17 @@ class Ansatz:
             if Var.B in rule.coeff.variables():
                 raise SolverError(
                     "the solver needs a numeric b; instantiate the algebra first")
-        gens = algebra.generators()
         monos = sorted(((p, q) for p in range(degree + 1)
                         for q in range(degree + 1 - p)), key=lambda pq: (sum(pq), pq[1]))
         self.algebra = algebra
         self.degree = degree
-        self.unknowns = [
-            Unknown(gi, gj, gt, p, q)
-            for gi in gens for gj in gens for gt in gens for (p, q) in monos
-        ]
+        self.n_unknowns = count
+        self._gens = gens
+        self._monos = monos
         self._n_gens = n_gens
         self._n_monos = len(monos)
-        self.class0 = [k for k in range(count) if self.index_class(k) == 0]
         self._position = {g: i for i, g in enumerate(gens)}
         self._mono_position = {pq: i for i, pq in enumerate(monos)}
-
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.unknowns)
 
     def _encode(self, left: int, right: int, target: int, mono: int) -> int:
         """The index of the unknown at the given generator positions and
@@ -234,20 +223,40 @@ class Ansatz:
         n = self._n_gens
         return ((left * n + right) * n + target) * self._n_monos + mono
 
+    def unknown(self, k: int) -> Unknown:
+        """Unknown k, decoded from the digits of its index (see _encode)."""
+        if not 0 <= k < self.n_unknowns:
+            raise SolverError(f"unknown index {k} outside 0 .. {self.n_unknowns - 1}")
+        gens, n = self._gens, self._n_gens
+        rest, mono = divmod(k, self._n_monos)
+        pair, target = divmod(rest, n)
+        return Unknown(gens[pair // n], gens[pair % n], gens[target], *self._monos[mono])
+
+    def _class0(self) -> Iterator[int]:
+        """The indices of the class-0 unknowns, ascending: on each pair, the
+        targets at the index sum, one per family."""
+        n, m, r = self._n_gens, self.algebra.modulus, self._n_monos
+        for left, right in itertools.product(range(n), repeat=2):
+            for target in range((left + right) % m, n, m):
+                base = self._encode(left, right, target, 0)
+                yield from range(base, base + r)
+
     def _map(self, terms: Iterable[tuple[int, int, Fraction]]) -> BilinearMap:
         """The map sum c * b^i * (unknown k) over the triples (i, k, c),
         each (i, k) at most once: unknown k = (left, right, target, d^p l^q)
         contributes the term c b^i d^p l^q on target at (left, right)."""
-        entries: dict[GenPair, dict[GeneratorId, dict[Monomial, Fraction]]] = {}
+        entries: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
+        n, r, monos = self._n_gens, self._n_monos, self._monos
         for i, k, coeff in terms:
-            u = self.unknowns[k]
-            entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[
-                (u.dpow, u.lpow, 0, 0, i)] = coeff
-        table = {
-            pair: self.algebra.element({gt: Poly(monos) for gt, monos in targets.items()})
-            for pair, targets in entries.items()
-        }
-        return BilinearMap(self.algebra, table)
+            rest, mono = divmod(k, r)
+            pair, target = divmod(rest, n)
+            dpow, lpow = monos[mono]
+            entries.setdefault(pair, {}).setdefault(target, {})[(dpow, lpow, 0, 0, i)] = coeff
+        gens, element = self._gens, self.algebra.element
+        return BilinearMap(self.algebra, {
+            (gens[pair // n], gens[pair % n]):
+                element({gens[target]: Poly(monos) for target, monos in targets.items()})
+            for pair, targets in entries.items()})
 
     def map_from_vector(self, vector: Row) -> BilinearMap:
         """Assemble the concrete map with the given unknown values, a Row;
@@ -284,15 +293,6 @@ class Ansatz:
         moves to the shifted unknown, and the indices stay ascending (see
         shift).  nullspace lifts the solution vectors with it."""
         return {self.shift(k, s): value for k, value in entries.items()}
-
-    def tagged_map(self) -> BilinearMap:
-        """The class-0 ansatz map with unknown k set to the tag b^k.
-
-        The other classes are left out (see lift).  Any residual of this
-        map is a polynomial whose b^k part is the residual of the map with
-        unknown k set to 1 and every other unknown 0.
-        """
-        return self._map((k, k, 1) for k in self.class0)
 
     def vector_of(self, phi: BilinearMap) -> Row:
         """The Row of a concrete map on the unknown coordinates.
@@ -377,35 +377,36 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
     """The rows of each (tag, tuple): (tag, args, class-0 row count,
     target -> monomial -> row), the class-0 rows with unsorted unknowns,
     or with ``lifted`` the rows of every class with their unknowns
-    ascending.  With ``subset``, a tuple outside SUBSET_ARGS is keyed and
-    counted but yields no rows.  With a prime p, each template
-    coefficient is reduced mod p once, as the template is built (see
-    _residue), and a coefficient that vanishes mod p is left out, so a row
-    can be empty; the row count does not change.
+    ascending.  With ``subset``, a tuple outside the subset (SUBSET_ARGS)
+    is keyed and counted but yields no rows, and a key met only at such
+    tuples is counted without a template.  With a prime p, each
+    template coefficient is reduced mod p once, as the template is built,
+    and a coefficient that vanishes mod p is left out, so a row can be
+    empty; the row count does not change.
 
-    Residuals are linear in the map and never substitute b, and the
-    algebra is b-free, so the residual of Ansatz.tagged_map is
-    Q[b]-linear: its b^k part is unknown k's column.  Each (target
-    generator, monomial in d, l, m, g) of the residual is one row
-    {k: coefficient of b^k}; no all-zero row arises.
+    The residual is evaluated once per (tag, family tuple), at the index-0
+    generators of an m = 1 copy of the algebra (see the module docstring),
+    with one map per phi slot (PHI_SLOTS): in slot i the class-0 unknown
+    at offset o is the tag b^(i * stride + o), stride = n * monomials for
+    n generators.  Each (target, monomial in d, l, m, g) of that residual
+    is one row {(slot, offset): coefficient}.  A class-0 unknown on the
+    pair at generator positions (a, b) has its target index fixed at a +
+    b, so its index is the slot's base, Ansatz._encode(a, b, (a + b) mod
+    m, 0), plus an offset set by its target family and monomial alone;
+    each tuple's rows are {base[slot] + offset: value}.
 
-    That residual is evaluated once per template key, at the first tuple
-    that has it: the tag, the families of the tuple, and the coincidence
-    pattern of its slots (PHI_SLOTS), each slot mapped to the first slot
-    on the same generator pair, or to None where an inner bracket is
-    zero.  Bracket coefficients do not depend on the indices, so the
-    residual at any tuple of the key is the same computation; only the
-    unknowns it names change.  A class-0 unknown on the pair at generator
-    positions (a, b) has its target index fixed at a + b, so its index is
-    the slot's base, Ansatz._encode(a, b, (a + b) mod m, 0), plus an
-    offset set by its target family and monomial alone.  The template
-    stores each column as (slot, offset), and each tuple's rows are
-    {base[slot] + offset: value}, in the order of the template's
-    residual.  Slots on one pair name the same unknowns, so the template
-    already holds their sum, under the first of them, without zero sums;
-    slots on distinct pairs share no unknown.  Every target lies at the
-    index sum of the tuple, so a template stores a target by its
-    family's first position.
+    The row template of a tuple is keyed by the tag, the families and the
+    coincidence pattern of its slots, each slot mapped to the first slot
+    on the same generator pair, or to None where an inner bracket is zero
+    (that slot contributes nothing).  Slots on one pair name the same
+    unknowns, so the template sums their columns under the first of them,
+    in slot order, as the identity's last step adds them, and drops zero
+    sums and the rows they empty.  The exact rows so keep the values and
+    the int or Fraction types of the residual of the algebra itself.  The
+    modular rows come from an integer copy: its rules are scaled by D, the
+    least common multiple of their denominators, so the def1b and lem1
+    rows, one bracket per term, are D times too large and are multiplied
+    by D^-1 mod p (UnluckyPrime if p divides D).
 
     The class-s rows of a tuple are its class-0 rows lifted by sigma_s:
     the residual of sigma_s o phi is sigma_s of the residual of phi, so
@@ -416,13 +417,14 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
     """
     algebra = ansatz.algebra
     gens = algebra.generators()
-    n, m = len(gens), algebra.modulus
-    stride = n * ansatz._n_monos
+    n, m, r = len(gens), algebra.modulus, ansatz._n_monos
+    stride = n * r
     family = {f: i for i, f in enumerate(algebra.families)}
+    rules = algebra.rules()
     # [x_a y_b] is the generator at position inner[a // m, b // m] +
     # (a + b) mod m, or zero if that is None.
-    inner = {(family[r.left], family[r.right]):
-             None if r.target is None else family[r.target] * m for r in algebra.rules()}
+    inner = {(family[rule.left], family[rule.right]):
+             None if rule.target is None else family[rule.target] * m for rule in rules}
 
     def operand(spec, args):
         if type(spec) is int:
@@ -431,42 +433,92 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
         first = inner[a // m, b // m]
         return None if first is None else first + (a + b) % m
 
-    tagged = ansatz.tagged_map()
+    scale = lcm(*(c.denominator for rule in rules for c in rule.coeff.terms.values())) if p else 1
+    # Poly() stores the scaled coefficients as ints
+    unit = Algebra(algebra.name, 1, algebra.families, [BracketRule(
+        rule.left, rule.right, rule.target, rule.coeff if scale == 1 else
+        Poly({mono: c * scale for mono, c in rule.coeff.terms.items()})) for rule in rules])
+    units = unit.generators()
+    # one map per slot, an assembled identity has at most three; its value
+    # is the same on every pair
+    pairs = list(itertools.product(units, repeat=2))
+    slot_maps = [BilinearMap(unit, dict.fromkeys(pairs, unit.element({
+        gt: Poly({(dpow, lpow, 0, 0, i * stride + t * m * r + q): 1
+                  for q, (dpow, lpow) in enumerate(ansatz._monos)})
+        for t, gt in enumerate(units)}))) for i in range(3)]
+    raw: dict[tuple, list] = {}
+
+    def build(tag, families, pattern, skipped):
+        # the row count of one key and its template, [(first target
+        # position, [(monomial, slots, offsets, coefficients)])], a tuple of
+        # each per row, or None if skipped: a key first met at tuples the
+        # subset skips is only counted
+        rows = raw.get((tag, families))
+        if rows is None:
+            value = residual(slot_maps[:len(PHI_SLOTS[tag])], tag,
+                             [units[f] for f in families]).value
+            rows = raw[tag, families] = []
+            for gt, poly in value.terms.items():
+                by_mono: dict[Monomial, list] = {}
+                for mono, coeff in poly.terms.items():
+                    by_mono.setdefault(mono[:4] + (0,), []).append(
+                        (*divmod(mono[4], stride), coeff))
+                rows.append((family[gt.family] * m, [(mono, *zip(*columns))
+                                                     for mono, columns in by_mono.items()]))
+        merge = any(j is not None and j != i for i, j in enumerate(pattern))
+        if not merge and (skipped or not p):
+            return sum(len(mono_rows) for _, mono_rows in rows), None if skipped else rows
+        inverse = 1 if tag == "def1a" or not p else _residue(Fraction(1, scale), p)
+        size, template = 0, []
+        for first, mono_rows in rows:
+            kept = []
+            for mono, *columns in mono_rows:
+                columns = zip(*columns)
+                if merge:
+                    sums: dict[tuple[int, int], Fraction] = {}
+                    for i, offset, coeff in columns:
+                        key = (pattern[i], offset)
+                        total = sums.get(key, 0) + coeff
+                        if total:
+                            sums[key] = total
+                        else:
+                            del sums[key]
+                    if not sums:
+                        continue
+                    columns = [(*key, coeff) for key, coeff in sums.items()]
+                size += 1
+                if skipped:
+                    continue
+                if p:
+                    columns = [(i, offset, c) for i, offset, coeff in columns
+                               if (c := coeff * inverse % p)]
+                kept.append((mono, *(zip(*columns) if columns else ((), (), ()))))
+            if kept:
+                template.append((first, kept))
+        return size, None if skipped else template
+
     templates: dict[tuple, tuple[int, list]] = {}
     for tag in tags:
-        slots = PHI_SLOTS[tag]
         restrict = SUBSET_ARGS[tag] if subset else None
+        # the def1b rows already give the subset its full rank
+        dropped = subset and tag == "lem1" and "def1b" in tags
         for args in itertools.product(range(n), repeat=TAG_ARITY[tag]):
             bases = []
-            for left, right in slots:
+            for left, right in PHI_SLOTS[tag]:
                 a, b = operand(left, args), operand(right, args)
                 bases.append(None if a is None or b is None
                              else ansatz._encode(a, b, (a + b) % m, 0))
-            key = (tag, tuple(a // m for a in args),
-                   tuple(None if base is None else bases.index(base) for base in bases))
+            families = tuple(a // m for a in args)
+            pattern = tuple(None if base is None else bases.index(base) for base in bases)
+            key = (tag, families, pattern)
             gen_args = tuple(gens[a] for a in args)
             total = sum(args) % m
+            skipped = dropped or restrict is not None and args[restrict] % m
             entry = templates.get(key)
-            if entry is None:
-                first_slot = {}
-                for i, base in enumerate(bases):
-                    if base is not None:
-                        first_slot.setdefault(base // stride, i)
-                template = []
-                for gt, poly in residual(tagged, tag, gen_args).value.terms.items():
-                    rows: dict[Monomial, list] = {}
-                    for mono, coeff in poly.terms.items():
-                        k = mono[4]
-                        i = first_slot[k // stride]
-                        columns = rows.setdefault(mono[:4] + (0,), [])
-                        if p:
-                            coeff = _residue(coeff, p)
-                        if coeff:
-                            columns.append((i, k - bases[i], coeff))
-                    template.append((ansatz._position[gt] - total, list(rows.items())))
-                entry = templates[key] = (sum(len(rows) for _, rows in template), template)
+            if entry is None or entry[1] is None and not skipped:
+                entry = templates[key] = build(tag, families, pattern, skipped)
             size, template = entry
-            if restrict is not None and args[restrict] % m:
+            if skipped:
                 yield tag, gen_args, size, {}
                 continue
             shifted = [bases]
@@ -476,12 +528,15 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
             by_target = {}
             for first, rows in template:
                 if lifted:
-                    rows = [(mono, sorted(columns, key=lambda col: bases[col[0]] + col[1]))
-                            for mono, columns in rows]
+                    # exact rows are never empty
+                    rows = [(mono, *zip(*sorted(zip(*columns),
+                                                key=lambda col: bases[col[0]] + col[1])))
+                            for mono, *columns in rows]
                 for s, moved in enumerate(shifted):
                     by_target[gens[first + (total + s) % m]] = {
-                        mono: {moved[i] + offset: coeff for i, offset, coeff in columns}
-                        for mono, columns in rows}
+                        mono: {moved[i] + offset: coeff
+                               for i, offset, coeff in zip(slots, offsets, coeffs)}
+                        for mono, slots, offsets, coeffs in rows}
             yield tag, gen_args, size, by_target
 
 
@@ -514,16 +569,17 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     ``n_rows``, ``rows`` and ``listing`` always count and rebuild every
     row.
 
-    The residual of the tagged class-0 map is computed once per row
-    template, not per generator tuple, and the rows of each tuple are
-    instantiated from it (see _tuple_rows); each row goes straight into
-    _rref, so only the class-0 pivots are ever held.  The
-    other m - 1 classes are not assembled: their rows are the class-0
-    rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows,
-    and nullspace lifts the solutions.  The system's ``listing`` and
-    ``rows`` rebuild the exact rows of every class in the order (tag,
-    tuple, target, monomial), which is deterministic.  If p divides a
-    denominator of a row, UnluckyPrime is raised.
+    One residual is evaluated per (tag, family tuple), not per generator
+    tuple, and the rows of each tuple are instantiated from the templates
+    made from it (see _tuple_rows); each row goes straight into _rref, so
+    only the class-0 pivots are ever held.  The other m - 1 classes are
+    not assembled: their rows are the class-0 rows lifted by sigma_s, so
+    ``n_rows`` is m times the class-0 rows, and nullspace lifts the
+    solutions.  The system's ``listing`` and ``rows`` rebuild the exact
+    rows of every class in the order (tag, tuple, target, monomial), which
+    is deterministic.  If p divides the least common multiple of the
+    denominators of the bracket rules, and def1b or lem1 is assembled,
+    UnluckyPrime is raised.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
@@ -589,7 +645,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     pivots, p = system.pivots, system.p
     m = ansatz.algebra.modulus
     lifted = []
-    for f in ansatz.class0:
+    for f in ansatz._class0():
         if f in pivots:
             continue
         entries = {f: 1}
@@ -633,8 +689,9 @@ def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS and
-    lifted onto every class (see nullspace), and every reported basis map
+    Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS (no
+    lem1 row when def1b is solved too) and lifted onto every class (see
+    nullspace), and every reported basis map
     is checked (defense in depth against elimination and lift bugs) in
     class 0 only:
 

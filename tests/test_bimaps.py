@@ -35,8 +35,8 @@ from lcalab import (
     verify_map,
 )
 from lcalab import bimaps
-from lcalab.bimaps import (TAG_ARITY, SweepMemo, _integral_multiple, _is_equivariant,
-                           shift_targets)
+from lcalab.bimaps import (PHI_SLOTS, TAG_ARITY, SweepMemo, _identity, _integral_multiple,
+                           _is_equivariant, shift_targets)
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
@@ -132,8 +132,10 @@ def test_kernel_matches_per_term_oracle(kind, m, b):
     alg = make_catalog(kind, m, b)
     rng = make_rng(35)
     maps = oracle_maps(alg)
-    if b is not None:  # the tagged ansatz map: one distinct b^k per unknown
-        maps = [Ansatz(alg, 1).tagged_map()]
+    if b is not None:  # the tagged class-0 ansatz map: one distinct b^k per unknown
+        ansatz = Ansatz(alg, 1)
+        maps = [ansatz._map((k, k, 1) for k in range(ansatz.n_unknowns)
+                            if ansatz.index_class(k) == 0)]
     for s in ORACLE_SPECTRALS:
         for _ in range(6):
             x, y = nonzero_element(rng, alg), nonzero_element(rng, alg)
@@ -370,6 +372,55 @@ def test_residual_linearity():
             lhs = residual(combo, tag, args).value
             rhs = alpha * residual(phi, tag, args).value + residual(psi, tag, args).value
             assert lhs == rhs
+
+
+def test_identity_evaluates_phi_in_slot_order():
+    # the solver hands out one map per phi slot in call order, so the pairs
+    # on which _identity evaluates phi must follow PHI_SLOTS; at the
+    # indices 1, 2, 4, 3 of CW(m=5) no two slots of one identity share a
+    # pair, so the order is pinned
+    cw = make_catalog("cw", 5)
+    phi = make_family(cw, "inner")
+    args = [cw.gen("L", i) for i in (1, 2, 4, 3)]
+    elements = [cw.gen_element(g) for g in args]
+
+    def generator(operand):
+        if type(operand) is int:
+            return args[operand]
+        (gt,) = bracket(elements[operand[0]], elements[operand[1]]).terms
+        return gt
+
+    for tag, slots in PHI_SLOTS.items():
+        pairs = []
+
+        def ph(x, y, spectral):
+            pairs.append((*x.terms, *y.terms))
+            return map_eval(phi, x, y, spectral)
+
+        _identity(tag, elements[:TAG_ARITY[tag]], bracket, ph, bimaps._combine)
+        expected = [(generator(left), generator(right)) for left, right in slots]
+        assert pairs == expected, tag
+        assert len(set(pairs)) == len(pairs), tag
+
+
+def test_residual_takes_one_map_per_slot():
+    # residuals are linear in each slot: the residual of phi is the sum of
+    # those with phi in one slot and zero in the others
+    clw = make_catalog("clw", 2, Fraction(1, 3))
+    phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4))
+    zero = BilinearMap.zero(clw)
+    gens = clw.generators()
+    for tag, slots in PHI_SLOTS.items():
+        for args in itertools.product(gens[::3], repeat=TAG_ARITY[tag]):
+            total = clw.zero_element()
+            for i in range(len(slots)):
+                maps = [phi if j == i else zero for j in range(len(slots))]
+                total = total + residual(maps, tag, args).value
+            assert total == residual(phi, tag, args).value
+            assert residual([phi] * len(slots), tag, args) == residual(phi, tag, args)
+        with pytest.raises(MapError, match=f"{tag} evaluates phi at {len(slots)} slots, "
+                                           f"got {len(slots) + 1} maps"):
+            residual([phi] * (len(slots) + 1), tag, args)
 
 
 # -- families --------------------------------------------------------------------

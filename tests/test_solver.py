@@ -50,6 +50,7 @@ from lcalab.solver import (
     _checks,
     _normalize_vector,
     _rref,
+    _tuple_rows,
     express_all_in_span,
 )
 
@@ -69,6 +70,14 @@ def dense(vector, n):
     return [vector.get(k, 0) for k in range(n)]
 
 
+def class0(ansatz):
+    """The indices of the class-0 unknowns, ascending, read off their
+    decoded generators: target index = left + right index mod m."""
+    m = ansatz.algebra.modulus
+    return [k for k in range(ansatz.n_unknowns)
+            if (u := ansatz.unknown(k)).target.index == (u.left.index + u.right.index) % m]
+
+
 # -- ansatz ---------------------------------------------------------------------
 
 def test_unknown_count_formula():
@@ -78,8 +87,41 @@ def test_unknown_count_formula():
     assert Ansatz(make_catalog("clw", 1, 0), 2).n_unknowns == 4 * 2 * 6
     assert Ansatz(make_catalog("cw", 3), 2).n_unknowns == 9 * 3 * 6
     # class 0 is n^2 * (#families) * (D+1)(D+2)/2: one target per family
-    assert len(Ansatz(make_catalog("cw", 3), 2).class0) == 9 * 1 * 6
-    assert len(Ansatz(make_catalog("clw", 2, 0), 1).class0) == 16 * 2 * 3
+    assert len(class0(Ansatz(make_catalog("cw", 3), 2))) == 9 * 1 * 6
+    assert len(class0(Ansatz(make_catalog("clw", 2, 0), 1))) == 16 * 2 * 3
+    for algebra in (make_catalog("cw", 3), make_catalog("clw", 2, 0), make_catalog("vir")):
+        ansatz = Ansatz(algebra, 2)
+        assert list(ansatz._class0()) == class0(ansatz)
+
+
+def test_unknown_decodes_the_index():
+    ansatz = Ansatz(make_catalog("clw", 3, -1), 1)
+    position = {g: i for i, g in enumerate(ansatz.algebra.generators())}
+    monos = [(0, 0), (1, 0), (0, 1)]
+    n = ansatz.n_unknowns
+    for k in range(n):
+        u = ansatz.unknown(k)
+        assert ansatz._encode(position[u.left], position[u.right], position[u.target],
+                              monos.index((u.dpow, u.lpow))) == k
+        assert ansatz.index_class(k) == (u.target.index - u.left.index - u.right.index) % 3
+    assert str(ansatz.unknown(n - 1)) == "u[G:2,G:2->G:2|d^0*l^1]"
+    for k in (-1, n):
+        with pytest.raises(SolverError, match=f"unknown index {k} outside 0 .. {n - 1}"):
+            ansatz.unknown(k)
+
+
+def test_ansatz_keeps_no_list_of_the_unknowns():
+    # 48,000 unknowns, each decoded from its index on demand; one tuple per
+    # unknown and the list of the class-0 ones held 4.7 MB here
+    algebra = make_catalog("clw", 10, -1)
+    tracemalloc.start()
+    try:
+        ansatz = Ansatz(algebra, 2)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ansatz.n_unknowns == 48_000
+    assert live < 64 * 1024
 
 
 def test_ansatz_rejects_symbolic_b():
@@ -134,7 +176,7 @@ def test_assemble_vir_skew_rows():
     # 2 c00 + (2 c10 - c01) d, so exactly two rows survive.
     ansatz = Ansatz(make_catalog("vir"), 1)
     listing = assemble(ansatz, ["def1a"]).listing
-    assert [str(u) for u in ansatz.unknowns] == [
+    assert [str(ansatz.unknown(k)) for k in range(ansatz.n_unknowns)] == [
         "u[L:0,L:0->L:0|d^0*l^0]",
         "u[L:0,L:0->L:0|d^1*l^0]",
         "u[L:0,L:0->L:0|d^0*l^1]",
@@ -206,6 +248,21 @@ def per_unknown_assembly(ansatz, tags):
     return listing
 
 
+def half_third(m):
+    # Vir and a module with [L_l G] = (d + l/2 + 1/3) G: rules with
+    # denominators 2 and 3, so the modular rows are scaled by D = 6, which
+    # is neither
+    algebra = algebra_from_dict({
+        "name": f"HalfThird(m={m})", "modulus": m, "families": ["L", "G"], "b": "symbolic",
+        "rules": [
+            {"left": "L", "right": "L", "target": "L", "coeff": "d + 2*l"},
+            {"left": "L", "right": "G", "target": "G", "coeff": "d + 1/2*l + 1/3"},
+            {"left": "G", "right": "L", "target": "G", "coeff": "-(1/2*d - 1/2*l + 1/3)"},
+        ]})
+    assert check_axioms(algebra).passed
+    return algebra
+
+
 def inhomogeneous_clw(m):
     # two families with constant terms in the mixed brackets, so no
     # (d, l)-degree grading: [L_l G] = d+2*l+1 at b = -1
@@ -249,30 +306,31 @@ def count_residual_calls(monkeypatch):
 
 
 def test_assembly_evaluates_one_residual_per_template(monkeypatch):
-    # one residual per (tag, family tuple, coincidence pattern of the phi
-    # slots), so the count does not grow with m: on one family, def1a has
-    # 2 patterns (x = y or not) and def1b 5 (j, k, 0 distinct; k = 0;
-    # j = 0; j = k != 0; j = k = 0)
+    # one residual per (tag, family tuple), at the index-0 generators of an
+    # m = 1 copy, so the count does not grow with m; the coincidence
+    # patterns of the phi slots (on one family, def1a has 2 and def1b 5)
+    # are merged from it without another evaluation
     calls = count_residual_calls(monkeypatch)
     n_rows = {}
     for m in (4, 12):
         calls.clear()
         n_rows[m] = assemble(Ansatz(make_catalog("cw", m), 2)).n_rows
-        assert calls == ["def1a"] * 2 + ["def1b"] * 5
+        assert calls == ["def1a", "def1b"]
     assert n_rows == {4: 5_024, 12: 398_880}
-    calls.clear()
-    system = assemble(Ansatz(make_catalog("clw", 3, -1), 2))
-    assert len(calls) <= 28
+    for m in (2, 3):
+        calls.clear()
+        system = assemble(Ansatz(make_catalog("clw", m, -1), 2))
+        assert calls == ["def1a"] * 4 + ["def1b"] * 8
     assert system.n_rows == 21_852
-    # the listing is rebuilt from the same templates
+    # the listing is rebuilt from the same evaluations
     calls.clear()
     assert len(system.listing) == system.n_rows
-    assert len(calls) <= 28
+    assert calls == ["def1a"] * 4 + ["def1b"] * 8
     ansatz = Ansatz(make_catalog("clw", 2, -1), 0)
     expected = per_unknown_assembly(ansatz, ASSEMBLE_TAGS)
     calls.clear()
     system = assemble(ansatz, ASSEMBLE_TAGS)
-    assert len(calls) < 2 ** 4 + 2 * 4 ** 3
+    assert calls == ["def1a"] * 4 + ["def1b"] * 8 + ["lem1"] * 8
     assert system.n_rows == len(expected)
 
 
@@ -312,7 +370,8 @@ def unlifted_solve(ansatz, tags):
     algebra = ansatz.algebra
     sort_key = algebra.gen_sort_key
     entries = {}
-    for k, u in enumerate(ansatz.unknowns):
+    for k in range(ansatz.n_unknowns):
+        u = ansatz.unknown(k)
         entries.setdefault((u.left, u.right), {}).setdefault(u.target, {})[
             (u.dpow, u.lpow, 0, 0, k)] = 1
     tagged = BilinearMap(algebra, {
@@ -375,9 +434,12 @@ LIFT_CASES = [
     (load_algebra(SCHRODINGER_VIRASORO), 0, ASSEMBLE_TAGS),
     # j, k and 0 all distinct, next to every collapsed pattern
     (make_catalog("cw", 5), 2, ASSEMBLE_TAGS),
+    # Fraction rules whose denominators have a least common multiple of 6
+    (half_third(3), 2, ASSEMBLE_TAGS),
 ]
 LIFT_CASE_IDS = ["vir-d3", "cw2-d2", "cw3-d2", "cw4-d2", "clw2-b-1-d2", "clw3-b-1-d2",
-                 "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2", "sv-all-d0", "cw5-all-d2"]
+                 "clw2-b3/2-d2", "clw2-b-1-lem1-d2", "inhom-clw3-d2", "sv-all-d0", "cw5-all-d2",
+                 "half-third3-all-d2"]
 
 
 @pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
@@ -482,8 +544,9 @@ def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
 
     monkeypatch.setattr(lcalab.solver, "verify_map", recording_verify_map)
     space = solve_bider(algebra, 2)
-    class0 = set(space.ansatz.class0)
-    maps = [phi for phi, vector in zip(space.basis, space.vectors) if class0.issuperset(vector)]
+    first_class = set(class0(space.ansatz))
+    maps = [phi for phi, vector in zip(space.basis, space.vectors)
+            if first_class.issuperset(vector)]
     assert len(maps) * algebra.modulus == space.dimension
     reference = tagged_sum(maps)
     assert len(swept) == 1
@@ -1053,6 +1116,25 @@ def test_row_subset_has_the_full_rank_and_basis(case):
         assert subset.n_rows == full.n_rows, tags
         assert subset.pivots.keys() == full.pivots.keys(), tags
         assert nullspace(subset).vectors == nullspace(full).vectors, tags
+
+
+def test_row_subset_leaves_out_lem1_next_to_def1b():
+    # every lem1 tuple is still counted, but only lem1 on its own (with
+    # def1a) eliminates rows, those of the tuples whose y has index 0
+    ansatz = Ansatz(make_catalog("clw", 2, -1), 2)
+    for tags in (ASSEMBLE_TAGS, ("def1a", "lem1")):
+        full = assemble(ansatz, tags, p=PRIME)
+        kept, counted = set(), 0
+        for tag, args, size, by_target in _tuple_rows(ansatz, tags, p=PRIME, subset=True):
+            counted += size
+            if tag == "lem1" and by_target:
+                kept.add(args)
+        assert 2 * counted == full.n_rows
+        if "def1b" in tags:
+            assert not kept
+        else:
+            assert kept == {args for args in itertools.product(ansatz.algebra.generators(),
+                                                               repeat=3) if args[1].index == 0}
 
 
 def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
