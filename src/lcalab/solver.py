@@ -27,19 +27,20 @@ every tuple are instantiated from it by integer arithmetic (see
 _tuple_rows).  No list of the unknowns is kept: an unknown is decoded
 from its index on demand (see Ansatz).  The rows stream
 straight into an incremental elimination, so a solve holds only the
-pivot rows of the reduced row echelon form, never the rows; the rows are
-rebuilt on demand, with their provenance, for tests and reports.  Every
-row entry is an exact rational, an int or a Fraction (never a float).
+pivot rows of the reduced row echelon form, never the rows; reports read
+only the row count, and ConstraintSystem.rows rebuilds the rows on
+demand.  Every row entry is an exact rational, an int or a Fraction
+(never a float).
 
 solve_bider eliminates a subset S of the rows, over GF(p), p = PRIME =
 2^61 - 1.  S is the rows of every def1a tuple, of the def1b tuples whose
 z has index 0 and, unless def1b is assembled too, of the lem1 tuples
 whose y has index 0 (SUBSET_ARGS), about 1/m of those; a skipped tuple is
-still keyed and counted, so the row count and the rows rebuilt for
-reports are those of the complete system.  Assembly reduces each
-template coefficient mod p once (see _tuple_rows), and _rref keeps
-residues.  nullspace rebuilds each entry of each basis vector v_f (free
-column f) from its residue by rational reconstruction, and the post-solve
+still keyed and counted, so the row count and the rebuilt rows are
+those of the complete system.  Assembly reduces each template
+coefficient mod p once (see _tuple_rows), and _rref keeps residues.
+nullspace rebuilds each entry of each basis vector v_f (free column f)
+from its residue by rational reconstruction, and the post-solve
 re-check (below), which covers every tuple, makes the result exact.  v_f has 1 at f, 0 on
 the other free columns of S mod p, and its support is f and pivot columns
 below f.  If the re-check passes, v_f is a rational solution of the
@@ -187,7 +188,8 @@ class Ansatz:
     kept: ``unknown`` decodes one from its index, ``index_class`` reads
     its class off the digits, and only class 0 (target index = left +
     right mod m) is assembled and solved.  ``shift`` and ``lift`` carry
-    class 0 onto class s.
+    class 0 onto class s; ``lift`` lifts both the solution vectors and
+    the rows.
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -291,7 +293,10 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift).  nullspace lifts the solution vectors with it."""
+        shift).  nullspace lifts the solution vectors with it, and
+        ConstraintSystem.rows the class-0 rows: sigma_s of a row of class 0
+        is the row of class s, since the residual of sigma_s o phi is
+        sigma_s of the residual of phi."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def vector_of(self, phi: BilinearMap) -> Row:
@@ -316,20 +321,6 @@ class Ansatz:
         return {k: vector[k] for k in sorted(vector)}
 
 
-class Provenance(NamedTuple):
-    """Where one constraint row came from."""
-
-    tag: str
-    args: tuple[GeneratorId, ...]
-    gen: GeneratorId
-    monomial: Monomial
-
-    def __str__(self) -> str:
-        args = ", ".join(str(g) for g in self.args)
-        mono = str(Poly.monomial(self.monomial))
-        return f"{self.tag} ({args}) coefficient of {mono} on {self.gen}"
-
-
 @dataclass
 class ConstraintSystem:
     """Sparse exact-rational homogeneous system over the ansatz unknowns.
@@ -339,16 +330,16 @@ class ConstraintSystem:
     p = 0, assemble's default, the exact form, and with a prime ``p``,
     the form of the rows mod p, whose entries are residues.  The pivots may
     be those of the row subset solve_bider eliminates (see assemble),
-    while ``n_rows``, ``rows`` and ``listing`` are always the complete
-    system.  A modular or subset form is exact only once the basis
-    nullspace rebuilds from it passes the re-check: solve_bider runs that
-    check, and solves the complete system again with p = 0 if it fails or
-    the prime is unlucky (see UnluckyPrime).  The class-0 solutions,
+    while ``n_rows`` and ``rows`` are always the complete system.  A
+    modular or subset form is exact only once the basis nullspace
+    rebuilds from it passes the re-check: solve_bider runs that check,
+    and solves the complete system again with p = 0 if it fails or the
+    prime is unlucky (see UnluckyPrime).  The class-0 solutions,
     lifted by sigma_s for s = 0..m-1, are the solutions of the whole
     system, and ``n_rows`` counts every class, m times the class-0 rows.
-    ``listing``, the (Provenance, Row) pairs, and ``rows`` are rebuilt
-    exactly from the ansatz and the tags on each access: one more class-0
-    assembly, lifted onto every class (see _ordered_rows).
+    ``rows`` is rebuilt exactly from the ansatz and the tags on each
+    access: one more class-0 assembly (see _tuple_rows), each row's
+    unknowns sorted, lifted by Ansatz.lift for s = 0..m-1, class by class.
     """
 
     ansatz: Ansatz
@@ -362,27 +353,25 @@ class ConstraintSystem:
         return self.ansatz.n_unknowns
 
     @property
-    def listing(self) -> list[tuple[Provenance, Row]]:
-        return [(Provenance(tag, args, gt, mono), row)
-                for tag, args, gt, mono, row in _ordered_rows(self.ansatz, self.tags)]
-
-    @property
     def rows(self) -> list[Row]:
-        return [row for *_, row in _ordered_rows(self.ansatz, self.tags)]
+        class0 = [{k: row[k] for k in sorted(row)}
+                  for *_, by_target in _tuple_rows(self.ansatz, self.tags)
+                  for rows in by_target.values() for row in rows.values()]
+        return [self.ansatz.lift(row, s)
+                for s in range(self.ansatz.algebra.modulus) for row in class0]
 
 
-def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
-                p: int = 0, subset: bool = False) -> Iterator[
+def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
+                subset: bool = False) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], int, dict[GeneratorId, dict[Monomial, Row]]]]:
-    """The rows of each (tag, tuple): (tag, args, class-0 row count,
-    target -> monomial -> row), the class-0 rows with unsorted unknowns,
-    or with ``lifted`` the rows of every class with their unknowns
-    ascending.  With ``subset``, a tuple outside the subset (SUBSET_ARGS)
-    is keyed and counted but yields no rows, and a key met only at such
-    tuples is counted without a template.  With a prime p, each
-    template coefficient is reduced mod p once, as the template is built,
-    and a coefficient that vanishes mod p is left out, so a row can be
-    empty; the row count does not change.
+    """The class-0 rows of each (tag, tuple): (tag, args, class-0 row
+    count, target -> monomial -> row), with unsorted unknowns.  With
+    ``subset``, a tuple outside the subset (SUBSET_ARGS) is keyed and
+    counted but yields no rows, and a key met only at such tuples is
+    counted without a template.  With a prime p, each template
+    coefficient is reduced mod p once, as the template is built, and a
+    coefficient that vanishes mod p is left out, so a row can be empty;
+    the row count does not change.
 
     The residual is evaluated once per (tag, family tuple), at the index-0
     generators of an m = 1 copy of the algebra (see the module docstring),
@@ -407,13 +396,6 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
     least common multiple of their denominators, so the def1b and lem1
     rows, one bracket per term, are D times too large and are multiplied
     by D^-1 mod p (UnluckyPrime if p divides D).
-
-    The class-s rows of a tuple are its class-0 rows lifted by sigma_s:
-    the residual of sigma_s o phi is sigma_s of the residual of phi, so
-    each target index moves by s, and so does the target index of each
-    slot's unknowns: one Ansatz.shift of each slot's base lifts every
-    row of the tuple.  sigma_s keeps the order of the unknowns within a
-    class, so the columns are sorted once, for class 0.
     """
     algebra = ansatz.algebra
     gens = algebra.generators()
@@ -521,41 +503,12 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], lifted: bool = False,
             if skipped:
                 yield tag, gen_args, size, {}
                 continue
-            shifted = [bases]
-            if lifted:
-                shifted += [[base if base is None else ansatz.shift(base, s) for base in bases]
-                            for s in range(1, m)]
-            by_target = {}
-            for first, rows in template:
-                if lifted:
-                    # exact rows are never empty
-                    rows = [(mono, *zip(*sorted(zip(*columns),
-                                                key=lambda col: bases[col[0]] + col[1])))
-                            for mono, *columns in rows]
-                for s, moved in enumerate(shifted):
-                    by_target[gens[first + (total + s) % m]] = {
-                        mono: {moved[i] + offset: coeff
-                               for i, offset, coeff in zip(slots, offsets, coeffs)}
-                        for mono, slots, offsets, coeffs in rows}
+            by_target = {
+                gens[first + total]: {mono: {bases[i] + offset: coeff
+                                             for i, offset, coeff in zip(slots, offsets, coeffs)}
+                                      for mono, slots, offsets, coeffs in rows}
+                for first, rows in template}
             yield tag, gen_args, size, by_target
-
-
-def _ordered_rows(ansatz: Ansatz, tags: tuple[str, ...]) -> Iterator[
-        tuple[str, tuple[GeneratorId, ...], GeneratorId, Monomial, Row]]:
-    """The exact rows of every class, each as (tag, tuple, target,
-    monomial, row), ordered by (tag, tuple, target, monomial), with
-    unknowns ascending within a row.
-
-    _tuple_rows instantiates the rows of every class from the class-0
-    templates, each slot's base lifted by sigma_s (one Ansatz.shift per
-    slot, not per entry).
-    """
-    sort_key = ansatz.algebra.gen_sort_key
-    for tag, args, _, by_target in _tuple_rows(ansatz, tags, lifted=True):
-        for gt in sorted(by_target, key=sort_key):
-            rows = by_target[gt]
-            for mono in sorted(rows):
-                yield tag, args, gt, mono, rows[mono]
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
@@ -566,8 +519,7 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     keeps are eliminated.  solve_bider asks for p = PRIME and the subset,
     and its re-check makes that solve exact (see the module docstring);
     nullspace(assemble(...)) with the defaults is exact on its own.
-    ``n_rows``, ``rows`` and ``listing`` always count and rebuild every
-    row.
+    ``n_rows`` and ``rows`` always count and rebuild every row.
 
     One residual is evaluated per (tag, family tuple), not per generator
     tuple, and the rows of each tuple are instantiated from the templates
@@ -575,11 +527,10 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     only the class-0 pivots are ever held.  The other m - 1 classes are
     not assembled: their rows are the class-0 rows lifted by sigma_s, so
     ``n_rows`` is m times the class-0 rows, and nullspace lifts the
-    solutions.  The system's ``listing`` and ``rows`` rebuild the exact
-    rows of every class in the order (tag, tuple, target, monomial), which
-    is deterministic.  If p divides the least common multiple of the
-    denominators of the bracket rules, and def1b or lem1 is assembled,
-    UnluckyPrime is raised.
+    solutions.  The system's ``rows`` are the exact class-0 rows lifted by
+    Ansatz.lift, in class-major order, which is deterministic.  If p
+    divides the least common multiple of the denominators of the bracket
+    rules, and def1b or lem1 is assembled, UnluckyPrime is raised.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from lcalab.solver import (
     ASSEMBLE_TAGS,
     MAX_UNKNOWNS,
     PRIME,
-    Provenance,
     UnluckyPrime,
     _checks,
     _normalize_vector,
@@ -68,6 +68,23 @@ def sparse(values):
 def dense(vector, n):
     """The dense list of a Row over n unknowns, 0 off its support."""
     return [vector.get(k, 0) for k in range(n)]
+
+
+def class0_listing(ansatz, tags):
+    """The exact class-0 rows with their provenance, as ((tag, args,
+    target, monomial), row) pairs rebuilt from _tuple_rows: targets in
+    gen_sort_key order, monomials sorted and unknowns ascending."""
+    sort_key = ansatz.algebra.gen_sort_key
+    return [((tag, args, gt, mono), {k: rows[mono][k] for k in sorted(rows[mono])})
+            for tag, args, _, by_target in _tuple_rows(ansatz, normalize_tags(tags))
+            for gt, rows in sorted(by_target.items(), key=lambda item: sort_key(item[0]))
+            for mono in sorted(rows)]
+
+
+def of_class0(ansatz, listing):
+    """The pairs of a listing whose row is in class 0; every row involves
+    one index class only."""
+    return [(prov, row) for prov, row in listing if ansatz.index_class(min(row)) == 0]
 
 
 def class0(ansatz):
@@ -174,18 +191,22 @@ def test_vector_of_rejects_out_of_space():
 def test_assemble_vir_skew_rows():
     # f(d,l) + f(d,-d-l) = 0 for f = c00 + c10 d + c01 l expands to
     # 2 c00 + (2 c10 - c01) d, so exactly two rows survive.
-    ansatz = Ansatz(make_catalog("vir"), 1)
-    listing = assemble(ansatz, ["def1a"]).listing
+    vir = make_catalog("vir")
+    ansatz = Ansatz(vir, 1)
+    listing = class0_listing(ansatz, ["def1a"])
     assert [str(ansatz.unknown(k)) for k in range(ansatz.n_unknowns)] == [
         "u[L:0,L:0->L:0|d^0*l^0]",
         "u[L:0,L:0->L:0|d^1*l^0]",
         "u[L:0,L:0->L:0|d^0*l^1]",
     ]
     assert [row for _, row in listing] == [{0: Fraction(2)}, {1: Fraction(2), 2: Fraction(-1)}]
-    assert [str(p) for p, _ in listing] == [
-        "def1a (L:0, L:0) coefficient of 1 on L:0",
-        "def1a (L:0, L:0) coefficient of d on L:0",
+    L0 = vir.gen("L", 0)
+    assert [prov for prov, _ in listing] == [
+        ("def1a", (L0, L0), L0, (0, 0, 0, 0, 0)),
+        ("def1a", (L0, L0), L0, (1, 0, 0, 0, 0)),
     ]
+    # m = 1: class 0 is every row
+    assert assemble(ansatz, ["def1a"]).rows == [row for _, row in listing]
 
 
 def test_assemble_degree_zero_constant_killed():
@@ -201,10 +222,12 @@ def test_assemble_rejects_lem2():
 
 def test_assemble_rowcount_regression_cw2():
     # frozen from the oracle run
-    system = assemble(Ansatz(make_catalog("cw", 2), 2), ["def1b"])
-    assert system.n_rows == 276
-    assert str(system.listing[0][0]) == \
-        "def1b (L:0, L:0, L:0) coefficient of m on L:0"
+    cw2 = make_catalog("cw", 2)
+    ansatz = Ansatz(cw2, 2)
+    assert assemble(ansatz, ["def1b"]).n_rows == 276
+    L0 = cw2.gen("L", 0)
+    # the coefficient of m on L:0
+    assert class0_listing(ansatz, ["def1b"])[0][0] == ("def1b", (L0, L0, L0), L0, (0, 0, 1, 0, 0))
 
 
 def test_assembly_matches_residual_engine():
@@ -213,24 +236,24 @@ def test_assembly_matches_residual_engine():
     rng = make_rng(31)
     algebra = make_catalog("clw", 1, 0)
     ansatz = Ansatz(algebra, 1)
-    listing = assemble(ansatz, ["def1a", "def1b", "lem1"]).listing
+    # m = 1: class 0 is every row
+    listing = class0_listing(ansatz, ["def1a", "def1b", "lem1"])
     for _ in range(5):
         vec = [random_fraction(rng, max_abs=3) for _ in range(ansatz.n_unknowns)]
         phi = ansatz.map_from_vector(sparse(vec))
         cache = {}
-        for prov, row in listing:
+        for (tag, args, gt, mono), row in listing:
             value = sum((c * vec[k] for k, c in row.items()), Fraction(0))
-            key = (prov.tag, prov.args)
-            if key not in cache:
-                cache[key] = residual(phi, prov.tag, prov.args).value
-            poly = cache[key].terms.get(prov.gen, Poly.zero())
-            assert poly.terms.get(prov.monomial, Fraction(0)) == value
+            if (tag, args) not in cache:
+                cache[tag, args] = residual(phi, tag, args).value
+            poly = cache[tag, args].terms.get(gt, Poly.zero())
+            assert poly.terms.get(mono, Fraction(0)) == value
 
 
 def per_unknown_assembly(ansatz, tags):
-    """Rows rebuilt one unknown at a time, as (Provenance, row) pairs: the
-    residual of the map with unknown k set to 1 gives column k, at every
-    tuple, for every k."""
+    """Rows rebuilt one unknown at a time, as ((tag, args, target,
+    monomial), row) pairs, in that order: the residual of the map with
+    unknown k set to 1 gives column k, at every tuple, for every k."""
     algebra = ansatz.algebra
     sort_key = algebra.gen_sort_key
     n = ansatz.n_unknowns
@@ -244,7 +267,7 @@ def per_unknown_assembly(ansatz, tags):
                     for mono, coeff in poly.terms.items():
                         coords.setdefault((gt, mono), {})[k] = coeff
             for gt, mono in sorted(coords, key=lambda c: (sort_key(c[0]), c[1])):
-                listing.append((Provenance(tag, args, gt, mono), coords[(gt, mono)]))
+                listing.append(((tag, args, gt, mono), coords[(gt, mono)]))
     return listing
 
 
@@ -286,8 +309,8 @@ def inhomogeneous_clw(m):
 ], ids=["vir-d3", "cw2-d2", "clw2-b3/2-d0", "clw2-b-1-lem1-d0", "inhom-clw2-d0"])
 def test_assemble_matches_per_unknown_oracle(algebra, degree, tags):
     ansatz = Ansatz(algebra, degree)
-    expected = per_unknown_assembly(ansatz, tags)
-    listing = assemble(ansatz, tags).listing
+    expected = of_class0(ansatz, per_unknown_assembly(ansatz, tags))
+    listing = class0_listing(ansatz, tags)
     assert listing == expected
     assert [list(row) for _, row in listing] == [list(row) for _, row in expected]
 
@@ -322,9 +345,12 @@ def test_assembly_evaluates_one_residual_per_template(monkeypatch):
         system = assemble(Ansatz(make_catalog("clw", m, -1), 2))
         assert calls == ["def1a"] * 4 + ["def1b"] * 8
     assert system.n_rows == 21_852
-    # the listing is rebuilt from the same evaluations
+    # the rows are rebuilt from the same evaluations
     calls.clear()
-    assert len(system.listing) == system.n_rows
+    assert len(system.rows) == system.n_rows
+    assert calls == ["def1a"] * 4 + ["def1b"] * 8
+    calls.clear()
+    assert 3 * len(class0_listing(system.ansatz, system.tags)) == system.n_rows
     assert calls == ["def1a"] * 4 + ["def1b"] * 8
     ansatz = Ansatz(make_catalog("clw", 2, -1), 0)
     expected = per_unknown_assembly(ansatz, ASSEMBLE_TAGS)
@@ -346,7 +372,13 @@ def test_assembly_holds_only_the_pivots():
     assert peak < 3 * 2 ** 20
     assert space.dimension == 6
     system = space.system
-    assert system.n_rows == len(system.rows) == 21_852
+    rows = system.rows
+    assert system.n_rows == len(rows) == 21_852
+    # the bench's traced distinct_rows counts these
+    assert len({frozenset(row.items()) for row in rows}) == 16_452
+    cw4 = assemble(Ansatz(make_catalog("cw", 4), 2))
+    assert cw4.n_rows == len(cw4.rows) == 5_024
+    assert len({frozenset(row.items()) for row in cw4.rows}) == 4_208
     # only class 0 is eliminated: a third of the rank
     assert len(system.pivots) * 3 == system.n_unknowns - space.dimension == 1_290
 
@@ -357,7 +389,8 @@ def test_rows_regenerate_identically():
     assert system.n_rows == len(rows) == 320
     assert system.rows == rows
     assert [list(row) for row in system.rows] == [list(row) for row in rows]
-    assert system.listing == system.listing
+    assert class0_listing(system.ansatz, system.tags) == \
+        class0_listing(system.ansatz, system.tags)
 
 
 # -- the class-0 solve and its lift against the unlifted solve ------------------------
@@ -365,8 +398,8 @@ def test_rows_regenerate_identically():
 def unlifted_solve(ansatz, tags):
     """The solve that the lift replaces: every unknown tagged, every index
     class assembled and eliminated together, one vector per free column.
-    Returns the rows with their provenance, in (tag, tuple, target,
-    monomial) order, and the basis vectors."""
+    Returns the rows of every class as ((tag, tuple, target, monomial),
+    row) pairs, in that order, and the basis vectors."""
     algebra = ansatz.algebra
     sort_key = algebra.gen_sort_key
     entries = {}
@@ -386,7 +419,7 @@ def unlifted_solve(ansatz, tags):
                 for (p, q, r, s, k), coeff in value.terms[gt].terms.items():
                     rows.setdefault((p, q, r, s, 0), {})[k] = coeff
                 for mono in sorted(rows):
-                    listing.append((Provenance(tag, args, gt, mono),
+                    listing.append(((tag, args, gt, mono),
                                     {k: rows[mono][k] for k in sorted(rows[mono])}))
     pivots = _rref(row for _, row in listing)
     n = ansatz.n_unknowns
@@ -402,6 +435,12 @@ def unlifted_solve(ansatz, tags):
     return listing, vectors
 
 
+def typed_multiset(rows):
+    """The rows as a multiset, with the unknown order and the type of each
+    value: Fraction(2) == 2, but not here."""
+    return Counter(tuple((k, type(c), c) for k, c in row.items()) for row in rows)
+
+
 def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     ansatz = Ansatz(algebra, degree)
     listing, vectors = unlifted_solve(ansatz, tags)
@@ -412,11 +451,16 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     assert [list(map(type, v.values())) for v in space.vectors] == \
         [list(map(type, v.values())) for v in vectors]
     assert system.n_rows == len(listing)
-    lifted = system.listing
-    assert lifted == listing
-    assert [list(row) for _, row in lifted] == [list(row) for _, row in listing]
-    assert [(type(p), type(c)) for _, row in lifted for p, c in row.items()] == \
-        [(type(p), type(c)) for _, row in listing for p, c in row.items()]
+    assert all(len({ansatz.index_class(k) for k in row}) == 1 for _, row in listing)
+    # the class-0 rows that assembly eliminates
+    expected = of_class0(ansatz, listing)
+    rows = class0_listing(ansatz, tags)
+    assert rows == expected
+    assert [list(row) for _, row in rows] == [list(row) for _, row in expected]
+    assert [(type(p), type(c)) for _, row in rows for p, c in row.items()] == \
+        [(type(p), type(c)) for _, row in expected for p, c in row.items()]
+    # the rows of every class, lifted from class 0 by Ansatz.lift
+    assert typed_multiset(system.rows) == typed_multiset(row for _, row in listing)
     assert len(system.pivots) * algebra.modulus == ansatz.n_unknowns - len(vectors)
 
 
