@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
-from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, verify_map
+from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, map_to_dict, verify_map
 from .poly import ParseError, Scalar, parse_rational
 from .solver import (
     ASSEMBLE_TAGS,
@@ -170,17 +170,23 @@ def _emit(args, payload) -> None:
         print(text)
 
 
-def _solve_report_text(report: dict) -> str:
-    lines = [f"algebra {report['algebra']}",
-             f"degree {report['degree']}  tags {','.join(report['tags'])}",
-             f"unknowns {report['unknowns']}  rows {report['rows']}  "
-             f"dimension {report['dimension']}"]
-    for entry in report["matched"]:
-        combo = " + ".join(f"{c}*{name}" for name, c in entry["combination"].items())
-        lines.append(f"basis[{entry['basis']}] = {combo or '0'}")
-    for entry in report["unmatched"]:
-        lines.append(f"basis[{entry['basis']}] UNMATCHED: "
-                     f"{json.dumps(entry['map']['entries'])}")
+def _solve_report_text(space, match) -> str:
+    """The text report: solver_report's fields, with the map of an
+    unmatched basis vector, the only one it prints, built for it alone."""
+    ansatz, system = space.ansatz, space.system
+    lines = [f"algebra {ansatz.algebra.name}",
+             f"degree {ansatz.degree}  tags {','.join(system.tags)}",
+             f"unknowns {ansatz.n_unknowns}  rows {system.n_rows}  "
+             f"dimension {space.dimension}"]
+    entries = list(enumerate(match.combinations))
+    for i, combination in entries:
+        if combination is not None:
+            combo = " + ".join(f"{c}*{name}" for name, c in combination.items() if c)
+            lines.append(f"basis[{i}] = {combo or '0'}")
+    for i, combination in entries:
+        if combination is None:
+            phi = ansatz.map_from_vector(space.vectors[i])
+            lines.append(f"basis[{i}] UNMATCHED: {json.dumps(map_to_dict(phi)['entries'])}")
     return "\n".join(lines)
 
 
@@ -223,11 +229,10 @@ def _run(args) -> int:
     except SolverError as exc:
         raise UsageError(f"--degree/--b: {exc}") from None
     match = match_templates(space)
-    report = solver_report(space, match)
     if args.format == "json":
-        _emit(args, report)
+        _emit(args, solver_report(space, match))
     else:
-        _emit(args, _solve_report_text(report))
+        _emit(args, _solve_report_text(space, match))
     if args.verb == "match":
         return 0 if match.fully_matched else CHECK_FAILED
     return 0

@@ -72,23 +72,18 @@ below); that the lifted basis is complete for the classes s != 0 follows
 from the centroid argument, not from elimination, and the unlifted solve
 in tests/test_solver.py checks it.
 
-The work after the solve is done in class 0, once for the class-0 basis.
-The re-check is one verify_map sweep of the tagged map sum_j b^j phi_j of
-the class-0 basis maps, whose b^j parts are the residuals of phi_j, by
-the argument of assembly.  It covers every tuple: when the tagged map is
-index-equivariant, as it is whenever its basis maps are combinations of
-the shift-0 templates, through one representative tuple per sigma-orbit,
-whose residual is shifted onto the others by the centroid argument;
-otherwise tuple by tuple.  Either way no residual goes unchecked, so the
-certification of the row subset stays exact.  The lift is checked
-without residuals: sigma_s of a map is its table with every target index
-moved by s, and vector_of of that map must be the reported lifted
-vector, position by position.
-The template match eliminates the shift-0 templates once, with the
-class components of the basis vectors, each moved down to class 0, as
-more columns; a class-s component takes its coefficients on the shift-s
-templates.  One builder, Ansatz._map, makes every map from the unknowns:
-the tagged basis map and, with the tag b^0, each concrete map.
+The work after the solve is done once per class-0 basis vector; its
+lifts are derived by index arithmetic and get no map.  The re-check is
+one verify_map sweep of the tagged map sum_j b^j phi_j of the class-0
+basis maps, whose b^j parts are the residuals of phi_j by the argument of
+assembly; it covers every tuple (see verify_map), so the certification of
+the row subset stays exact.  The lift check moves the target of each
+decoded class-0 unknown by s: the result must be the reported vector.
+The template match eliminates the shift-0 templates once, with each class
+component of each basis vector, moved down to class 0, as one more column.
+solver_report serializes each class-0 map once and renames its targets
+for each lift.  One builder, Ansatz._map, makes every map: the tagged
+basis map and, with the tag b^0, each concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -101,6 +96,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple
 
@@ -114,7 +110,6 @@ from .bimaps import (
     map_to_dict,
     normalize_tags,
     residual,
-    shift_targets,
     verify_map,
 )
 from .linalg import (
@@ -150,8 +145,9 @@ ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 # 2 were lem1 rows, with rank 190 either way), and the re-check covers lem1.
 SUBSET_ARGS = {"def1a": None, "def1b": 2, "lem1": 1}
 
-# Largest ansatz the solver builds, about five times the largest bench
-# ladder case (10,368 unknowns).
+# The most unknowns an Ansatz may have, counted over every index class: a
+# larger one is refused before any work, which bounds the time and memory of
+# a solve.  The largest benchmark solve has 1,296 unknowns.
 MAX_UNKNOWNS = 50_000
 
 # The prime of the modular elimination, 2^61 - 1 (see the module docstring).
@@ -293,10 +289,10 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift).  nullspace lifts the solution vectors with it, and
-        ConstraintSystem.rows the class-0 rows: sigma_s of a row of class 0
-        is the row of class s, since the residual of sigma_s o phi is
-        sigma_s of the residual of phi."""
+        shift).  nullspace lifts the solution vectors with it, solver_report
+        moves them down, and ConstraintSystem.rows lifts the class-0 rows:
+        sigma_s of a row of class 0 is the row of class s, since the
+        residual of sigma_s o phi is sigma_s of the residual of phi."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def vector_of(self, phi: BilinearMap) -> Row:
@@ -558,15 +554,17 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
 @dataclass
 class SolutionSpace:
     """Nullspace of a constraint system, as made by nullspace: the basis
-    vectors, as Rows of coprime ints, and basis[i], the concrete map of
-    vectors[i].  The ansatz is the system's, and the dimension is the
-    number of vectors.  Of an exact system (p = 0, assemble's default) the
-    basis is exact; of a modular one, which solve_bider asks for, it is
-    exact only once the re-check of solve_bider has passed."""
+    vectors, as Rows of coprime ints, exact of an exact system (p = 0) and
+    of a modular one only once solve_bider's re-check has passed.
+    basis[i], the concrete map of vectors[i], is built with the others
+    when basis is first read, and kept; the solver itself never reads it."""
 
     system: ConstraintSystem
     vectors: list[Row]
-    basis: list[BilinearMap]
+
+    @cached_property
+    def basis(self) -> list[BilinearMap]:
+        return [self.ansatz.map_from_vector(v) for v in self.vectors]
 
     @property
     def ansatz(self) -> Ansatz:
@@ -585,7 +583,8 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     is lifted by sigma_s for s = 0..m-1 (see Ansatz.lift).  The lifted
     vectors are ordered by free column: sigma_s keeps the column order
     within a class, so this is the free-column basis of the whole
-    system, and identical inputs give bit-identical bases.
+    system, and identical inputs give bit-identical bases.  No map is
+    built (see SolutionSpace).
 
     Of a modular system, each entry -prow[f] mod p is rebuilt by rational
     reconstruction (see _reconstruct), which raises UnluckyPrime where it
@@ -608,9 +607,7 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
         lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
                    for s in range(m)]
     lifted.sort(key=lambda free_vector: free_vector[0])
-    vectors = [vector for _, vector in lifted]
-    basis = [ansatz.map_from_vector(v) for v in vectors]
-    return SolutionSpace(system, vectors, basis)
+    return SolutionSpace(system, [vector for _, vector in lifted])
 
 
 def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
@@ -619,18 +616,29 @@ def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
     from the lifts of its class-0 vectors, or None.
 
     The class-0 basis vectors are the ones nullspace emits for s = 0:
-    their free column, the highest unknown, is in class 0.
+    their free column, the highest unknown, is in class 0.  Their lifts
+    are made without Ansatz.shift, from the decoded unknowns.
     """
-    ansatz = space.ansatz
-    vectors = space.vectors
+    ansatz, vectors = space.ansatz, space.vectors
     if not vectors:
         return True, None
-    class0 = [i for i, vector in enumerate(vectors) if ansatz.index_class(max(vector)) == 0]
-    tagged = ansatz._map((j, k, c) for j, i in enumerate(class0) for k, c in vectors[i].items())
+    class0 = [v for v in vectors if ansatz.index_class(max(v)) == 0]
+    tagged = ansatz._map((j, k, c) for j, v in enumerate(class0) for k, c in v.items())
     passed = verify_map(tagged, space.system.tags).passed
-    lifts = sorted([vectors[i] for i in class0] + [
-        ansatz.vector_of(_shifted_map(space.basis[i], s))
-        for i in class0 for s in range(1, ansatz.algebra.modulus)], key=max)
+    algebra, position = ansatz.algebra, ansatz._position
+    lifts = []
+    for vector in class0:
+        # each unknown is decoded once and dropped at once: a list of them,
+        # held across the shifts, raised classify's peak RSS by 0.1 MB
+        moved = [{} for _ in range(algebra.modulus)]
+        for k, c in vector.items():
+            u = ansatz.unknown(k)
+            for s, lift in enumerate(moved):
+                lift[ansatz._encode(position[u.left], position[u.right],
+                                    position[algebra.gen(u.target.family, u.target.index + s)],
+                                    ansatz._mono_position[u.dpow, u.lpow])] = c
+        lifts += moved
+    lifts.sort(key=max)
     mismatch = next((i for i, (vector, lift) in enumerate(itertools.zip_longest(vectors, lifts))
                      if vector != lift), None)
     return passed, mismatch
@@ -642,29 +650,19 @@ def solve_bider(algebra: Algebra, degree: int,
 
     Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS (no
     lem1 row when def1b is solved too) and lifted onto every class (see
-    nullspace), and every reported basis map
-    is checked (defense in depth against elimination and lift bugs) in
-    class 0 only:
+    nullspace), and every reported basis map is checked (defense in depth
+    against elimination and lift bugs) in class 0 only (see _checks):
 
-    - The re-check: the class-0 basis maps are checked against the solved
-      identities with the independent residual engine, in one verify_map
-      sweep of their tagged sum sum_j b^j phi_j, built by Ansatz._map from
-      their vectors.  That is exact for the reason assembly is: the
-      algebra and the phi_j are b-free, the phi_j have int coefficients and
-      no residual substitutes b, so the b^j part of each tagged residual
-      is the residual of phi_j, and the sweep memo makes each bracket once
-      for all of them.  It covers every tuple, through one representative
-      per sigma-orbit when the tagged map is index-equivariant (see
-      verify_map) and tuple by tuple otherwise, so passing it also makes
-      the modular solve of the row subset exact (see the module
-      docstring).
-    - The lift check, without residuals: sigma_s of each class-0 basis
-      map is its table with every target index moved by s, and vector_of
-      of that map must be the reported vector, position by position, in
-      the reported order (by free column: sigma_s keeps the order within
-      a class).  It shares no code with Ansatz.shift or Ansatz.lift, and
-      sigma_s of a solution is a solution, because sigma_s lies in the
-      centroid.
+    - The re-check: one verify_map sweep of the tagged sum sum_j b^j phi_j
+      of the class-0 basis maps against the solved identities, exact for
+      the reason assembly is and covering every tuple, so passing it also
+      makes the modular solve of the row subset exact.
+    - The lift check, without residuals and without maps: each class-0
+      vector lifted by index arithmetic must be the reported vector,
+      value by value, in the reported order (by free column: sigma_s
+      keeps the order within a class).  It shares no code with
+      Ansatz.shift or Ansatz.lift, and sigma_s of a solution is a
+      solution, because sigma_s lies in the centroid.
 
     The solve is retried once, on every row with p = 0 in exact
     arithmetic, if the prime is unlucky (UnluckyPrime: a denominator
@@ -699,16 +697,10 @@ def solve_bider(algebra: Algebra, degree: int,
                                  f"the index shift of a class-0 basis vector")
     i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
             for mono in poly.terms)
-    failures = verify_map(space.basis[i], system.tags).failures
+    failures = verify_map(ansatz.map_from_vector(vectors[i]), system.tags).failures
     raise InternalCheckError(
         f"internal check failed: basis vector {i} has nonzero residuals: "
         + "; ".join(str(r) for r in failures[:3]))
-
-
-def _shifted_map(phi: BilinearMap, s: int) -> BilinearMap:
-    """sigma_s o phi: phi's table with every target index moved by s."""
-    return BilinearMap(phi.algebra, {pair: shift_targets(value, s)
-                                     for pair, value in phi.table.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +794,30 @@ def solver_report(space: SolutionSpace, match: MatchReport) -> dict:
     "matched" gives each matched basis vector with the nonzero
     coefficients of its combination; "unmatched" gives each other one
     with its map verbatim, the same dict as its entry in "basis".
+
+    A vector v of class s (that of its highest unknown) is sigma_s of
+    Ansatz.lift(v, -s), which map_to_dict serializes once per distinct Row;
+    sigma_s renames the targets and re-sorts each value list (wrap-around
+    mod m can reorder it), and keeps every pair and coefficient string.
     """
     ansatz = space.ansatz
-    basis = [map_to_dict(phi) for phi in space.basis]
+    algebra = ansatz.algebra
+    serialized: dict[tuple, dict] = {}
+    basis = []
+    for vector in space.vectors:
+        s = ansatz.index_class(max(vector, default=0))
+        key = tuple(ansatz.lift(vector, -s).items())
+        if key not in serialized:
+            serialized[key] = map_to_dict(ansatz.map_from_vector(dict(key)))
+        moved = {str(g): (algebra.gen_sort_key(h), str(h)) for g in algebra.generators()
+                 for h in [algebra.gen(g.family, g.index + s)]}
+        basis.append({**serialized[key], "entries": [{**entry, "value": [
+            {**term, "gen": moved[term["gen"]][1]}
+            for term in sorted(entry["value"], key=lambda term: moved[term["gen"]])]}
+            for entry in serialized[key]["entries"]]})
     entries = list(enumerate(match.combinations))
     return {
-        "algebra": ansatz.algebra.name,
+        "algebra": algebra.name,
         "degree": ansatz.degree,
         "tags": list(space.system.tags),
         "unknowns": ansatz.n_unknowns,

@@ -338,6 +338,26 @@ def test_match_unmatched_report_is_pinned(capsys):
             '[{"gen": "L:0", "coeff": "d*d + 2*d*l"}]}]') in out.splitlines()
 
 
+@pytest.mark.parametrize("fmt, maps", [("text", 1), ("json", 2)])
+def test_match_builds_no_map_per_lifted_vector(capsys, monkeypatch, fmt, maps):
+    # CW(m=12) has one class-0 basis vector, lifted onto twelve classes: the
+    # re-check builds its one tagged map, the JSON report the class-0 map,
+    # and the text report, which prints no map of a matched vector, none
+    calls = []
+    build = Ansatz._map
+
+    def counting_map(self, terms):
+        calls.append(1)
+        return build(self, terms)
+
+    monkeypatch.setattr(Ansatz, "_map", counting_map)
+    code, out, err = run(capsys, "match", "--catalog", "cw", "--m", "12", "--degree", "2",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "dimension 12" in out or '"dimension": 12' in out
+    assert len(calls) == maps
+
+
 INHOMOGENEOUS = str(Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json")
 
 

@@ -632,6 +632,27 @@ def test_post_solve_check_refuses_a_lift_onto_the_wrong_class(case, monkeypatch)
         f"basis vector")
 
 
+def test_post_solve_check_refuses_a_lift_that_scales_values(monkeypatch):
+    # twice a lifted vector is still a solution, on the right class and in
+    # the right position, so only the value-by-value lift check can refuse
+    # it, at the first vector that is not of class 0
+    algebra = make_catalog("clw", 3, -1)
+    expected = solve_bider(algebra, 2)
+    lift = Ansatz.lift
+    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: {
+        k: 2 * value if s else value for k, value in lift(self, entries, s).items()})
+    broken = nullspace(assemble(Ansatz(algebra, 2)))
+    assert [list(v) for v in broken.vectors] == [list(v) for v in expected.vectors]
+    assert all(verify_map(phi, ("def1a", "def1b")).passed for phi in broken.basis)
+    index = next(i for i, vector in enumerate(expected.vectors)
+                 if expected.ansatz.index_class(max(vector)))
+    with pytest.raises(InternalCheckError) as failure:
+        solve_bider(algebra, 2)
+    assert str(failure.value) == (
+        f"internal check failed: basis vector {index} is not the index shift of a class-0 "
+        f"basis vector")
+
+
 # -- nullspace -----------------------------------------------------------------------
 
 def test_nullspace_vir_skew():
@@ -897,8 +918,7 @@ def with_mixed_vectors(space):
     stray = {ansatz.n_unknowns - 1: 1}
     first = {**space.vectors[0], **stray} if space.vectors else dict(stray)
     extra = [{k: total[k] for k in sorted(total) if total[k]}, stray, first]
-    return SolutionSpace(space.system, space.vectors + extra,
-                         space.basis + [ansatz.map_from_vector(v) for v in extra])
+    return SolutionSpace(space.system, space.vectors + extra)
 
 
 def assert_match_is_oracle(space):
@@ -951,7 +971,7 @@ def test_match_reports_unmatched_verbatim():
         (g0, g1): cw.element({g0: Poly.one()}),
     })
     vec = ansatz.vector_of(phi)
-    space = SolutionSpace(assemble(ansatz), [vec], [phi])
+    space = SolutionSpace(assemble(ansatz), [vec])
     match = match_templates(space)
     assert not match.fully_matched
     report = solver_report(space, match)
@@ -971,6 +991,28 @@ def test_solver_report_shape():
     assert report["dimension"] == 2
     assert len(report["basis"]) == 2
     assert report["unmatched"] == []
+
+
+def assert_report_is_map_to_dict(space):
+    # the report serializes each class-0 map once and derives its lifts by
+    # renaming targets; the spaces with mixed vectors have value lists that
+    # wrap-around mod m reorders
+    for candidate in (space, with_mixed_vectors(space)):
+        basis = solver_report(candidate, match_templates(candidate))["basis"]
+        expected = [map_to_dict(candidate.ansatz.map_from_vector(v)) for v in candidate.vectors]
+        assert basis == expected
+        assert json.dumps(basis, indent=2) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
+def test_report_basis_is_map_to_dict_on_the_lift_cases(algebra, degree, tags):
+    assert_report_is_map_to_dict(solve_bider(algebra, degree, tags))
+
+
+@pytest.mark.parametrize("kind, m, b", [("cw", 12, None), ("clw", 6, -1)],
+                         ids=["cw12-d2", "clw6-bm1-d2"])
+def test_report_basis_is_map_to_dict_on_the_large_lifted_cases(kind, m, b):
+    assert_report_is_map_to_dict(solve_bider(make_catalog(kind, m, b), 2))
 
 
 # -- bit-identical reports ----------------------------------------------------------
