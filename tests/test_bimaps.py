@@ -135,7 +135,8 @@ def test_kernel_matches_per_term_oracle(kind, m, b):
     if b is not None:  # the tagged class-0 ansatz map: one distinct b^k per unknown
         ansatz = Ansatz(alg, 1)
         maps = [ansatz._map((k, k, 1) for k in range(ansatz.n_unknowns)
-                            if ansatz.index_class(k) == 0)]
+                            if (u := ansatz.unknown(k)).target.index ==
+                            (u.left.index + u.right.index) % m)]
     for s in ORACLE_SPECTRALS:
         for _ in range(6):
             x, y = nonzero_element(rng, alg), nonzero_element(rng, alg)

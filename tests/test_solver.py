@@ -81,10 +81,17 @@ def class0_listing(ansatz, tags):
             for mono in sorted(rows)]
 
 
+def index_class(ansatz, k):
+    """The index class of unknown k, read off its decoded generators:
+    target index - left index - right index mod m."""
+    u = ansatz.unknown(k)
+    return (u.target.index - u.left.index - u.right.index) % ansatz.algebra.modulus
+
+
 def of_class0(ansatz, listing):
     """The pairs of a listing whose row is in class 0; every row involves
     one index class only."""
-    return [(prov, row) for prov, row in listing if ansatz.index_class(min(row)) == 0]
+    return [(prov, row) for prov, row in listing if index_class(ansatz, min(row)) == 0]
 
 
 def class0(ansatz):
@@ -120,7 +127,6 @@ def test_unknown_decodes_the_index():
         u = ansatz.unknown(k)
         assert ansatz._encode(position[u.left], position[u.right], position[u.target],
                               monos.index((u.dpow, u.lpow))) == k
-        assert ansatz.index_class(k) == (u.target.index - u.left.index - u.right.index) % 3
     assert str(ansatz.unknown(n - 1)) == "u[G:2,G:2->G:2|d^0*l^1]"
     for k in (-1, n):
         with pytest.raises(SolverError, match=f"unknown index {k} outside 0 .. {n - 1}"):
@@ -451,7 +457,7 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     assert [list(map(type, v.values())) for v in space.vectors] == \
         [list(map(type, v.values())) for v in vectors]
     assert system.n_rows == len(listing)
-    assert all(len({ansatz.index_class(k) for k in row}) == 1 for _, row in listing)
+    assert all(len({index_class(ansatz, k) for k in row}) == 1 for _, row in listing)
     # the class-0 rows that assembly eliminates
     expected = of_class0(ansatz, listing)
     rows = class0_listing(ansatz, tags)
@@ -577,8 +583,8 @@ def tagged_sum(maps):
     inhomogeneous_clw(3),
 ], ids=["cw4-d2", "clw3-b-1-d2", "inhom-clw3-d2"])
 def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
-    # the re-check sweeps only the class-0 basis maps, the vectors nullspace
-    # emits for s = 0 (the lift is checked without residuals): one verify_map
+    # the re-check sweeps only the class-0 basis maps, those of space.class0
+    # (the lift is checked without residuals): one verify_map
     # of their tagged sum, in basis order, pair for pair in order
     swept = []
 
@@ -592,6 +598,7 @@ def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
     maps = [phi for phi, vector in zip(space.basis, space.vectors)
             if first_class.issuperset(vector)]
     assert len(maps) * algebra.modulus == space.dimension
+    assert maps == [space.ansatz.map_from_vector(v) for v in space.class0]
     reference = tagged_sum(maps)
     assert len(swept) == 1
     assert swept[0] == reference
@@ -645,7 +652,7 @@ def test_post_solve_check_refuses_a_lift_that_scales_values(monkeypatch):
     assert [list(v) for v in broken.vectors] == [list(v) for v in expected.vectors]
     assert all(verify_map(phi, ("def1a", "def1b")).passed for phi in broken.basis)
     index = next(i for i, vector in enumerate(expected.vectors)
-                 if expected.ansatz.index_class(max(vector)))
+                 if index_class(expected.ansatz, max(vector)))
     with pytest.raises(InternalCheckError) as failure:
         solve_bider(algebra, 2)
     assert str(failure.value) == (
@@ -906,28 +913,12 @@ def match_oracle(space):
             for coords in express_all_in_span(columns, space.vectors)]
 
 
-def with_mixed_vectors(space):
-    """The space with three more vectors: the sum of the basis (every class
-    at once), a vector with one entry on the last unknown, and the first
-    basis vector plus that entry."""
-    ansatz = space.ansatz
-    total = {}
-    for vector in space.vectors:
-        for k, value in vector.items():
-            total[k] = total.get(k, 0) + value
-    stray = {ansatz.n_unknowns - 1: 1}
-    first = {**space.vectors[0], **stray} if space.vectors else dict(stray)
-    extra = [{k: total[k] for k in sorted(total) if total[k]}, stray, first]
-    return SolutionSpace(space.system, space.vectors + extra)
-
-
 def assert_match_is_oracle(space):
-    for candidate in (space, with_mixed_vectors(space)):
-        combinations = match_templates(candidate).combinations
-        expected = match_oracle(candidate)
-        assert combinations == expected
-        assert [c if c is None else list(c) for c in combinations] == \
-            [c if c is None else list(c) for c in expected]
+    combinations = match_templates(space).combinations
+    expected = match_oracle(space)
+    assert combinations == expected
+    assert [c if c is None else list(c) for c in combinations] == \
+        [c if c is None else list(c) for c in expected]
 
 
 # Every template oracle case but the one whose table keeps b, which no
@@ -962,22 +953,29 @@ def test_shifted_templates_are_lifts_of_the_shift_zero_template(case):
 
 
 def test_match_reports_unmatched_verbatim():
-    # a spurious constant entry cannot be absorbed by the shift templates
+    # a spurious constant entry of class 0, (L:0, L:1) -> 1*L:1, cannot be
+    # absorbed by the shift templates, nor can its lift by sigma_1
     cw = make_catalog("cw", 2)
     ansatz = Ansatz(cw, 1)
     g0, g1 = cw.gen("L", 0), cw.gen("L", 1)
     phi = BilinearMap(cw, {
         (g0, g0): cw.element({g0: D + 2 * L}),
+        (g0, g1): cw.element({g1: Poly.one()}),
+    })
+    lifted = BilinearMap(cw, {
+        (g0, g0): cw.element({g1: D + 2 * L}),
         (g0, g1): cw.element({g0: Poly.one()}),
     })
-    vec = ansatz.vector_of(phi)
-    space = SolutionSpace(assemble(ansatz), [vec])
+    space = SolutionSpace(assemble(ansatz), [ansatz.vector_of(phi)])
+    # sigma_1 moves the highest unknown, on (L:0, L:1), to a lower target
+    assert space.lifts == [(0, 1), (0, 0)]
     match = match_templates(space)
-    assert not match.fully_matched
+    assert match.combinations == [None, None]
     report = solver_report(space, match)
     assert report["matched"] == []
-    assert report["unmatched"][0]["basis"] == 0
-    assert report["unmatched"][0]["map"] == map_to_dict(phi)
+    assert report["unmatched"] == [{"basis": 0, "map": map_to_dict(lifted)},
+                                   {"basis": 1, "map": map_to_dict(phi)}]
+    assert report["basis"] == [entry["map"] for entry in report["unmatched"]]
 
 
 def test_solver_report_shape():
@@ -995,13 +993,13 @@ def test_solver_report_shape():
 
 def assert_report_is_map_to_dict(space):
     # the report serializes each class-0 map once and derives its lifts by
-    # renaming targets; the spaces with mixed vectors have value lists that
-    # wrap-around mod m reorders
-    for candidate in (space, with_mixed_vectors(space)):
-        basis = solver_report(candidate, match_templates(candidate))["basis"]
-        expected = [map_to_dict(candidate.ansatz.map_from_vector(v)) for v in candidate.vectors]
-        assert basis == expected
-        assert json.dumps(basis, indent=2) == json.dumps(expected, indent=2)
+    # renaming targets
+    report = solver_report(space, match_templates(space))
+    expected = [map_to_dict(space.ansatz.map_from_vector(v)) for v in space.vectors]
+    assert report["basis"] == expected
+    assert json.dumps(report["basis"], indent=2) == json.dumps(expected, indent=2)
+    assert [entry["map"] for entry in report["unmatched"]] == \
+        [expected[entry["basis"]] for entry in report["unmatched"]]
 
 
 @pytest.mark.parametrize("algebra, degree, tags", LIFT_CASES, ids=LIFT_CASE_IDS)
@@ -1013,6 +1011,25 @@ def test_report_basis_is_map_to_dict_on_the_lift_cases(algebra, degree, tags):
                          ids=["cw12-d2", "clw6-bm1-d2"])
 def test_report_basis_is_map_to_dict_on_the_large_lifted_cases(kind, m, b):
     assert_report_is_map_to_dict(solve_bider(make_catalog(kind, m, b), 2))
+
+
+# Solves of def1a alone, whose bases hold vectors outside the span of the
+# templates: the Virasoro one has 1 matched and 1 unmatched vector, the
+# CW(m=3) one 36 unmatched vectors, 12 class-0 vectors lifted by sigma_s.
+UNMATCHED_SOLVES = {
+    "vir-d2": (lambda: make_catalog("vir"), 2, 1, 1),
+    "cw3-d1": (lambda: make_catalog("cw", 3), 1, 0, 36),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMATCHED_SOLVES))
+def test_match_and_report_are_the_oracles_on_unmatched_solves(case):
+    make, degree, n_matched, n_unmatched = UNMATCHED_SOLVES[case]
+    space = solve_bider(make(), degree, ("def1a",))
+    report = solver_report(space, match_templates(space))
+    assert (len(report["matched"]), len(report["unmatched"])) == (n_matched, n_unmatched)
+    assert_match_is_oracle(space)
+    assert_report_is_map_to_dict(space)
 
 
 # -- bit-identical reports ----------------------------------------------------------
@@ -1054,6 +1071,18 @@ def test_solver_report_matches_golden_hash(name, kind, m, b, tags):
 def test_large_lifted_report_matches_golden_hash(kind, m, b, digest):
     space = solve_bider(make_catalog(kind, m, b), 2)
     assert canonical_sha256(solver_report(space, match_templates(space))) == digest
+
+
+def test_match_and_report_read_only_the_class0_basis(monkeypatch):
+    # the lifted vectors are not built after the solve: the match and the
+    # report derive every basis vector from class0 and lifts
+    space = solve_bider(make_catalog("clw", 3, -1), 2)
+
+    def unread(self):
+        raise AssertionError("SolutionSpace.vectors was read")
+
+    monkeypatch.setattr(SolutionSpace, "vectors", property(unread))
+    assert report_sha256(space) == GOLDEN["clw3-bm1-d2"]
 
 
 def test_cli_match_report_matches_golden_hash(tmp_path):
