@@ -203,13 +203,8 @@ def _run(args) -> int:
 
     if args.verb == "verify-family":
         kind = {"inner": "inner", "cw": "cw_shift", "clw": "clw_shift"}[args.family]
-        params = {}
-        if args.t is not None:
-            params["t"] = _parse_rational(args.t, "--t")
-        if args.a is not None:
-            params["a"] = _parse_rational(args.a, "--a")
-        if args.g is not None:
-            params["g"] = _parse_rational(args.g, "--g")
+        params = {name: _parse_rational(value, f"--{name}") for name in ("t", "a", "g")
+                  if (value := getattr(args, name)) is not None}
         try:
             phi = make_family(algebra, kind, shift=args.shift, **params)
         except FamilyError as exc:
@@ -249,10 +244,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _run(args)
-    except UsageError as exc:
-        print(f"lcalab: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (AlgebraError, MapError, OSError) as exc:
+    except (UsageError, AlgebraError, MapError, OSError) as exc:
         print(f"lcalab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -3,11 +3,11 @@ the solver.
 
 A Row is a sparse vector, {index: nonzero value} with the indices
 ascending.  _rref reduces rows to their reduced row echelon form, exactly
-with p = 0, or mod a prime p, for rows of residues (see _residue);
-_reconstruct rebuilds a rational from its residue mod p, and
-_normalize_vector scales a rational vector to coprime ints.  Every exact
-entry is an int or a Fraction, never a float.  express_all_in_span finds
-coordinates in the span of given columns, by one exact elimination.
+with p = 0, or mod a prime p, for rows of residues; _reconstruct gives a
+nonzero rational congruent to a residue mod p, and _normalize_vector
+scales a rational vector to coprime ints.  Every exact entry is an int or
+a Fraction, never a float.  express_all_in_span finds coordinates in the
+span of given columns, by one exact elimination.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ _ONE = Fraction(1)
 Row = dict[int, Fraction]
 
 
-class UnluckyPrime(ArithmeticError):
-    """The prime of a modular elimination divides a denominator of the
-    rows, or leaves an entry that rational reconstruction cannot rebuild;
-    solver.solve_bider then solves in exact arithmetic."""
-
-
 def _normalize_vector(vector: Row) -> Row:
     """Scale a Row of int/Fraction entries to coprime ints with the entry
     of the lowest unknown positive, in integer arithmetic only."""
@@ -40,30 +34,20 @@ def _normalize_vector(vector: Row) -> Row:
     return {k: v // common for k, v in ints.items()}
 
 
-def _residue(value: int | Fraction, p: int) -> int:
-    """An int or Fraction mod the prime p, in 0 .. p - 1; UnluckyPrime if
-    p divides its denominator."""
-    d = value.denominator
-    if d % p == 0:
-        raise UnluckyPrime(f"the prime {p} divides the denominator {d}")
-    return value.numerator * pow(d, -1, p) % p
-
-
 def _reconstruct(a: int, p: int) -> int | Fraction:
-    """The rational n/d with n = a * d mod p and |n|, d at most
-    isqrt(p // 2), by the half extended Euclidean algorithm (Wang's
-    rational reconstruction): there is at most one such n/d, as 2 * n * d
-    < p.  UnluckyPrime if there is none: the entry has a larger numerator
-    or denominator, or p was unlucky."""
+    """A nonzero rational n/d congruent to the residue a, 1 .. p - 1, mod
+    the prime p, by the half extended Euclidean algorithm (Wang's rational
+    reconstruction): the remainders n = a * d mod p run down until |n| is
+    at most isqrt(p // 2).  If some n/d has |n| and d both at most that
+    bound, it is unique, as 2 * |n| * d < p, and this is it.  Otherwise the
+    result is still congruent to a, but a candidate only: the re-check of
+    solver.solve_bider decides whether it stands."""
     bound = isqrt(p // 2)
     r0, r1, t0, t1 = p, a, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        raise UnluckyPrime(f"no rational with numerator and denominator at most {bound} "
-                           f"is {a} mod {p}")
     if t1 < 0:
         r1, t1 = -r1, -t1
     return r1 if t1 == 1 else Fraction(r1, t1)

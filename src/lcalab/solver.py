@@ -33,30 +33,33 @@ demand.  Every row entry is an exact rational, an int or a Fraction
 (never a float).
 
 solve_bider eliminates a subset S of the rows, over GF(p), p = PRIME =
-2^61 - 1.  S is the rows of every def1a tuple, of the def1b tuples whose
-z has index 0 and, unless def1b is assembled too, of the lem1 tuples
-whose y has index 0 (SUBSET_ARGS), about 1/m of those; a skipped tuple is
-still keyed and counted, so the row count and the rebuilt rows are
-those of the complete system.  Assembly reduces each template
-coefficient mod p once (see _tuple_rows), and _rref keeps residues.
-nullspace rebuilds each entry of each basis vector v_f (free column f)
-from its residue by rational reconstruction, and the post-solve
-re-check (below), which covers every tuple, makes the result exact.  v_f has 1 at f, 0 on
-the other free columns of S mod p, and its support is f and pivot columns
-below f.  If the re-check passes, v_f is a rational solution of the
-complete system, so column f depends on earlier columns over Q: the free
-columns of S mod p are free over Q.  The kernel of S contains the complete
-kernel, so rank_p(S) <= rank_Q(S) <= rank_Q(complete): there are at least
-as many free columns of S mod p as over Q, and the two sets are equal; v_f
-is then the exact basis vector of its free column, because that vector is
-unique.  So the emitted basis is the one an exact elimination of every row
-gives, bit for bit, and its dimension is exact.  If the re-check fails, or
-p divides a denominator, or an entry cannot be reconstructed, solve_bider
-solves the complete system once more with p = 0, in exact arithmetic, in
-which every division has a Fraction operand or is an exact floor
-division.  The reduced row echelon form is unique, so the emitted basis is
-deterministic bit for bit.  The elimination and the reconstruction, exact
-and mod p, are the kernels of lcalab.linalg.
+2^61 - 1.  S is the rows of every def1a tuple, of the def1b tuples whose z
+has index 0 and, unless def1b is assembled too, of the lem1 tuples whose y
+has index 0 (SUBSET_ARGS), about 1/m of those; a skipped tuple is still
+keyed and counted, so the row count and the rebuilt rows are those of the
+complete system.  Assembly reduces each coefficient of an integer template
+mod p once (see _tuple_rows), and _rref keeps residues.  Each modular row
+reduces an integer row, an exact row of S or D times one, for D the least
+common multiple of the rule denominators, so rank_p(S) <= rank_Q(S) for
+every prime p, one that divides D included.  nullspace rebuilds each entry
+of each basis vector v_f (free column f) from its residue by rational
+reconstruction, a candidate congruent to the residue, and the post-solve
+re-check (below), which covers every tuple, decides whether the result
+stands.  v_f has 1 at f, 0 on the other free columns of S mod p, and its
+support is f and pivot columns below f.  If the re-check passes, v_f is a
+rational solution of the complete system, so column f depends on earlier
+columns over Q: the free columns of S mod p are free over Q.  The kernel
+of S contains the complete kernel, so rank_p(S) <= rank_Q(S) <=
+rank_Q(complete): there are at least as many free columns of S mod p as
+over Q, and the two sets are equal; v_f is then the exact basis vector of
+its free column, because that vector is unique.  So the emitted basis is
+the one an exact elimination of every row gives, bit for bit, and its
+dimension is exact.  If the re-check refuses it, solve_bider solves the
+complete system once more with p = 0, in exact arithmetic, in which every
+division has a Fraction operand or is an exact floor division.  The
+reduced row echelon form is unique, so the emitted basis is deterministic
+bit for bit.  The elimination and the reconstruction, exact and mod p, are
+the kernels of lcalab.linalg.
 
 Every algebra is a loop algebra over Z_m, so the index shift
 sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
@@ -116,10 +119,8 @@ from .bimaps import (
 )
 from .linalg import (
     Row,
-    UnluckyPrime,
     _normalize_vector,
     _reconstruct,
-    _residue,
     _rref,
     express_all_in_span,
 )
@@ -322,10 +323,10 @@ class ConstraintSystem:
     while ``n_rows`` and ``rows`` are always the complete system.  A
     modular or subset form is exact only once the basis nullspace
     rebuilds from it passes the re-check: solve_bider runs that check,
-    and solves the complete system again with p = 0 if it fails or the
-    prime is unlucky (see UnluckyPrime).  The class-0 solutions,
-    lifted by sigma_s for s = 0..m-1, are the solutions of the whole
-    system, and ``n_rows`` counts every class, m times the class-0 rows.
+    and solves the complete system again with p = 0 if it fails.  The
+    class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
+    of the whole system, and ``n_rows`` counts every class, m times the
+    class-0 rows.
     ``rows`` is rebuilt exactly from the ansatz and the tags on each
     access: one more class-0 assembly (see _tuple_rows), each row's
     unknowns sorted, lifted by Ansatz.lift for s = 0..m-1, class by class.
@@ -382,9 +383,9 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
     sums and the rows they empty.  The exact rows so keep the values and
     the int or Fraction types of the residual of the algebra itself.  The
     modular rows come from an integer copy: its rules are scaled by D, the
-    least common multiple of their denominators, so the def1b and lem1
-    rows, one bracket per term, are D times too large and are multiplied
-    by D^-1 mod p (UnluckyPrime if p divides D).
+    least common multiple of their denominators, so its def1b and lem1
+    rows, one bracket per term, are D times the exact rows, integer rows
+    with the same row space over Q, and are reduced mod p as they are.
     """
     algebra = ansatz.algebra
     gens = algebra.generators()
@@ -439,7 +440,6 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
         merge = any(j is not None and j != i for i, j in enumerate(pattern))
         if not merge and (skipped or not p):
             return sum(len(mono_rows) for _, mono_rows in rows), None if skipped else rows
-        inverse = 1 if tag == "def1a" or not p else _residue(Fraction(1, scale), p)
         size, template = 0, []
         for first, mono_rows in rows:
             kept = []
@@ -462,7 +462,7 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
                     continue
                 if p:
                     columns = [(i, offset, c) for i, offset, coeff in columns
-                               if (c := coeff * inverse % p)]
+                               if (c := coeff % p)]
                 kept.append((mono, *(zip(*columns) if columns else ((), (), ()))))
             if kept:
                 template.append((first, kept))
@@ -517,9 +517,11 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     not assembled: their rows are the class-0 rows lifted by sigma_s, so
     ``n_rows`` is m times the class-0 rows, and SolutionSpace lifts the
     solutions.  The system's ``rows`` are the exact class-0 rows lifted by
-    Ansatz.lift, in class-major order, which is deterministic.  If p
-    divides the least common multiple of the denominators of the bracket
-    rules, and def1b or lem1 is assembled, UnluckyPrime is raised.
+    Ansatz.lift, in class-major order, which is deterministic.  Mod p the
+    def1b and lem1 rows are those of the integer copy, D times the exact
+    rows, for D the least common multiple of the denominators of the
+    bracket rules; for p dividing D they may lose rank, which solve_bider's
+    re-check catches.
     """
     tags = normalize_tags(tags)
     bad = [t for t in tags if t not in ASSEMBLE_TAGS]
@@ -596,9 +598,9 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     bit-identical bases.
 
     Of a modular system, each entry -prow[f] mod p is rebuilt by rational
-    reconstruction (see _reconstruct), which raises UnluckyPrime where it
-    fails; the basis is exact once its class-0 vectors pass the re-check
-    of solve_bider (see the module docstring).
+    reconstruction (see _reconstruct), as a candidate congruent to it; the
+    basis is exact once its class-0 vectors pass the re-check of
+    solve_bider (see the module docstring).
     """
     pivots, p = system.pivots, system.p
     class0 = []
@@ -664,12 +666,12 @@ def solve_bider(algebra: Algebra, degree: int,
       Ansatz.shift or Ansatz.lift, and sigma_s of a solution is a
       solution, because sigma_s lies in the centroid.
 
-    The solve is retried once, on every row with p = 0 in exact
-    arithmetic, if the prime is unlucky (UnluckyPrime: a denominator
-    divisible by it, or an entry that rational reconstruction cannot
-    rebuild), or if the re-check fails while the lift check passes.  A
-    lift mismatch depends on neither the prime nor the rows, so it is
-    never retried.  If either check fails on the final solve, one sweep
+    The re-check alone decides whether the modular solve stands, for any
+    prime, one that divides a denominator or leaves a reconstructed entry
+    wrong included.  The solve is retried once, on every row with p = 0 in
+    exact arithmetic, exactly when the re-check fails while the lift check
+    passes.  A lift mismatch depends on neither the prime nor the rows, so
+    it is never retried.  If either check fails on the final solve, one sweep
     of the tagged sum of the whole basis finds the lowest failing vector
     i, the lowest b-exponent among the failures, and InternalCheckError
     names it with the first three failures of verify_map on phi_i alone;
@@ -678,13 +680,9 @@ def solve_bider(algebra: Algebra, degree: int,
     the lifts.
     """
     ansatz = Ansatz(algebra, degree)
-    try:
-        space = nullspace(assemble(ansatz, tags, p=PRIME, subset=True))
-        passed, mismatch = _checks(space)
-        retry = not passed and mismatch is None
-    except UnluckyPrime:
-        retry = True
-    if retry:
+    space = nullspace(assemble(ansatz, tags, p=PRIME, subset=True))
+    passed, mismatch = _checks(space)
+    if not passed and mismatch is None:
         space = nullspace(assemble(ansatz, tags))
         passed, mismatch = _checks(space)
     if passed and mismatch is None:

@@ -473,6 +473,16 @@ def test_reconstruction_inverts_reduction_within_the_bound(p, data):
     assert type(value) is (int if Fraction(n, d).denominator == 1 else Fraction)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 10_007])
+def test_reconstruction_is_a_nonzero_rational_congruent_to_every_residue(p):
+    # in bound or not, the candidate stands for its residue; the re-check of
+    # solve_bider, not _reconstruct, decides whether it is the exact entry
+    for a in range(1, p):
+        value = Fraction(_reconstruct(a, p))
+        assert value != 0, a
+        assert value.numerator * pow(value.denominator, -1, p) % p == a, a
+
+
 # -- the template match: one elimination for every target ---------------------------
 
 def sparse(values):

@@ -46,7 +46,6 @@ from lcalab.solver import (
     ASSEMBLE_TAGS,
     MAX_UNKNOWNS,
     PRIME,
-    UnluckyPrime,
     _checks,
     _normalize_vector,
     _rref,
@@ -1148,50 +1147,68 @@ def test_golden_solves_take_the_modular_path_without_a_retry(monkeypatch, tmp_pa
     assert canonical_sha256(json.loads(out.read_text())) == GOLDEN["inhom-cli-d2"]
 
 
-# Cases whose small primes reach every cause of the exact retry (see
-# test_each_retry_cause_is_reached); b = 1/3 and -7/3 bring Fraction
-# coefficients, with a denominator divisible by 3.
+# Small primes at which the modular solve is refused or stands, p -> whether
+# solve_bider retries; b = 1/3 and -7/3 bring Fraction coefficients, with a
+# denominator D divisible by 3: mod 3 the def1b rows, scaled by D, lose every
+# term whose coefficient is an integer before the scaling.
 RETRY_CASES = {
-    "cw4": lambda: make_catalog("cw", 4),
-    "clw3-b-1": lambda: make_catalog("clw", 3, -1),
-    "clw2-b1/3": lambda: make_catalog("clw", 2, Fraction(1, 3)),
-    "clw2-b-7/3": lambda: make_catalog("clw", 2, Fraction(-7, 3)),
+    "cw4": (lambda: make_catalog("cw", 4), {2: True, 3: True, 5: False, 7: False}),
+    "clw3-b-1": (lambda: make_catalog("clw", 3, -1), {2: True, 3: True, 5: False, 7: False}),
+    "clw2-b1/3": (lambda: make_catalog("clw", 2, Fraction(1, 3)),
+                  dict.fromkeys((2, 3, 5, 7), True)),
+    "clw2-b-7/3": (lambda: make_catalog("clw", 2, Fraction(-7, 3)),
+                   dict.fromkeys((2, 3, 5, 7), True)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RETRY_CASES))
 def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
-    algebra = RETRY_CASES[case]()
+    # the re-check alone decides: a refused solve retries exactly, and one
+    # that stands keeps its modular system; the report is the same either way
+    make, retries = RETRY_CASES[case]
+    algebra = make()
     expected = report_sha256(solve_bider(algebra, 2))
     calls = record_assemble(monkeypatch)
-    for p in (2, 3, 5, 7):
+    for p, retried in retries.items():
         monkeypatch.setattr(lcalab.solver, "PRIME", p)
         calls.clear()
         space = solve_bider(algebra, 2)
-        assert calls == retry(p), p
-        assert space.system.p == 0
+        assert calls == (retry(p) if retried else fast_path(p)), p
+        assert space.system.p == (0 if retried else p), p
         assert report_sha256(space) == expected, p
 
 
 def test_each_retry_cause_is_reached():
-    # p = 3 divides the denominator of b = 1/3
-    with pytest.raises(UnluckyPrime, match="the prime 3 divides the denominator 3"):
-        assemble(Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2), p=3)
-    # mod 5, only 0 and +-1 can be rebuilt
-    with pytest.raises(UnluckyPrime, match="no rational with numerator and denominator at "
-                                           "most 1 is 3 mod 5"):
-        nullspace(assemble(Ansatz(make_catalog("cw", 4), 2), p=5))
-    # mod 3 every entry is rebuilt, but to a wrong rational: the re-check
-    # fails and the lift check passes
-    space = nullspace(assemble(Ansatz(make_catalog("cw", 4), 2), p=3))
-    assert space.dimension == 4 and _checks(space) == (False, None)
-    # mod 2 the rank drops below the rank over Q, 190 against 191, so one
-    # more vector per class: the re-check fails
-    ansatz = Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2)
-    assert len(assemble(ansatz, p=0).pivots) == 191
-    space = nullspace(assemble(ansatz, p=2))
+    # the one cause of a retry: the re-check refuses while the lift check
+    # passes.  Mod 3, which divides D = 3 of b = 1/3, the scale of the def1b
+    # rows; mod 3 on CW(m=4), whose entries are rebuilt to wrong rationals;
+    # and mod 2, where the rank drops below the rank over Q, 190 against
+    # 191, so one more vector per class
+    clw, cw4 = Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2), Ansatz(make_catalog("cw", 4), 2)
+    assert len(assemble(clw).pivots) == 191
+    for ansatz, p in ((clw, 3), (cw4, 3), (clw, 2)):
+        space = nullspace(assemble(ansatz, p=p))
+        assert _checks(space) == (False, None), p
     assert len(space.system.pivots) == 190 and space.dimension == 4
-    assert _checks(space) == (False, None)
+    # mod 5 some entries of CW(m=4) lie outside the reconstruction bound,
+    # yet every candidate is the exact entry: the solve stands
+    space = nullspace(assemble(cw4, p=5))
+    assert space.class0 == nullspace(assemble(cw4)).class0
+    assert _checks(space) == (True, None)
+
+
+def test_prime_dividing_the_denominator_retries_to_the_exact_report(monkeypatch):
+    # b = 1/PRIME: PRIME divides D, the scale of the def1b rows, so mod
+    # PRIME they lose every term with an integer coefficient before the
+    # scaling, and the re-check refuses the modular solve
+    algebra = make_catalog("clw", 2, Fraction(1, PRIME))
+    exact = nullspace(assemble(Ansatz(algebra, 2)))
+    calls = record_assemble(monkeypatch)
+    space = solve_bider(algebra, 2)
+    assert calls == retry()
+    assert space.system.p == 0
+    assert solver_report(space, match_templates(space)) == \
+        solver_report(exact, match_templates(exact))
 
 
 def test_modular_solve_reconstructs_the_exact_basis():
