@@ -71,7 +71,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 from pathlib import Path
 from types import MappingProxyType
@@ -86,12 +86,13 @@ from .algebra import (
     Element,
     GeneratorId,
     bracket,
+    make_catalog,
     parse_generator,
     read_json,
     second_slot_subst,
     slot_eval,
 )
-from .poly import ZERO, ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
+from .poly import ParseError, Poly, Scalar, Var, exact_scalar, parse_poly
 
 TAGS = ("def1a", "def1b", "lem1", "lem2")
 
@@ -565,13 +566,15 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
 # Closed-form families
 # ---------------------------------------------------------------------------
 
-# The rules of make_catalog("clw", m, -1), the one table that carries the
-# g-component: [L_l L] = (d+2l)L, [L_l G] = [G_l L] = (d+2l)G, [G_l G] = 0.
+# The g-component's coefficient: g (d+2l) on G_{i+j+shift} at each (L_i, L_j).
 _D_PLUS_2L = Poly.variable(Var.D) + 2 * Poly.variable(Var.L)
-_G_COMPONENT_RULES = [BracketRule("L", "L", "L", _D_PLUS_2L),
-                      BracketRule("L", "G", "G", _D_PLUS_2L),
-                      BracketRule("G", "L", "G", _D_PLUS_2L),
-                      BracketRule("G", "G", None, ZERO)]
+
+
+@cache
+def _g_component_rules() -> list[BracketRule]:
+    """The rules of make_catalog("clw", m, -1), the same for every m: the one
+    table that carries the g-component, built once."""
+    return make_catalog("clw", 1, -1).rules()
 
 
 def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
@@ -591,7 +594,7 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
                routes g (d+2l) G_{i+j+shift} into the (L, L) entries.
 
     A nonzero g is the one precondition on the algebra: its rules must be
-    those of make_catalog("clw", m, -1) (_G_COMPONENT_RULES), else
+    those of make_catalog("clw", m, -1) (_g_component_rules), else
     FamilyError.  t, a and g must be ints or Fractions, shift an int, and
     a parameter the kind does not take (shift, a, g for inner; t, g for
     cw_shift; t for clw_shift) must keep its default, so t * a is the
@@ -609,7 +612,7 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     for name, value, default in unused:
         if value != default:
             raise FamilyError(f"{kind} takes no {name} (got {value})")
-    if g and algebra.rules() != _G_COMPONENT_RULES:
+    if g and algebra.rules() != _g_component_rules():
         raise FamilyError("the g-component exists only on the CLW table at b = -1")
     table = {pair: shift_targets(value, shift) * (t * a)
              for pair, value in algebra.table.items()}

@@ -145,10 +145,6 @@ class Poly:
     def variable(cls, var: Var) -> "Poly":
         return _VAR_POLYS[var]
 
-    @classmethod
-    def monomial(cls, mono: Monomial, coeff: Scalar = 1) -> "Poly":
-        return cls({tuple(mono): coeff})
-
     # -- queries ---------------------------------------------------------
 
     @property

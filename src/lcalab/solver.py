@@ -32,31 +32,32 @@ only the row count, and ConstraintSystem.rows rebuilds the rows on
 demand.  Every row entry is an exact rational, an int or a Fraction
 (never a float).
 
-solve_bider eliminates a subset S of the rows, over GF(p), p = PRIME =
-2^61 - 1.  S is the rows of every def1a tuple, of the def1b tuples whose z
-has index 0 and, unless def1b is assembled too, of the lem1 tuples whose y
-has index 0 (SUBSET_ARGS), about 1/m of those; a skipped tuple is still
-keyed and counted, so the row count and the rebuilt rows are those of the
-complete system.  Assembly reduces each coefficient of an integer template
-mod p once (see _tuple_rows), and _rref keeps residues.  Each modular row
-reduces an integer row, an exact row of S or D times one, for D the least
-common multiple of the rule denominators, so rank_p(S) <= rank_Q(S) for
-every prime p, one that divides D included.  nullspace rebuilds each entry
-of each basis vector v_f (free column f) from its residue by rational
-reconstruction, a candidate congruent to the residue, and the post-solve
-re-check (below), which covers every tuple, decides whether the result
-stands.  v_f has 1 at f, 0 on the other free columns of S mod p, and its
-support is f and pivot columns below f.  If the re-check passes, v_f is a
-rational solution of the complete system, so column f depends on earlier
-columns over Q: the free columns of S mod p are free over Q.  The kernel
-of S contains the complete kernel, so rank_p(S) <= rank_Q(S) <=
-rank_Q(complete): there are at least as many free columns of S mod p as
-over Q, and the two sets are equal; v_f is then the exact basis vector of
-its free column, because that vector is unique.  So the emitted basis is
-the one an exact elimination of every row gives, bit for bit, and its
-dimension is exact.  If the re-check refuses it, solve_bider solves the
-complete system once more with p = 0, in exact arithmetic, in which every
-division has a Fraction operand or is an exact floor division.  The
+Assembly has two modes.  With p = 0 it eliminates every row exactly; with
+a prime p, solve_bider's p = PRIME = 2^61 - 1, it eliminates a subset S of
+the rows over GF(p).  S is the rows of every def1a tuple, of the def1b
+tuples whose z has index 0 and, unless def1b is assembled too, of the lem1
+tuples whose y has index 0 (SUBSET_ARGS), about 1/m of those; a skipped
+tuple is still keyed and counted, so the row count and the rebuilt rows
+are those of the complete system.  Assembly reduces each coefficient of an
+integer template mod p once (see _tuple_rows), and _rref keeps residues.
+Each modular row reduces an integer row, an exact row of S or D times one,
+for D the least common multiple of the rule denominators, so rank_p(S) <=
+rank_Q(S) for every prime p, one that divides D included.  nullspace
+rebuilds each entry of each basis vector v_f (free column f) from its
+residue by rational reconstruction, a candidate congruent to the residue,
+and the post-solve re-check (below), which covers every tuple, decides
+whether the result stands.  v_f has 1 at f, 0 on the other free columns of
+S mod p, and its support is f and pivot columns below f.  If the re-check
+passes, v_f is a rational solution of the complete system, so column f
+depends on earlier columns over Q: the free columns of S mod p are free
+over Q.  The kernel of S contains the complete kernel, so rank_p(S) <=
+rank_Q(S) <= rank_Q(complete): there are at least as many free columns of
+S mod p as over Q, and the two sets are equal; v_f is then the exact basis
+vector of its free column, because that vector is unique.  So the emitted
+basis is the one an exact elimination of every row gives, bit for bit, and
+its dimension is exact.  If the re-check refuses it, solve_bider solves
+the complete system once more with p = 0, in exact arithmetic, in which
+every division has a Fraction operand or is an exact floor division.  The
 reduced row echelon form is unique, so the emitted basis is deterministic
 bit for bit.  The elimination and the reconstruction, exact and mod p, are
 the kernels of lcalab.linalg.
@@ -82,13 +83,14 @@ class-0 vector and no lift is ever undone.  The re-check is one verify_map
 sweep of the tagged map sum_j b^j phi_j of the class-0 basis maps, whose
 b^j parts are the residuals of phi_j by the argument of assembly; it
 covers every tuple (see verify_map), so the certification of the row
-subset stays exact.  The lift check moves the target of each decoded
-class-0 unknown by s: the result must be the reported vector.  The
-template match eliminates the shift-0 templates once, with each class-0
-vector as one more column, and solver_report serializes each class-0 map
-once and renames its targets for each lift.  One builder, Ansatz._map,
-makes every map: the tagged basis map and, with the tag b^0, each
-concrete map.
+subset stays exact, and the b-exponents of its failures name the failing
+class-0 vectors, so a failed solve is diagnosed from it.  The lift check
+moves the target of each decoded class-0 unknown by s: the result must be
+the reported vector.  The template match eliminates the shift-0 templates
+once, with each class-0 vector as one more column, and solver_report
+serializes each class-0 map once and renames its targets for each lift.
+One builder, Ansatz._map, makes every map: the tagged basis map and, with
+the tag b^0, each concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -111,6 +113,7 @@ from .bimaps import (
     TAG_ARITY,
     BilinearMap,
     FamilyError,
+    VerifyReport,
     make_family,
     map_to_dict,
     normalize_tags,
@@ -140,12 +143,13 @@ class InternalCheckError(SolverError):
 # and is only ever checked, never assembled.
 ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 
-# The row subset solve_bider eliminates (see the module docstring): for each
-# tag, the argument whose index must be 0, or None to keep every tuple; def1b
-# keeps the tuples with z of index 0 and lem1 those with y of index 0.  Next
-# to def1b no lem1 tuple is kept: the def1b rows of the subset already have
-# the full rank (1,004 of the 2,168 subset rows of CLW(m=2, b=-1) at degree
-# 2 were lem1 rows, with rank 190 either way), and the re-check covers lem1.
+# The row subset assemble eliminates mod a prime (see the module docstring):
+# for each tag, the argument whose index must be 0, or None to keep every
+# tuple; def1b keeps the tuples with z of index 0 and lem1 those with y of
+# index 0.  Next to def1b no lem1 tuple is kept: the def1b rows of the subset
+# already have the full rank (1,004 of the 2,168 subset rows of CLW(m=2, b=-1)
+# at degree 2 were lem1 rows, with rank 190 either way); the re-check covers
+# lem1.
 SUBSET_ARGS = {"def1a": None, "def1b": 2, "lem1": 1}
 
 # The most unknowns an Ansatz may have, counted over every index class: a
@@ -317,13 +321,12 @@ class ConstraintSystem:
 
     It holds the row count and the reduced row echelon form (pivot
     column -> row, see _rref) of the class-0 rows, not the rows; with
-    p = 0, assemble's default, the exact form, and with a prime ``p``,
-    the form of the rows mod p, whose entries are residues.  The pivots may
-    be those of the row subset solve_bider eliminates (see assemble),
-    while ``n_rows`` and ``rows`` are always the complete system.  A
-    modular or subset form is exact only once the basis nullspace
-    rebuilds from it passes the re-check: solve_bider runs that check,
-    and solves the complete system again with p = 0 if it fails.  The
+    p = 0, assemble's default, the exact form of every row, and with a
+    prime ``p``, the form of the row subset SUBSET_ARGS keeps mod p, whose
+    entries are residues, while ``n_rows`` and ``rows`` are always the
+    complete system.  A modular form is exact only once the basis
+    nullspace rebuilds from it passes the re-check: solve_bider runs that
+    check, and solves the complete system again with p = 0 if it fails.  The
     class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
     of the whole system, and ``n_rows`` counts every class, m times the
     class-0 rows.
@@ -351,14 +354,13 @@ class ConstraintSystem:
                 for s in range(self.ansatz.algebra.modulus) for row in class0]
 
 
-def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
-                subset: bool = False) -> Iterator[
+def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], int, dict[GeneratorId, dict[Monomial, Row]]]]:
     """The class-0 rows of each (tag, tuple): (tag, args, class-0 row
-    count, target -> monomial -> row), with unsorted unknowns.  With
-    ``subset``, a tuple outside the subset (SUBSET_ARGS) is keyed and
-    counted but yields no rows, and a key met only at such tuples is
-    counted without a template.  With a prime p, each template
+    count, target -> monomial -> row), with unsorted unknowns, exact and
+    of every tuple with p = 0.  With a prime p, a tuple outside the subset
+    (SUBSET_ARGS) is keyed and counted but yields no rows, and a key met
+    only at such tuples is counted without a template; each template
     coefficient is reduced mod p once, as the template is built, and a
     coefficient that vanishes mod p is left out, so a row can be empty;
     the row count does not change.
@@ -470,9 +472,9 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
 
     templates: dict[tuple, tuple[int, list]] = {}
     for tag in tags:
-        restrict = SUBSET_ARGS[tag] if subset else None
+        restrict = SUBSET_ARGS[tag] if p else None
         # the def1b rows already give the subset its full rank
-        dropped = subset and tag == "lem1" and "def1b" in tags
+        dropped = p and tag == "lem1" and "def1b" in tags
         for args in itertools.product(range(n), repeat=TAG_ARITY[tag]):
             bases = []
             for left, right in PHI_SLOTS[tag]:
@@ -501,14 +503,14 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0,
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
-             p: int = 0, subset: bool = False) -> ConstraintSystem:
+             p: int = 0) -> ConstraintSystem:
     """Expand the class-0 ansatz residuals into linear rows by coefficient
-    matching, and eliminate them as they come, exactly by default, or mod
-    the prime p.  With ``subset``, only the rows of the tuples SUBSET_ARGS
-    keeps are eliminated.  solve_bider asks for p = PRIME and the subset,
-    and its re-check makes that solve exact (see the module docstring);
-    nullspace(assemble(...)) with the defaults is exact on its own.
-    ``n_rows`` and ``rows`` always count and rebuild every row.
+    matching, and eliminate them as they come: every row exactly with
+    p = 0, the default, or, with a prime p, the rows of the tuples
+    SUBSET_ARGS keeps mod p.  solve_bider asks for p = PRIME, and its
+    re-check makes that solve exact (see the module docstring);
+    nullspace(assemble(...)) with p = 0 is exact on its own.  ``n_rows``
+    and ``rows`` always count and rebuild every row.
 
     One residual is evaluated per (tag, family tuple), not per generator
     tuple, and the rows of each tuple are instantiated from the templates
@@ -532,7 +534,7 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
 
     def stream() -> Iterator[Row]:
         nonlocal n_rows
-        for _, _, size, by_target in _tuple_rows(ansatz, tags, p=p, subset=subset):
+        for _, _, size, by_target in _tuple_rows(ansatz, tags, p):
             n_rows += size
             for rows in by_target.values():
                 yield from rows.values()
@@ -616,17 +618,17 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     return SolutionSpace(system, class0)
 
 
-def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
-    """The post-solve checks of solve_bider: whether the class-0 basis maps
-    pass the re-check, and the lowest position at which the basis,
-    space.vectors, differs from the lifts of its class-0 vectors, or None.
-    Those lifts are made without Ansatz.shift, from the decoded unknowns.
+def _checks(space: SolutionSpace) -> tuple[VerifyReport, int | None]:
+    """The post-solve checks of solve_bider: the re-check's report, of the
+    tagged sum sum_j b^j phi_j of the class-0 basis maps, in which the
+    failures of phi_j are the terms of b-exponent j, and the lowest
+    position at which the basis, space.vectors, differs from the lifts of
+    its class-0 vectors, or None.  Those lifts are made without
+    Ansatz.shift, from the decoded unknowns.
     """
     ansatz, class0 = space.ansatz, space.class0
-    if not class0:
-        return True, None
     tagged = ansatz._map((j, k, c) for j, v in enumerate(class0) for k, c in v.items())
-    passed = verify_map(tagged, space.system.tags).passed
+    report = verify_map(tagged, space.system.tags)
     algebra, position = ansatz.algebra, ansatz._position
     lifts = []
     for vector in class0:
@@ -643,17 +645,17 @@ def _checks(space: SolutionSpace) -> tuple[bool, int | None]:
     lifts.sort(key=max)
     pairs = itertools.zip_longest(space.vectors, lifts)
     mismatch = next((i for i, (vector, lift) in enumerate(pairs) if vector != lift), None)
-    return passed, mismatch
+    return report, mismatch
 
 
 def solve_bider(algebra: Algebra, degree: int,
                 tags: Iterable[str] = ("def1a", "def1b")) -> SolutionSpace:
     """Assemble, solve, and re-verify: the classification oracle.
 
-    Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS (no
-    lem1 row when def1b is solved too) and lifted onto every class (see
-    SolutionSpace), and every reported basis map is checked (defense in depth
-    against elimination and lift bugs) in class 0 only (see _checks):
+    Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS and
+    lifted onto every class (see SolutionSpace), and every reported basis
+    map is checked (defense in depth against elimination and lift bugs) in
+    class 0 only (see _checks):
 
     - The re-check: one verify_map sweep of the tagged sum sum_j b^j phi_j
       of the class-0 basis maps against the solved identities, exact for
@@ -668,34 +670,31 @@ def solve_bider(algebra: Algebra, degree: int,
 
     The re-check alone decides whether the modular solve stands, for any
     prime, one that divides a denominator or leaves a reconstructed entry
-    wrong included.  The solve is retried once, on every row with p = 0 in
-    exact arithmetic, exactly when the re-check fails while the lift check
-    passes.  A lift mismatch depends on neither the prime nor the rows, so
-    it is never retried.  If either check fails on the final solve, one sweep
-    of the tagged sum of the whole basis finds the lowest failing vector
-    i, the lowest b-exponent among the failures, and InternalCheckError
-    names it with the first three failures of verify_map on phi_i alone;
-    if every vector passes, the lift gave valid but wrong vectors, and
-    the error names the lowest position at which the basis differs from
-    the lifts.
+    wrong included: if it fails while the lift check passes, the solve is
+    retried once, on every row with p = 0.  A lift mismatch depends on
+    neither the prime nor the rows, so it is never retried.  If only the
+    lift check fails on the final solve, InternalCheckError names the
+    lowest position at which the basis differs from the lifts.  If the
+    re-check fails, the b-exponents of its failures are the failing class-0
+    vectors, and InternalCheckError names the first basis vector i lifted
+    from one of them, with the first three failures of verify_map on phi_i
+    alone.
     """
     ansatz = Ansatz(algebra, degree)
-    space = nullspace(assemble(ansatz, tags, p=PRIME, subset=True))
-    passed, mismatch = _checks(space)
-    if not passed and mismatch is None:
+    space = nullspace(assemble(ansatz, tags, p=PRIME))
+    report, mismatch = _checks(space)
+    if not report.passed and mismatch is None:
         space = nullspace(assemble(ansatz, tags))
-        passed, mismatch = _checks(space)
-    if passed and mismatch is None:
-        return space
-    system, vectors = space.system, space.vectors
-    tagged = ansatz._map((i, k, c) for i, vector in enumerate(vectors) for k, c in vector.items())
-    report = verify_map(tagged, system.tags)
+        report, mismatch = _checks(space)
     if report.passed:
+        if mismatch is None:
+            return space
         raise InternalCheckError(f"internal check failed: basis vector {mismatch} is not "
                                  f"the index shift of a class-0 basis vector")
-    i = min(mono[4] for r in report.failures for poly in r.value.terms.values()
-            for mono in poly.terms)
-    failures = verify_map(ansatz.map_from_vector(vectors[i]), system.tags).failures
+    failing = {mono[4] for r in report.failures for poly in r.value.terms.values()
+               for mono in poly.terms}
+    i = next(i for i, (j, _) in enumerate(space.lifts) if j in failing)
+    failures = verify_map(ansatz.map_from_vector(space.vectors[i]), space.system.tags).failures
     raise InternalCheckError(
         f"internal check failed: basis vector {i} has nonzero residuals: "
         + "; ".join(str(r) for r in failures[:3]))

@@ -560,7 +560,7 @@ def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
 
 def test_broken_basis_vector_is_internal_error(capsys, monkeypatch):
     # a lift one entry short breaks the lifted basis vectors, which the
-    # one re-check sweep reports as one line naming the lowest of them
+    # lift check reports as one line naming the lowest of them
     def lift_dropping_an_entry(self, entries, s):
         vector = lift(self, entries, s)
         if s == 1:

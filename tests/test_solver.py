@@ -528,11 +528,9 @@ def test_lift_matches_unlifted_solve_on_random_loop_tables(salt, moduli, max_deg
 def test_post_solve_check_covers_the_lift(monkeypatch):
     # a lift that drops one entry (the lowest or highest unknown) of the
     # first vector of each class s in broken; s = 0 is the class-0 vector
-    # itself, not lifted.  The one re-check sweep names the lowest broken
-    # index in the basis, with the residuals verify_map gives for that
-    # vector alone.  In the last case that vector (index 0, its highest
-    # unknown dropped) fails only at tuples after the first failures of the
-    # other broken vector (index 1).
+    # itself, not lifted.  Each broken vector is a non-solution, but the
+    # re-check sweeps the intact class-0 vectors and passes, so the lift
+    # check names the lowest broken index in the basis.
     algebra = make_catalog("clw", 3, -1)
     expected = solve_bider(algebra, 2)
     lift = Ansatz.lift
@@ -551,11 +549,13 @@ def test_post_solve_check_covers_the_lift(monkeypatch):
         with pytest.raises(InternalCheckError) as failure:
             solve_bider(algebra, 2)
         assert damaged.keys() == broken.keys()
-        index, vector = min(damaged.values())
-        alone = verify_map(Ansatz(algebra, 2).map_from_vector(vector), ("def1a", "def1b"))
+        for _, vector in damaged.values():
+            phi = Ansatz(algebra, 2).map_from_vector(vector)
+            assert not verify_map(phi, ("def1a", "def1b")).passed
+        index = min(damaged.values())[0]
         assert str(failure.value) == (
-            f"internal check failed: basis vector {index} has nonzero residuals: "
-            + "; ".join(str(r) for r in alone.failures[:3]))
+            f"internal check failed: basis vector {index} is not the index shift of a class-0 "
+            f"basis vector")
 
 
 def tagged_sum(maps):
@@ -1111,9 +1111,9 @@ def report_sha256(space):
 
 
 def fast_path(p=PRIME):
-    """The assemble calls of a solve without a retry: one assembly of the
-    row subset mod p."""
-    return [((), {"p": p, "subset": True})]
+    """The assemble calls of a solve without a retry: one assembly mod p,
+    of the row subset."""
+    return [((), {"p": p})]
 
 
 def retry(p=PRIME):
@@ -1179,22 +1179,25 @@ def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
 
 
 def test_each_retry_cause_is_reached():
-    # the one cause of a retry: the re-check refuses while the lift check
-    # passes.  Mod 3, which divides D = 3 of b = 1/3, the scale of the def1b
-    # rows; mod 3 on CW(m=4), whose entries are rebuilt to wrong rationals;
-    # and mod 2, where the rank drops below the rank over Q, 190 against
-    # 191, so one more vector per class
+    # the one cause of a retry: the re-check refuses the row subset mod p
+    # while the lift check passes.  Mod 3, which divides D = 3 of b = 1/3,
+    # the scale of the def1b rows; mod 3 on CW(m=4), whose entries are
+    # rebuilt to wrong rationals; and mod 2, where the rank drops below the
+    # rank over Q, 190 against 191, so one more vector per class
     clw, cw4 = Ansatz(make_catalog("clw", 2, Fraction(1, 3)), 2), Ansatz(make_catalog("cw", 4), 2)
     assert len(assemble(clw).pivots) == 191
     for ansatz, p in ((clw, 3), (cw4, 3), (clw, 2)):
         space = nullspace(assemble(ansatz, p=p))
-        assert _checks(space) == (False, None), p
+        report, mismatch = _checks(space)
+        assert not report.passed and mismatch is None, p
     assert len(space.system.pivots) == 190 and space.dimension == 4
     # mod 5 some entries of CW(m=4) lie outside the reconstruction bound,
     # yet every candidate is the exact entry: the solve stands
     space = nullspace(assemble(cw4, p=5))
+    assert len(space.system.pivots) == len(assemble(cw4).pivots) == 95
     assert space.class0 == nullspace(assemble(cw4)).class0
-    assert _checks(space) == (True, None)
+    report, mismatch = _checks(space)
+    assert report.passed and mismatch is None
 
 
 def test_prime_dividing_the_denominator_retries_to_the_exact_report(monkeypatch):
@@ -1211,8 +1214,48 @@ def test_prime_dividing_the_denominator_retries_to_the_exact_report(monkeypatch)
         solver_report(exact, match_templates(exact))
 
 
+# Solves whose class0[j] is broken: (algebra, j, the error).  CW(m=12) has
+# one class-0 vector, whose first lift, basis vector 0, is sigma_2 of it;
+# CLW(m=3, b=-1) lifts class0[1] first to basis vector 3, so the error names
+# a lift, not a class-0 position.
+BOTH_SOLVES_FAIL = {
+    "cw12": (lambda: make_catalog("cw", 12), 0,
+             "internal check failed: basis vector 0 has nonzero residuals: "
+             "def1a (L:11, L:11): (-d)*L:0; def1b (L:11, L:0, L:11): (l*l)*L:0; "
+             "def1b (L:11, L:1, L:10): (d*l + l*l + 2*l*m)*L:0"),
+    "clw3-b-1": (lambda: make_catalog("clw", 3, -1), 1,
+                 "internal check failed: basis vector 3 has nonzero residuals: "
+                 "def1a (L:2, G:2): (-d - l)*G:0; def1a (G:2, L:2): (l)*G:0; "
+                 "def1b (G:2, L:0, L:2): (l*l)*G:0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOTH_SOLVES_FAIL))
+def test_recheck_failing_on_both_solves_names_the_first_failing_lift(case, monkeypatch):
+    # a nullspace that adds 1 to the highest entry of class0[j] breaks both
+    # the modular solve and its exact retry.  The lift check passes, so the
+    # error is read off the re-check's b-exponents: the first basis vector
+    # lifted from class0[j], with the failures of that vector alone
+    make, j, message = BOTH_SOLVES_FAIL[case]
+    real = lcalab.solver.nullspace
+
+    def nullspace_breaking_a_vector(system):
+        space = real(system)
+        vector = space.class0[j]
+        vector[max(vector)] += 1
+        return space
+
+    monkeypatch.setattr(lcalab.solver, "nullspace", nullspace_breaking_a_vector)
+    calls = record_assemble(monkeypatch)
+    with pytest.raises(InternalCheckError) as failure:
+        solve_bider(make(), 2)
+    assert calls == retry()
+    assert str(failure.value) == message
+
+
 def test_modular_solve_reconstructs_the_exact_basis():
-    # the same vectors, value and type, as the exact solve
+    # the row subset mod PRIME gives the same vectors, value and type, as
+    # the exact solve of every row
     for algebra in (make_catalog("clw", 2, Fraction(1, 3)), make_catalog("cw", 4),
                     inhomogeneous_clw(3)):
         ansatz = Ansatz(algebra, 2)
@@ -1240,11 +1283,12 @@ SUBSET_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SUBSET_CASES))
 def test_row_subset_has_the_full_rank_and_basis(case):
+    # the row subset mod PRIME against every row in exact arithmetic
     make, degree = SUBSET_CASES[case]
     ansatz = Ansatz(make(), degree)
     for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
-        full = assemble(ansatz, tags, p=PRIME)
-        subset = assemble(ansatz, tags, p=PRIME, subset=True)
+        full = assemble(ansatz, tags)
+        subset = assemble(ansatz, tags, p=PRIME)
         assert subset.n_rows == full.n_rows, tags
         assert subset.pivots.keys() == full.pivots.keys(), tags
         assert nullspace(subset).vectors == nullspace(full).vectors, tags
@@ -1255,9 +1299,9 @@ def test_row_subset_leaves_out_lem1_next_to_def1b():
     # def1a) eliminates rows, those of the tuples whose y has index 0
     ansatz = Ansatz(make_catalog("clw", 2, -1), 2)
     for tags in (ASSEMBLE_TAGS, ("def1a", "lem1")):
-        full = assemble(ansatz, tags, p=PRIME)
+        full = assemble(ansatz, tags)
         kept, counted = set(), 0
-        for tag, args, size, by_target in _tuple_rows(ansatz, tags, p=PRIME, subset=True):
+        for tag, args, size, by_target in _tuple_rows(ansatz, tags, PRIME):
             counted += size
             if tag == "lem1" and by_target:
                 kept.add(args)
@@ -1276,9 +1320,9 @@ def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
     cw4, tags = make_catalog("cw", 4), ("def1a", "lem1")
     expected = report_sha256(solve_bider(cw4, 2, tags))
     ansatz = Ansatz(cw4, 2)
-    assert len(assemble(ansatz, tags, p=PRIME, subset=True).pivots) == 95
+    assert len(assemble(ansatz, tags, p=PRIME).pivots) == 95
     monkeypatch.setitem(lcalab.solver.SUBSET_ARGS, "lem1", 2)
-    assert len(assemble(ansatz, tags, p=PRIME, subset=True).pivots) == 71
+    assert len(assemble(ansatz, tags, p=PRIME).pivots) == 71
     calls = record_assemble(monkeypatch)
     space = solve_bider(cw4, 2, tags)
     assert calls == retry()
