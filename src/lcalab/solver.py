@@ -382,8 +382,9 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
     (that slot contributes nothing).  Slots on one pair name the same
     unknowns, so the template sums their columns under the first of them,
     in slot order, as the identity's last step adds them, and drops zero
-    sums and the rows they empty.  The exact rows so keep the values and
-    the int or Fraction types of the residual of the algebra itself.  The
+    sums and the rows they empty; a row is (monomial, (slot, offset,
+    coefficient, slot, ...)).  The exact rows so keep the values and the
+    int or Fraction types of the residual of the algebra itself.  The
     modular rows come from an integer copy: its rules are scaled by D, the
     least common multiple of their denominators, so its def1b and lem1
     rows, one bracket per term, are D times the exact rows, integer rows
@@ -410,7 +411,7 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
     scale = lcm(*(c.denominator for rule in rules for c in rule.coeff.terms.values())) if p else 1
     # Poly() stores the scaled coefficients as ints
     unit = Algebra(algebra.name, 1, algebra.families, [BracketRule(
-        rule.left, rule.right, rule.target, rule.coeff if scale == 1 else
+        rule.left, rule.right, rule.target,
         Poly({mono: c * scale for mono, c in rule.coeff.terms.items()})) for rule in rules])
     units = unit.generators()
     # one map per slot, an assembled identity has at most three; its value
@@ -420,58 +421,55 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
         gt: Poly({(dpow, lpow, 0, 0, i * stride + t * m * r + q): 1
                   for q, (dpow, lpow) in enumerate(ansatz._monos)})
         for t, gt in enumerate(units)}))) for i in range(3)]
-    raw: dict[tuple, list] = {}
+    # per tag: the unmerged rows of each family tuple's residual (holding
+    # its Poly values took more peak RSS), and each key's template
+    residuals: dict[tuple[int, ...], list] = {}
+    templates: dict[tuple, tuple[int, list | None]] = {}
+    # one object per residue: a negative coefficient's is a large int
+    residues: dict[int, int] = {}
 
-    def build(tag, families, pattern, skipped):
-        # the row count of one key and its template, [(first target
-        # position, [(monomial, slots, offsets, coefficients)])], a tuple of
-        # each per row, or None if skipped: a key first met at tuples the
-        # subset skips is only counted
-        rows = raw.get((tag, families))
-        if rows is None:
-            value = residual(slot_maps[:len(PHI_SLOTS[tag])], tag,
-                             [units[f] for f in families]).value
-            rows = raw[tag, families] = []
-            for gt, poly in value.terms.items():
+    def build(tag, families, pattern):
+        # the row count of one key and its template, [(first target position,
+        # rows)]; a tuple per entry in a row took 30% more peak memory
+        terms = residuals.get(families)
+        if terms is None:
+            terms = residuals[families] = []
+            for gt, poly in residual(slot_maps[:len(PHI_SLOTS[tag])], tag,
+                                     [units[f] for f in families]).value.terms.items():
                 by_mono: dict[Monomial, list] = {}
                 for mono, coeff in poly.terms.items():
-                    by_mono.setdefault(mono[:4] + (0,), []).append(
+                    by_mono.setdefault(mono[:4] + (0,), []).extend(
                         (*divmod(mono[4], stride), coeff))
-                rows.append((family[gt.family] * m, [(mono, *zip(*columns))
-                                                     for mono, columns in by_mono.items()]))
-        merge = any(j is not None and j != i for i, j in enumerate(pattern))
-        if not merge and (skipped or not p):
-            return sum(len(mono_rows) for _, mono_rows in rows), None if skipped else rows
+                terms.append((family[gt.family] * m, [(mono, tuple(columns))
+                                                      for mono, columns in by_mono.items()]))
         size, template = 0, []
-        for first, mono_rows in rows:
-            kept = []
-            for mono, *columns in mono_rows:
-                columns = zip(*columns)
-                if merge:
-                    sums: dict[tuple[int, int], Fraction] = {}
-                    for i, offset, coeff in columns:
-                        key = (pattern[i], offset)
-                        total = sums.get(key, 0) + coeff
-                        if total:
-                            sums[key] = total
-                        else:
-                            del sums[key]
-                    if not sums:
-                        continue
-                    columns = [(*key, coeff) for key, coeff in sums.items()]
-                size += 1
-                if skipped:
-                    continue
-                if p:
-                    columns = [(i, offset, c) for i, offset, coeff in columns
-                               if (c := coeff % p)]
-                kept.append((mono, *(zip(*columns) if columns else ((), (), ()))))
-            if kept:
-                template.append((first, kept))
-        return size, None if skipped else template
+        for first, unmerged in terms:
+            rows = []
+            for mono, columns in unmerged:
+                sums: dict[tuple[int, int], Fraction] = {}
+                # zip(*[iter(columns)] * 3) reads the entries three at a time
+                for slot, offset, coeff in zip(*[iter(columns)] * 3):
+                    key = (pattern[slot], offset)
+                    total = sums.get(key, 0) + coeff
+                    if total:
+                        sums[key] = total
+                    else:
+                        del sums[key]
+                if sums:
+                    entries = []
+                    for (slot, offset), coeff in sums.items():
+                        c = residues.setdefault(coeff, coeff % p) if p else coeff
+                        if c:
+                            entries += slot, offset, c
+                    rows.append((mono, tuple(entries)))
+            size += len(rows)
+            if rows:
+                template.append((first, rows))
+        return size, template
 
-    templates: dict[tuple, tuple[int, list]] = {}
     for tag in tags:
+        residuals.clear()
+        templates.clear()
         restrict = SUBSET_ARGS[tag] if p else None
         # the def1b rows already give the subset its full rank
         dropped = p and tag == "lem1" and "def1b" in tags
@@ -483,23 +481,23 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
                              else ansatz._encode(a, b, (a + b) % m, 0))
             families = tuple(a // m for a in args)
             pattern = tuple(None if base is None else bases.index(base) for base in bases)
-            key = (tag, families, pattern)
-            gen_args = tuple(gens[a] for a in args)
-            total = sum(args) % m
             skipped = dropped or restrict is not None and args[restrict] % m
-            entry = templates.get(key)
+            entry = templates.get((families, pattern))
             if entry is None or entry[1] is None and not skipped:
-                entry = templates[key] = build(tag, families, pattern, skipped)
+                # a key met only at skipped tuples keeps no template (less RSS)
+                size, template = build(tag, families, pattern)
+                entry = templates[families, pattern] = size, None if skipped else template
             size, template = entry
+            gen_args = tuple(gens[a] for a in args)
             if skipped:
                 yield tag, gen_args, size, {}
                 continue
-            by_target = {
-                gens[first + total]: {mono: {bases[i] + offset: coeff
-                                             for i, offset, coeff in zip(slots, offsets, coeffs)}
-                                      for mono, slots, offsets, coeffs in rows}
+            total = sum(args) % m
+            yield tag, gen_args, size, {
+                gens[first + total]: {mono: {bases[i] + offset: coeff for i, offset, coeff
+                                             in zip(*[iter(columns)] * 3)}
+                                      for mono, columns in rows}
                 for first, rows in template}
-            yield tag, gen_args, size, by_target
 
 
 def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),

@@ -337,19 +337,25 @@ def test_assembly_evaluates_one_residual_per_template(monkeypatch):
     # one residual per (tag, family tuple), at the index-0 generators of an
     # m = 1 copy, so the count does not grow with m; the coincidence
     # patterns of the phi slots (on one family, def1a has 2 and def1b 5)
-    # are merged from it without another evaluation
+    # are merged from it without another evaluation.  The row subset mod p
+    # makes the same residuals: a skipped tuple is still counted
     calls = count_residual_calls(monkeypatch)
     n_rows = {}
     for m in (4, 12):
-        calls.clear()
-        n_rows[m] = assemble(Ansatz(make_catalog("cw", m), 2)).n_rows
-        assert calls == ["def1a", "def1b"]
+        for p in (PRIME, 0):
+            calls.clear()
+            n_rows[m] = assemble(Ansatz(make_catalog("cw", m), 2), p=p).n_rows
+            assert calls == ["def1a", "def1b"]
     assert n_rows == {4: 5_024, 12: 398_880}
     for m in (2, 3):
-        calls.clear()
-        system = assemble(Ansatz(make_catalog("clw", m, -1), 2))
-        assert calls == ["def1a"] * 4 + ["def1b"] * 8
+        for p in (PRIME, 0):
+            calls.clear()
+            system = assemble(Ansatz(make_catalog("clw", m, -1), 2), p=p)
+            assert calls == ["def1a"] * 4 + ["def1b"] * 8
     assert system.n_rows == 21_852
+    calls.clear()
+    solve_bider(system.ansatz.algebra, 2)
+    assert len(calls) == 12
     # the rows are rebuilt from the same evaluations
     calls.clear()
     assert len(system.rows) == system.n_rows
@@ -359,10 +365,13 @@ def test_assembly_evaluates_one_residual_per_template(monkeypatch):
     assert calls == ["def1a"] * 4 + ["def1b"] * 8
     ansatz = Ansatz(make_catalog("clw", 2, -1), 0)
     expected = per_unknown_assembly(ansatz, ASSEMBLE_TAGS)
-    calls.clear()
-    system = assemble(ansatz, ASSEMBLE_TAGS)
-    assert calls == ["def1a"] * 4 + ["def1b"] * 8 + ["lem1"] * 8
-    assert system.n_rows == len(expected)
+    for p in (0, PRIME):
+        # next to def1b no lem1 row is eliminated mod p, but every lem1
+        # tuple is still counted, from the same residuals
+        calls.clear()
+        system = assemble(ansatz, ASSEMBLE_TAGS, p=p)
+        assert calls == ["def1a"] * 4 + ["def1b"] * 8 + ["lem1"] * 8
+        assert system.n_rows == len(expected)
 
 
 def test_assembly_holds_only_the_pivots():
@@ -1311,6 +1320,42 @@ def test_row_subset_leaves_out_lem1_next_to_def1b():
         else:
             assert kept == {args for args in itertools.product(ansatz.algebra.generators(),
                                                                repeat=3) if args[1].index == 0}
+
+
+@pytest.mark.parametrize("algebra", [
+    half_third(2), make_catalog("clw", 2, Fraction(-7, 4)), inhomogeneous_clw(2),
+    make_catalog("cw", 4),
+], ids=["half-third2-D6", "clw2-b-7/4-D4", "inhom-clw2", "cw4"])
+def test_modular_rows_are_the_exact_rows_scaled_and_reduced(algebra):
+    # mod p a kept tuple gets its exact rows times D (def1b, lem1: one
+    # bracket per term of the integer copy) or 1 (def1a), reduced, with the
+    # entries that vanish mod p dropped; a skipped tuple gets no rows, and
+    # every tuple the exact row count.  Some keys are met first, or only, at
+    # skipped tuples (def1b with [y z] = z != y): their row count is taken
+    # there, and their rows when a kept tuple meets them
+    scale = math.lcm(*(c.denominator for rule in algebra.rules()
+                       for c in rule.coeff.terms.values()))
+    ansatz = Ansatz(algebra, 2)
+    for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
+        exact = list(_tuple_rows(ansatz, tags))
+        for p in (PRIME, 2, 3, 5):
+            modular = list(_tuple_rows(ansatz, tags, p))
+            assert [t[:3] for t in modular] == [t[:3] for t in exact]
+            for (tag, args, _, expected), (*_, by_target) in zip(exact, modular):
+                kept = (tag == "def1a" or tag == "def1b" and args[2].index == 0
+                        or tag == "lem1" and "def1b" not in tags and args[1].index == 0)
+                if not kept:
+                    assert by_target == {}, (tag, args)
+                    continue
+                s = 1 if tag == "def1a" else scale
+                assert all((v * s).denominator == 1 for rows in expected.values()
+                           for row in rows.values() for v in row.values())
+                assert by_target == {
+                    gt: {mono: {k: int(v * s) % p for k, v in row.items() if v * s % p}
+                         for mono, row in rows.items()}
+                    for gt, rows in expected.items()}, (tag, args, p)
+                assert all(type(v) is int for rows in by_target.values()
+                           for row in rows.values() for v in row.values())
 
 
 def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
