@@ -32,16 +32,11 @@ A sweep (verify_map) evaluates the same slot products again and again:
 the inner brackets and map values of a tuple depend on two generators
 only, n^2 of them against n^3 or n^4 tuples, and for a concrete map the
 outer brackets repeat too, because its values repeat along the index
-sum.  So each verify_map call keeps one SweepMemo for all its residuals:
-the memo interns every value it hands out, so equal values are one
-object, and looks each bracket and map evaluation up by the identities of
-its operands and spectral parameter; it dies when the sweep returns.
-Since those operands are interned, the last step of each identity, the
-sum or difference of its two or three outer values, is a function of
-their identities too, and they repeat as well: the memo's combination
-table sums each distinct one once (68 for the 5,184 tuples of the
-benchmark's CLW(4) family sweep of all tags).  The sweep runs the four
-formulas through the kernel residual uses, on the memo's generator
+sum, and so does the last step of each identity, the sum or difference
+of its two or three outer values.  So each verify_map call keeps one
+memo for all its residuals, which makes each distinct product once and
+dies when the sweep returns (_sweep_memo).  The sweep runs the four
+formulas through the kernel residual uses, on interned generator
 elements, and builds a Residual only where the value is not zero.
 
 Most swept maps also repeat along whole sigma-orbits: the index shift
@@ -50,13 +45,12 @@ map, phi(x_i, y_j) = sigma_{i+j} phi(x_0, y_0), each residual is the
 shift of the residual at the index-0 generators of its families.
 verify_map tests the table for that in O(n^2) and then evaluates one
 tuple per family tuple, m^arity times fewer, and shifts each failure
-into place; the benchmark's CLW(4) family sweep then takes 36 tuples,
-63 brackets, 24 map evaluations and 20 last steps, against 5,184, 777,
-336 and 68.  A map that fails the test is swept over every tuple.  The
-solver's post-solve re-check is one such sweep, of the tagged map
-sum_j b^j phi_j of the class-0 basis maps (the lifted ones are checked
-without residuals), so each of its brackets is made once for all of
-them.  Assembly (solver) keeps no memo: it calls residual once per
+into place (verify_map gives the counts on the benchmark's sweeps).  A
+map that fails the test is swept over every tuple, through the same
+memo.  The solver's post-solve re-check is one such sweep, of the tagged
+map sum_j b^j phi_j of the class-0 basis maps (the lifted ones are
+checked without residuals), so each of its brackets is made once for all
+of them.  Assembly (solver) keeps no memo: it calls residual once per
 (tag, family tuple), at the index-0 generators of an m = 1 copy of the
 algebra, with one map per phi slot (PHI_SLOTS, the call order of
 _identity), each tagging the unknowns of its slot with its own powers of
@@ -140,22 +134,24 @@ class BilinearMap:
     __slots__ = ("algebra", "_table", "_terms", "_renamed")
 
     def __init__(self, algebra: Algebra, table: Mapping[GenPair, Element]):
-        clean: dict[GenPair, Element] = {}
+        named: dict[GenPair, Element] = {}
         for pair, value in table.items():
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise MapError(f"bad table key {pair!r}, expected a generator pair")
             gi, gj = algebra.gen_of(pair[0]), algebra.gen_of(pair[1])
+            # two keys may name one pair, ("L", 0) and ("L", 2) at m = 2
+            if (gi, gj) in named:
+                raise MapError(f"duplicate entry for pair ({gi},{gj})")
             if value.algebra is not algebra and value.algebra != algebra:
                 raise MapError("table value over a different algebra")
             for coeff in value.terms.values():
                 if any(v not in TABLE_VARS for v in coeff.variables()):
                     raise MapError(f"entry ({gi},{gj}): coefficients may use only d, l, b")
-            if not value.is_zero:
-                clean[(gi, gj)] = value
+            named[(gi, gj)] = value
         self.algebra = algebra
-        self._table = clean
+        self._table = {pair: value for pair, value in named.items() if not value.is_zero}
         # The table as slot_eval reads it: the terms of each value.
-        self._terms = {pair: value.terms for pair, value in clean.items()}
+        self._terms = {pair: value.terms for pair, value in self._table.items()}
         self._renamed: dict = {}
 
     @property
@@ -249,101 +245,13 @@ class Residual:
         return f"{self.tag} ({args}): {self.value}"
 
 
-class SweepMemo:
-    """The slot evaluations of one residual sweep over one map (see the
-    module docstring for why they repeat).
-
-    Each bracket and each map evaluation is stored under the identities
-    of its operands and spectral parameter, (id(x), id(y), id(s)), and
-    the entry holds x, y and s, so no id is reused while the memo lives.
-    Every value the memo makes or hands out, generator elements included,
-    is interned by its content, tuple(element.terms.items()): equal values
-    are one object, so an identity hit is exactly a content hit, and each
-    distinct (operand, operand, spectral) triple is evaluated once.  An
-    operand built elsewhere only misses.  The combination table holds the
-    last step of each identity (_combine) under (tag, id(a), id(b),
-    id(c)), c None for def1a and lem2, and its entry holds a, b and c; the
-    tag sets the step and its sign.  Its values are the residuals and are
-    not interned.  Map entries are valid for phi only, and verify_map
-    keeps one memo per sweep.  Elements are never written after
-    construction, so a stored value may be shared by many residuals.
-
-    verify_map sweeps an index-equivariant map over the tuples of the
-    index-0 generators only, and any other map over all tuples, through
-    the same memo: it makes 63 brackets, 24 map evaluations and 20 last
-    steps for the 36 representative tuples of the benchmark's CLW(4)
-    family sweep, and 777, 336 and 96 for all 5,184 tuples of that map
-    with one target index moved, which is not equivariant.
-    """
-
-    __slots__ = ("phi", "_elements", "_values", "_brackets", "_maps", "_combined")
-
-    def __init__(self, phi: BilinearMap):
-        self.phi = phi
-        self._elements: dict[GeneratorId, Element] = {}
-        self._values: dict[tuple, Element] = {}
-        self._brackets: dict[tuple, tuple] = {}
-        self._maps: dict[tuple, tuple] = {}
-        self._combined: dict[tuple, tuple] = {}
-
-    def _intern(self, value: Element) -> Element:
-        return self._values.setdefault(tuple(value.terms.items()), value)
-
-    def element(self, gid: GeneratorId) -> Element:
-        e = self._elements.get(gid)
-        if e is None:
-            e = self._elements[gid] = self._intern(self.phi.algebra.gen_element(gid))
-        return e
-
-    def bracket(self, x: Element, y: Element, spectral: Union[Var, Poly]) -> Element:
-        key = (id(x), id(y), id(spectral))
-        entry = self._brackets.get(key)
-        if entry is None:
-            entry = self._brackets[key] = (x, y, spectral,
-                                           self._intern(bracket(x, y, spectral)))
-        return entry[3]
-
-    def map_eval(self, x: Element, y: Element, spectral: Union[Var, Poly]) -> Element:
-        key = (id(x), id(y), id(spectral))
-        entry = self._maps.get(key)
-        if entry is None:
-            entry = self._maps[key] = (x, y, spectral,
-                                       self._intern(map_eval(self.phi, x, y, spectral)))
-        return entry[3]
-
-    def combine(self, tag: str, a: Element, b: Element, c: Element | None = None) -> Element:
-        key = (tag, id(a), id(b), id(c))
-        entry = self._combined.get(key)
-        if entry is None:
-            entry = self._combined[key] = (a, b, c, _combine(tag, a, b, c))
-        return entry[3]
-
-
-def _signed_sum(first: Element, second: Element, third: Element, sign: int) -> Element:
-    """first - second + sign * third, summed in one dict (Element's + and
-    - would build first - second as well)."""
-    out = dict(first.terms)
-    for terms, negate in ((second.terms, True), (third.terms, sign < 0)):
-        for gid, coeff in terms.items():
-            s = out.get(gid)
-            if s is None:
-                out[gid] = -coeff if negate else coeff
-                continue
-            s = s - coeff if negate else s + coeff
-            if s:
-                out[gid] = s
-            else:
-                del out[gid]
-    return Element._raw(first.algebra, out)
-
-
 def _combine(tag: str, a: Element, b: Element, c: Element | None = None) -> Element:
     """The last step of identity tag on the values _identity computes."""
     if tag == "def1a":
         return a + second_slot_subst(b, Var.L)
     if tag == "lem2":
         return a - b
-    return _signed_sum(a, b, c, -1 if tag == "def1b" else 1)
+    return a - b - c if tag == "def1b" else a - b + c
 
 
 # The phi slots of each identity: the generator pairs on which _identity
@@ -362,24 +270,24 @@ PHI_SLOTS = {
 def _identity(tag: str, e: Sequence[Element], br, ph, co) -> Element:
     """The residual value of one identity (module docstring) at the
     generator elements e, for residual and verify_map alike; br and ph
-    evaluate brackets and map values, and co the last step (_combine),
-    through a memo or not.  ph is called once per phi slot, in the order
-    of PHI_SLOTS."""
+    evaluate brackets and map values, and co the last step of tag
+    (_combine with tag bound, c None for def1a and lem2), through a memo
+    or not.  ph is called once per phi slot, in the order of PHI_SLOTS."""
     lam, mu = Var.L, Var.M
     if tag == "def1a":
         x, y = e
-        return co(tag, ph(x, y, lam), ph(y, x, lam))
+        return co(ph(x, y, lam), ph(y, x, lam), None)
     if tag == "def1b":
         x, y, z = e
-        return co(tag, ph(x, br(y, z, mu), lam), br(ph(x, y, lam), z, _L_PLUS_M),
+        return co(ph(x, br(y, z, mu), lam), br(ph(x, y, lam), z, _L_PLUS_M),
                   br(y, ph(x, z, lam), mu))
     if tag == "lem1":
         x, y, z = e
-        return co(tag, ph(br(x, y, mu), z, _L_PLUS_M), br(x, ph(y, z, lam), mu),
+        return co(ph(br(x, y, mu), z, _L_PLUS_M), br(x, ph(y, z, lam), mu),
                   br(y, ph(x, z, mu), lam))
     x, y, u, v = e  # lem2
-    return co(tag, br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G),
-              br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G))
+    return co(br(ph(x, y, mu), br(u, v, lam), _M_PLUS_G),
+              br(br(x, y, mu), ph(u, v, lam), _M_PLUS_G), None)
 
 
 def residual(phi: BilinearMap | Sequence[BilinearMap], tag: str,
@@ -409,7 +317,7 @@ def residual(phi: BilinearMap | Sequence[BilinearMap], tag: str,
             return map_eval(next(slots), x, y, spectral)
     args = tuple(alg.gen(*g) for g in args)
     return Residual(tag, args, _identity(tag, [alg.gen_element(g) for g in args], bracket,
-                                         ph, _combine))
+                                         ph, partial(_combine, tag)))
 
 
 @dataclass
@@ -491,6 +399,42 @@ def _is_equivariant(phi: BilinearMap) -> bool:
     return True
 
 
+def _sweep_memo():
+    """The memo of one verify_map sweep: (intern, cached).
+
+    intern keeps one object per distinct value, keyed by
+    tuple(value.terms.items()).  cached(kernel) is kernel, a function of
+    three arguments, cached under their ids, with each value it returns
+    interned.  verify_map caches bracket, map_eval of den * phi and, for
+    each tag, its last step (_combine with the tag bound), each looked up
+    within the sweep (so a kernel patched in before it sees every miss),
+    and interns its generator elements.  So every argument a cached
+    kernel receives is a value intern holds until the sweep returns, or a
+    module constant (Var.L, Var.M, _L_PLUS_M, _M_PLUS_G, None): no id is
+    reused while the memo lives, an id hit is exactly a content hit, and
+    an entry keeps only its value.  Elements are never written after
+    construction, so one value may be shared by many residuals; no cache
+    order reaches the output.
+    """
+    values: dict[tuple, Element] = {}
+
+    def intern(value: Element) -> Element:
+        return values.setdefault(tuple(value.terms.items()), value)
+
+    def cached(kernel):
+        entries: dict[tuple, Element] = {}
+
+        def call(x, y, z):
+            key = (id(x), id(y), id(z))
+            value = entries.get(key)
+            if value is None:
+                value = entries[key] = intern(kernel(x, y, z))
+            return value
+        return call
+
+    return intern, cached
+
+
 def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     """Evaluate every residual of the given tags over all generator tuples.
 
@@ -517,17 +461,18 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     The check is exact either way: no tuple is skipped, only computed by
     the shift.
 
-    The residuals share one SweepMemo of den * phi, so each distinct
-    bracket and map evaluation of the sweep is made once; the memo is
-    dropped on return.  On the verify benchmark, whose three sweeps are
-    equivariant, the orbit sweep cuts the brackets and map evaluations of
-    a pass from 1,521 and 876 (the full sweep with the memo; 26,176 and
-    18,400 without it) to 95 and 48: 63 and 24 on the CLW(4) clw_shift
-    sweep of all tags, 20 and 12 on check_axioms of CLW(6), 12 and 12 on
-    the def1b control.  The combination table sums the last steps of the
-    36 + 24 + 8 representative tuples of those sweeps 20 + 9 + 2 times
-    (68 + 44 + 5 for the 5,184 + 1,872 + 512 tuples of the full sweep).
-    Assembly keeps no memo (see the module docstring).
+    The residuals share one memo of den * phi (_sweep_memo), so each
+    distinct bracket, map evaluation and last step of the sweep is made
+    once; the memo is dropped on return.  On the verify benchmark, whose
+    three sweeps are equivariant, the orbit sweep cuts the brackets, map
+    evaluations and last steps of a pass from 1,521, 876 and 117 (the
+    full sweep through the memo; 26,176 brackets and 18,400 map
+    evaluations without it) to 95, 48 and 31: 63, 24 and 20 for the 36
+    tuples that stand for 5,184 on the CLW(4) clw_shift sweep of all
+    tags, 20, 12 and 9 for 12 of 1,872 on check_axioms of CLW(6), and
+    12, 12 and 2 for 8 of 512 on the def1b control.  The CLW(4) map with
+    one target index moved is not equivariant: its full sweep makes 777,
+    336 and 96.  Assembly keeps no memo (see the module docstring).
     """
     tags = normalize_tags(tags)
     alg = phi.algebra
@@ -537,13 +482,14 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
         raise MapError(f"check of {count} residuals ({len(gens)} generators, "
                        f"{','.join(tags)}) exceeds the cap of {MAX_SWEEP_RESIDUALS}")
     scaled, den = _integral_multiple(phi)
-    memo = SweepMemo(scaled)
+    intern, cached = _sweep_memo()
+    br, ph = cached(bracket), cached(partial(map_eval, scaled))
     orbits = _is_equivariant(scaled)
     swept = [alg.gen(f, 0) for f in alg.families] if orbits else gens
-    elements = [memo.element(g) for g in swept]
-    br, ph, co = memo.bracket, memo.map_eval, memo.combine
+    elements = [intern(alg.gen_element(g)) for g in swept]
     failures: list[Residual] = []
     for tag in tags:
+        co = cached(partial(_combine, tag))
         nonzero: dict[tuple[GeneratorId, ...], Element] = {}
         for e in itertools.product(elements, repeat=TAG_ARITY[tag]):
             value = _identity(tag, e, br, ph, co)

@@ -110,7 +110,9 @@ class Poly:
         clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                if len(mono) != 5 or any(e < 0 for e in mono):
+                # an int exponent, not a bool or a float: 0.5 would square
+                # to d, and 1.0 hash like it
+                if len(mono) != 5 or any(type(e) is not int or e < 0 for e in mono):
                     raise ValueError(f"bad monomial {mono!r}")
                 c = _as_scalar(coeff)
                 if c:
@@ -250,7 +252,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         if exponent == 0:
             return ONE

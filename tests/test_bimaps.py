@@ -5,6 +5,7 @@ import itertools
 import json
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,9 @@ from lcalab import (
     verify_map,
 )
 from lcalab import bimaps
-from lcalab.bimaps import (PHI_SLOTS, TAG_ARITY, SweepMemo, _identity, _integral_multiple,
-                           _is_equivariant, shift_targets)
+from lcalab.algebra import Element
+from lcalab.bimaps import (PHI_SLOTS, TAG_ARITY, _identity, _integral_multiple,
+                           _is_equivariant, _sweep_memo, shift_targets)
 from lcalab.poly import B, D, G, L, M, Var
 
 from randgen import make_rng, random_element, random_fraction, random_poly
@@ -215,6 +217,19 @@ def test_map_table_accepts_plain_tuple_keys():
     phi = BilinearMap(clw, {(("L", 0), ("L", 3)): value})
     assert phi == BilinearMap(clw, {(clw.gen("L", 0), clw.gen("L", 1)): value})
     assert all(type(g) is GeneratorId for pair in phi.table for g in pair)
+
+
+def test_map_table_refuses_two_keys_of_one_pair():
+    # ("L", 0) and ("L", 2) name one generator at m = 2: the map must not
+    # keep one value and drop the other, a zero value included, as the file
+    # reader refuses a repeated pair
+    clw = make_catalog("clw", 2)
+    one, two = clw.element({("G", 0): D}), clw.element({("G", 0): L})
+    for first in (one, clw.zero_element()):
+        with pytest.raises(MapError, match=r"duplicate entry for pair \(L:0,L:0\)"):
+            BilinearMap(clw, {(("L", 0), ("L", 0)): first, (("L", 2), ("L", 0)): two})
+    assert BilinearMap(clw, {(("L", 0), ("L", 0)): one, (("L", 2), ("L", 1)): two}).table == \
+        {(clw.gen("L", 0), clw.gen("L", 0)): one, (clw.gen("L", 0), clw.gen("L", 1)): two}
 
 
 @pytest.mark.parametrize("index", NON_INT_ONES, ids=repr)
@@ -398,7 +413,7 @@ def test_identity_evaluates_phi_in_slot_order():
             pairs.append((*x.terms, *y.terms))
             return map_eval(phi, x, y, spectral)
 
-        _identity(tag, elements[:TAG_ARITY[tag]], bracket, ph, bimaps._combine)
+        _identity(tag, elements[:TAG_ARITY[tag]], bracket, ph, partial(bimaps._combine, tag))
         expected = [(generator(left), generator(right)) for left, right in slots]
         assert pairs == expected, tag
         assert len(set(pairs)) == len(pairs), tag
@@ -712,20 +727,23 @@ def test_sweeps_of_two_maps_keep_their_own_values():
 
 
 def test_consecutive_sweeps_do_not_share_entries(monkeypatch):
-    memos = []
-
-    class RecordingMemo(SweepMemo):
-        def __init__(self, phi):
-            super().__init__(phi)
-            memos.append(self)
-
-    monkeypatch.setattr(bimaps, "SweepMemo", RecordingMemo)
+    # Sweeps of two maps, run in alternation, keep their own values, and
+    # each sweep makes every product it needs itself: its second run
+    # misses as often as its first, so no entry outlives its sweep.
     clw = make_catalog("clw", 2)
     phi, psi = make_family(clw, "inner", t=1), g_component_map(clw)
-    assert assert_sweep_matches_memo_free(phi).passed
-    assert not assert_sweep_matches_memo_free(psi).passed
-    assert len(memos) == 2 and memos[0] is not memos[1]
-    assert [memo.phi for memo in memos] == [phi, psi]
+    expected = {name: memo_free_sweep(m, TAGS) for name, m in (("phi", phi), ("psi", psi))}
+    first = {}
+    for _ in range(2):
+        for name, m in (("phi", phi), ("psi", psi)):
+            reports = []
+            misses = count_memo_misses(monkeypatch, lambda: reports.append(verify_map(m, TAGS)))
+            assert all(misses) and first.setdefault(name, misses) == misses
+            checked, failures = expected[name]
+            assert reports[0].checked == checked
+            assert [(r.tag, r.args, r.value) for r in reports[0].failures] == \
+                [(r.tag, r.args, r.value) for r in failures]
+    assert not expected["phi"][1] and expected["psi"][1]
 
 
 def count_memo_misses(monkeypatch, sweep):
@@ -803,33 +821,6 @@ def test_index_equivariance_predicate():
     assert _is_equivariant(g_component_map(make_catalog("clw", 3), shift=1))
 
 
-class ContentKeyedMemo(SweepMemo):
-    """The sweep memo keyed by operand values, tuple(element.terms.items()),
-    and the spectral parameter: the sharing identity keys must match."""
-
-    def __init__(self, phi):
-        super().__init__(phi)
-        self.entries = {}
-
-    def lookup(self, kind, evaluate, x, y, spectral):
-        key = (kind, tuple(x.terms.items()), tuple(y.terms.items()), spectral)
-        if key not in self.entries:
-            self.entries[key] = evaluate(x, y, spectral)
-        return self.entries[key]
-
-    def bracket(self, x, y, spectral):
-        return self.lookup("bracket", lambda *a: bimaps.bracket(*a), x, y, spectral)
-
-    def map_eval(self, x, y, spectral):
-        return self.lookup("map", lambda *a: bimaps.map_eval(self.phi, *a), x, y, spectral)
-
-    def combine(self, tag, a, b, c=None):
-        key = (tag,) + tuple(None if v is None else tuple(v.terms.items()) for v in (a, b, c))
-        if key not in self.entries:
-            self.entries[key] = bimaps._combine(tag, a, b, c)
-        return self.entries[key]
-
-
 def unit_value_map():
     """phi(L, L) = L on Virasoro: a map value equal to a generator element."""
     vir = make_catalog("vir")
@@ -844,47 +835,74 @@ def unit_value_map():
     lambda: make_family(make_catalog("cw", 3), "cw_shift", shift=2, a=Fraction(-4, 3)),
 ], ids=["vir-unit-value", "clw2-random", "clw2-shift-a1", "cw3-shift"])
 def test_identity_keys_share_what_content_keys_share(monkeypatch, build):
+    # No kernel call of a sweep repeats the operand contents of an earlier
+    # call, tuple(element.terms.items()) for an element (map_eval's first
+    # argument is the sweep's one map): identity keys miss only where
+    # content keys would.
     phi = build()
-    misses = count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS))
-    monkeypatch.setattr(bimaps, "SweepMemo", ContentKeyedMemo)
-    assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == misses
+    calls = []
+
+    def content(arg):
+        if isinstance(arg, Element):
+            return tuple(arg.terms.items())
+        return id(arg) if isinstance(arg, BilinearMap) else arg
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append((name,) + tuple(map(content, args)))
+            return fn(*args)
+        return wrapper
+
+    for name in ("bracket", "map_eval", "_combine"):
+        monkeypatch.setattr(bimaps, name, recording(name, getattr(bimaps, name)))
+    verify_map(phi, TAGS)
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_memo_answers_fresh_operands_like_the_memo_free_kernels():
-    # Operands and spectral parameters are built afresh for every call and
-    # dropped at once, with a collection after each round, so an id could
-    # be recycled for an operand of another value; entries hold their
-    # operands, so none is.  Equal results are one interned object.
+    # Operands are built afresh for every call, as a sweep builds its
+    # values, and pass through the memo's intern table, as a sweep's
+    # values do, with a collection after each round; spectral parameters
+    # are the module's constants.  Each cached kernel answers as the
+    # memo-free one, and equal results are one interned object.
     clw = make_catalog("clw", 2)
     phi = make_family(clw, "clw_shift", shift=1, a=Fraction(-9, 4)) + g_component_map(clw)
-    memo = SweepMemo(phi)
+    intern, cached = _sweep_memo()
     l0, g1 = clw.gen("L", 0), clw.gen("G", 1)
     contents = [{l0: D + 1}, {g1: D * D - 3 * B}, {l0: 2 * D, g1: M}, {g1: D * L - 1}]
-    spectrals = (lambda: Var.L, lambda: L + M, lambda: M + G, lambda: M * 1)
-    kernels = ((memo.bracket, bracket), (memo.map_eval, lambda x, y, s: map_eval(phi, x, y, s)))
+
+    def fresh(n):
+        return None if n is None else clw.element(contents[n])
+
+    def interned(n):
+        return None if n is None else intern(fresh(n))
+
+    spectrals = (Var.L, Var.M, bimaps._L_PLUS_M, bimaps._M_PLUS_G)
+    evaluate = partial(map_eval, phi)
+    kernels = ((cached(bracket), bracket), (cached(evaluate), evaluate))
     first = {}
     for _ in range(2):
         for i, j, k in itertools.product(range(3), range(3), range(4)):
-            for kind, (cached, fresh) in enumerate(kernels):
-                got = cached(clw.element(contents[i]), clw.element(contents[j]), spectrals[k]())
-                assert got == fresh(clw.element(contents[i]), clw.element(contents[j]),
-                                    spectrals[k]())
+            for kind, (memoized, plain) in enumerate(kernels):
+                got = memoized(interned(i), interned(j), spectrals[k])
+                assert got == plain(fresh(i), fresh(j), spectrals[k])
                 assert first.setdefault((kind, i, j, k), got) is got
+                assert intern(clw.element(dict(got.terms))) is got
             gc.collect()
-    # The last steps of the four identities, written out: the combination
-    # table must answer each tag with its own step and sign, on fresh
-    # operands and on held ones, which hit.
+    # The last steps of the four identities, written out: _combine, and
+    # the memo's cached last step of each tag, must answer each tag with
+    # its own step and sign.
     steps = {"def1a": lambda a, b, c: a + b.subst_coeffs({Var.L: -D - L}),
              "def1b": lambda a, b, c: a - b - c,
              "lem1": lambda a, b, c: a - b + c,
              "lem2": lambda a, b, c: a - b}
-    held = [clw.element(c) for c in contents]
+    last = {tag: cached(partial(bimaps._combine, tag)) for tag in TAGS}
     for _ in range(2):
         for tag, ijk in itertools.product(TAGS, itertools.product(range(4), repeat=3)):
-            ops = ijk[:3 if tag in ("def1b", "lem1") else 2]
-            expected = steps[tag](*(clw.element(contents[n]) for n in ijk))
-            assert memo.combine(tag, *(clw.element(contents[n]) for n in ops)) == expected
-            got = memo.combine(tag, *(held[n] for n in ops))
+            ops = ijk if tag in ("def1b", "lem1") else ijk[:2] + (None,)
+            expected = steps[tag](*map(fresh, ijk))
+            assert bimaps._combine(tag, *map(fresh, ops)) == expected
+            got = last[tag](*map(interned, ops))
             assert got == expected
             assert first.setdefault((tag, ops), got) is got
         gc.collect()

@@ -182,6 +182,17 @@ def test_canonical_no_zero_terms():
     assert p.terms == {mono(l=1): Fraction(2)}
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, True, -1])
+def test_exponents_are_non_negative_ints(exponent):
+    # 0.5 squared would be d and (1.0, ...) would hash like d, yet neither
+    # prints; bools are ints to isinstance but are not exponents.
+    with pytest.raises(ValueError, match="bad monomial"):
+        Poly({mono(d=exponent): 1})
+    with pytest.raises(ValueError, match="exponent must be"):
+        D ** exponent
+    assert Poly({mono(d=2): 1}) == D ** 2 == D * D
+
+
 def test_variables_and_degree():
     p = D * D + L * B
     assert p.variables() == (Var.D, Var.L, Var.B)
