@@ -17,13 +17,14 @@ are the same kernel on theirs.  Spectral variables already present in
 coefficients pass through untouched, which is what makes nested brackets
 (Jacobi, Leibniz, and friends) straightforward residual computations.
 
-A table value's l is renamed to the spectral parameter s once per table
-and s, not per evaluation: each table owner (an Algebra or a bimaps
-BilinearMap) keeps the renamed copies, s -> table, together with -s and
-d + s, filled on first use.  The slot substitutions p(-s) and q(d+s) of
-an operand coefficient are memoized on the coefficient itself
-(poly.Poly._subst_d).  Tables are therefore read-only after
-construction; an owner exposes its table as a read-only view.  An
+Each table owner (an Algebra or a bimaps BilinearMap) holds its table
+as slot_eval reads it, ``_table``: {(x_i, y_j): {target: coeff}}.  A
+table value's l is renamed to the spectral parameter s once per table
+and s, not per evaluation: the owner's ``_renamed`` keeps the renamed
+copies, s -> table, with -s and d + s, filled on first use.  The slot
+substitutions p(-s) and q(d+s) of an operand coefficient are memoized on
+the coefficient itself (poly.Poly._subst_d).  Tables are therefore
+read-only after construction; ``table`` is a view of Elements.  An
 algebra's table is capped at MAX_TABLE_ENTRIES generator pairs, and a
 residual sweep at MAX_SWEEP_RESIDUALS residuals.  Skew-symmetry and
 Jacobi are def1a and def1b of the bracket itself (bimaps' inner map,
@@ -287,7 +288,8 @@ class Algebra:
         self.b_value = b_value
         self._rules = table
         # Every generator id keyed by itself, so gen finds an in-range
-        # (family, index) pair, GeneratorId or plain tuple, by one lookup.
+        # (family, index) pair, GeneratorId or plain tuple, by one lookup;
+        # it returns no other objects.
         self._gens = {g: g for g in (GeneratorId(f, i) for f in families
                                      for i in range(modulus))}
         # The bracket on generator pairs in the form slot_eval reads, the
@@ -301,7 +303,7 @@ class Algebra:
             for gj in gens:
                 rule = table[(gi.family, gj.family)]
                 self._table[(gi, gj)] = {} if rule.target is None else \
-                    {GeneratorId(rule.target, (gi.index + gj.index) % modulus): rule.coeff}
+                    {self._gens[(rule.target, (gi.index + gj.index) % modulus)]: rule.coeff}
         self._renamed: dict = {}
 
     @property
@@ -331,7 +333,7 @@ class Algebra:
                 raise AlgebraError(f"unknown family {family!r}")
             if isinstance(index, bool) or not isinstance(index, int):
                 raise AlgebraError(f"generator index must be an int, got {index!r}")
-            gid = GeneratorId(family, index % self.modulus)
+            gid = self._gens[(family, index % self.modulus)]
         return gid
 
     def gen_of(self, key) -> GeneratorId:
@@ -390,35 +392,33 @@ def _spectral_poly(spectral: Union[Var, Poly]) -> Poly:
 _D = Poly.variable(Var.D)
 _L = Poly.variable(Var.L)
 
-# A generator-pair table as slot_eval reads it: the terms of each value.
-Table = Mapping[tuple[GeneratorId, GeneratorId], Mapping[GeneratorId, Poly]]
-
-
-def _renamed_table(table: Table, renamed: dict, spectral: Union[Var, Poly]) -> tuple:
+def _renamed_table(owner, spectral: Union[Var, Poly]) -> tuple:
     """The owner's cache entry of a spectral parameter: (table with the l
     of every value renamed to s, -s, d + s).
 
-    ``renamed`` is the table owner's cache, filled here on first use: s is
-    validated once, and the entry is stored under s and under the
-    argument as given (a Var or a Poly), so that later calls with either
-    find it without validating or building -s and d + s again.  For s = l
-    the renamed table is the table itself.  Equal coefficients share one
-    renamed copy, equal values one renamed terms dict (a bracket table has
-    one value per target, not per pair), and pairs whose value is or
-    becomes zero are left out.  The cache is only valid because tables
-    are never written after construction; filling it is idempotent, so
-    two threads filling it at once only repeat the work.
+    ``owner._renamed`` is the table owner's cache, filled here on first
+    use: s is validated once, and the entry is stored under s and under
+    the argument as given (a Var or a Poly), so that later calls with
+    either find it without validating or building -s and d + s again.
+    For s = l the renamed table is ``owner._table`` itself.  Equal
+    coefficients share one renamed copy, equal values one renamed terms
+    dict (a bracket table has one value per target, not per pair), and
+    pairs whose value is or becomes zero are left out.  The cache is only
+    valid because tables are never written after construction; filling
+    it is idempotent, so two threads filling it at once only repeat the
+    work.
     """
     s = _spectral_poly(spectral)
+    renamed = owner._renamed
     entry = renamed.get(s)
     if entry is None:
         if s == _L:
-            out = table
+            out = owner._table
         else:
             coeffs: dict[Poly, Poly] = {}
             values: dict[tuple, dict[GeneratorId, Poly]] = {}
             out = {}
-            for pair, value in table.items():
+            for pair, value in owner._table.items():
                 key = tuple(value.items())
                 new = values.get(key)
                 if new is None:
@@ -436,25 +436,24 @@ def _renamed_table(table: Table, renamed: dict, spectral: Union[Var, Poly]) -> t
     return entry
 
 
-def slot_eval(table: Table, renamed: dict, x: Element, y: Element,
+def slot_eval(owner, x: Element, y: Element,
               spectral: Union[Var, Poly] = Var.L) -> Element:
-    """Evaluate a generator-pair table on x, y by the sesquilinearity slot rule.
+    """Evaluate a table owner's _table on x, y by the slot rule.
 
     For x = p(d) e_i and y = q(d) e_j the result is
     p(-s) * q(d+s) * table[e_i, e_j] with the value's l renamed to s,
     extended bilinearly; absent pairs are zero.  s may itself be a
     polynomial in the spectral variables (needed for the nested
     identities, e.g. l+m).  Each substitution is done once per table
-    owner or operand and s, not per evaluation: ``renamed`` is the owner's
-    cache of renamed tables and of -s and d + s (see _renamed_table), so
-    the table must not change after its first evaluation; and each
-    operand coefficient keeps p(-s) and q(d+s) in its own memo
-    (Poly._subst_d), which dies with the operand.  Callers check that x
-    and y belong to the table's algebra.
+    owner or operand and s, not per evaluation: the owner caches renamed
+    tables and -s and d + s (see _renamed_table), so its table must not
+    change after its first evaluation; and each operand coefficient keeps
+    p(-s) and q(d+s) in its own memo (Poly._subst_d), which dies with the
+    operand.  Callers check that x and y belong to the owner's algebra.
     """
-    entry = renamed.get(spectral)
+    entry = owner._renamed.get(spectral)
     if entry is None:
-        entry = _renamed_table(table, renamed, spectral)
+        entry = _renamed_table(owner, spectral)
     table, neg_s, d_plus_s = entry
     acc: dict[GeneratorId, Poly] = {}
     for gi, p in x.terms.items():
@@ -480,8 +479,7 @@ def slot_eval(table: Table, renamed: dict, x: Element, y: Element,
 def bracket(x: Element, y: Element, spectral: Union[Var, Poly] = Var.L) -> Element:
     """Evaluate [x_s y]: the algebra's own table under the slot rule."""
     x._require_same_algebra(y)
-    alg = x.algebra
-    return slot_eval(alg._table, alg._renamed, x, y, spectral)
+    return slot_eval(x.algebra, x, y, spectral)
 
 
 def second_slot_subst(e: Element, spectral: Var = Var.L) -> Element:

@@ -1,9 +1,9 @@
 """Conformal bilinear maps on a bracket-table algebra, and the residuals
 of the four biderivation identities.
 
-A bilinear map phi is a table of Element values on generator pairs
-(absent pair = zero), with coefficients in d, l, b only.  It is evaluated
-on general elements by the bracket's own kernel, ``algebra.slot_eval``:
+A bilinear map phi is a table of values on generator pairs (absent pair
+= zero) in the bracket table's form, with coefficients in d, l, b only.
+It is evaluated on general elements by the bracket's own kernel, slot_eval:
 coefficient p(d) on the left enters as p(-s), q(d) on the right as
 q(d+s), and the table value's l is renamed to the requested spectral
 parameter (once per map and parameter; the table is read-only).  The
@@ -124,14 +124,14 @@ GenPair = tuple[GeneratorId, GeneratorId]
 
 
 class BilinearMap:
-    """Table of Element values phi(e_i, e_j) on generator pairs.
-
-    Coefficients are restricted to d, l, b; spectral variables other than
-    l never appear in a table (they only arise inside residuals).  The
-    table is read-only after construction.
+    """Values phi(e_i, e_j) on generator pairs in the bracket table's
+    form (algebra module docstring): nonzero values only, coefficients in
+    d, l, b (other spectral variables only arise inside residuals),
+    read-only after construction.  The constructor validates a table of
+    Elements from outside; _raw wraps a table built here as it is.
     """
 
-    __slots__ = ("algebra", "_table", "_terms", "_renamed")
+    __slots__ = ("algebra", "_table", "_renamed")
 
     def __init__(self, algebra: Algebra, table: Mapping[GenPair, Element]):
         named: dict[GenPair, Element] = {}
@@ -155,51 +155,53 @@ class BilinearMap:
                     checked.add(id(coeff))
             named[(gi, gj)] = value
         self.algebra = algebra
-        self._table = {pair: value for pair, value in named.items() if not value.is_zero}
-        # The table as slot_eval reads it: the terms of each value.
-        self._terms = {pair: value.terms for pair, value in self._table.items()}
+        self._table = {pair: value.terms for pair, value in named.items() if value.terms}
         self._renamed: dict = {}
+
+    @classmethod
+    def _raw(cls, algebra: Algebra, table: dict[GenPair, dict]) -> "BilinearMap":
+        # Internal constructor: table must already be in _table's form.
+        phi = object.__new__(cls)
+        phi.algebra, phi._table, phi._renamed = algebra, table, {}
+        return phi
 
     @property
     def table(self) -> Mapping[GenPair, Element]:
-        """Read-only view of the nonzero values on generator pairs."""
-        return MappingProxyType(self._table)
+        """Read-only view of the nonzero values, an Element per pair."""
+        return MappingProxyType({pair: Element._raw(self.algebra, terms)
+                                 for pair, terms in self._table.items()})
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "BilinearMap":
         return cls(algebra, {})
 
     def entry(self, gi: GeneratorId, gj: GeneratorId) -> Element:
-        return self.table.get((gi, gj), self.algebra.zero_element())
+        """phi(gi, gj), the keys resolved as the constructor does."""
+        alg = self.algebra
+        return Element._raw(alg, self._table.get((alg.gen_of(gi), alg.gen_of(gj)), {}))
 
     @property
     def is_zero(self) -> bool:
-        return not self.table
+        return not self._table
 
     def pairs(self) -> list[GenPair]:
         key = self.algebra.gen_sort_key
-        return sorted(self.table, key=lambda p: (key(p[0]), key(p[1])))
+        return sorted(self._table, key=lambda p: (key(p[0]), key(p[1])))
 
     def __add__(self, other: "BilinearMap") -> "BilinearMap":
-        if other.algebra is not self.algebra and other.algebra != self.algebra:
+        alg = self.algebra
+        if other.algebra is not alg and other.algebra != alg:
             raise MapError("mismatched algebras")
-        out = dict(self.table)
-        for pair, value in other.table.items():
-            prev = out.get(pair)
-            total = value if prev is None else prev + value
-            if total.is_zero:
-                out.pop(pair, None)
-            else:
-                out[pair] = total
-        return BilinearMap(self.algebra, out)
+        out = {}
+        for phi in (self, other):
+            for pair, terms in phi._table.items():
+                value = Element._raw(alg, terms)
+                out[pair] = out[pair] + value if pair in out else value
+        return BilinearMap(alg, out)
 
     def __mul__(self, factor: Scalar) -> "BilinearMap":
-        c = exact_scalar(factor, MapError, "factor")
-        if not c:
-            return BilinearMap(self.algebra, {})
-        c = Poly.const(c)
-        return BilinearMap(self.algebra,
-                           _scaled_table(self.algebra, self._terms, lambda coeff: coeff * c))
+        c = Poly.const(exact_scalar(factor, MapError, "factor"))
+        return _scaled_map(self.algebra, self._table, lambda coeff: coeff * c)
 
     __rmul__ = __mul__
 
@@ -207,17 +209,16 @@ class BilinearMap:
         return self * -1
 
     def __sub__(self, other: "BilinearMap") -> "BilinearMap":
-        return self + (-1 * other)
+        return self + -other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BilinearMap):
             return NotImplemented
         return (self.algebra is other.algebra or self.algebra == other.algebra) \
-            and self.table == other.table
+            and self._table == other._table
 
     def __repr__(self) -> str:
-        entries = "; ".join(f"({gi},{gj}) -> {self.table[(gi, gj)]}"
-                            for gi, gj in self.pairs())
+        entries = "; ".join(f"({gi},{gj}) -> {self.entry(gi, gj)}" for gi, gj in self.pairs())
         return f"BilinearMap({entries or '0'})"
 
 
@@ -228,7 +229,7 @@ def map_eval(phi: BilinearMap, x: Element, y: Element,
     if (x.algebra is not alg and x.algebra != alg) or \
        (y.algebra is not alg and y.algebra != alg):
         raise MapError("mismatched algebras")
-    return slot_eval(phi._terms, phi._renamed, x, y, spectral)
+    return slot_eval(phi, x, y, spectral)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +362,11 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _scaled_table(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId, Poly]],
-                  scale, shift: int = 0) -> dict[GenPair, Element]:
-    """{pair: value} of a table of terms, each coefficient c replaced by
-    scale(c) and each target index moved by shift (mod m), a zero scale(c)
-    leaving its term out.
+def _scaled_map(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId, Poly]],
+                scale, shift: int = 0) -> BilinearMap:
+    """The map of a table of terms, each coefficient c replaced by scale(c)
+    and each target index moved by shift (mod m), a zero scale(c) leaving
+    its term out and an empty value its pair.
 
     scale runs once per distinct coefficient object, in a memo keyed by
     id that lives for this call only (the table holds every key alive),
@@ -375,6 +376,7 @@ def _scaled_table(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId,
     they are.
     """
     memo: dict[int, Poly] = {}
+    moved = {g: algebra.gen(g.family, g.index + shift) for g in algebra._gens}
     out = {}
     for pair, terms in table.items():
         value = {}
@@ -383,9 +385,10 @@ def _scaled_table(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId,
             if scaled is None:
                 scaled = memo[id(c)] = scale(c)
             if scaled.terms:
-                value[algebra.gen(gt.family, gt.index + shift)] = scaled
-        out[pair] = Element._raw(algebra, value)
-    return out
+                value[moved[gt]] = scaled
+        if value:
+            out[pair] = value
+    return BilinearMap._raw(algebra, out)
 
 
 def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
@@ -394,9 +397,9 @@ def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
 
     A map with no Fraction coefficient is returned as it is, with den 1.
     Each distinct coefficient object is read and scaled once
-    (_scaled_table).
+    (_scaled_map).
     """
-    coeffs = {id(c): c for terms in phi._terms.values() for c in terms.values()}
+    coeffs = {id(c): c for terms in phi._table.values() for c in terms.values()}
     denominators = [x.denominator for c in coeffs.values()
                     for x in c.terms.values() if type(x) is Fraction]
     if not denominators:
@@ -404,9 +407,8 @@ def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
     den = lcm(*denominators)
     # Poly() stores each integral product, a Fraction with denominator 1,
     # as an int; Poly * den would keep it a Fraction.
-    return BilinearMap(phi.algebra, _scaled_table(
-        phi.algebra, phi._terms,
-        lambda c: Poly({mono: x * den for mono, x in c.terms.items()}))), den
+    return _scaled_map(phi.algebra, phi._table,
+                       lambda c: Poly({mono: x * den for mono, x in c.terms.items()})), den
 
 
 def shift_targets(value: Element, s: int) -> Element:
@@ -429,7 +431,7 @@ def _is_equivariant(phi: BilinearMap) -> bool:
     comparison, so no value is built per pair.
     """
     alg = phi.algebra
-    terms = phi._terms
+    terms = phi._table
     m = alg.modulus
     row = {f: [alg.gen(f, i) for i in range(m)] for f in alg.families}
     empty: dict = {}
@@ -508,11 +510,12 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
 
     The table-level work around the residuals is O(n^2) dict work, its
     Poly arithmetic done once per distinct coefficient object:
-    _integral_multiple reads and scales each once (_scaled_table), the
-    map checks each once, and _is_equivariant compares term dicts.
-    On CLW(m=40) at symbolic b, def1a + def1b of clw_shift (shift 3,
-    a = -5/3) went from 91 to 16 ms (best of 9, Python 3.11, a shared
-    2-CPU Linux host).
+    _integral_multiple reads and scales each once and wraps the terms
+    (_scaled_map), with no Element or key lookup per pair, and
+    _is_equivariant compares term dicts.  On CLW(m=40) at symbolic b,
+    def1a + def1b of clw_shift (shift 3, a = -5/3) take 5.1-5.2 ms,
+    15.3-15.6 ms with an Element per pair (best of 9, two runs, Python
+    3.11.7, a shared 2-CPU Linux host).
 
     The residuals share one memo of den * phi (_sweep_memo), so each
     distinct bracket, map evaluation and last step of the sweep is made
@@ -598,7 +601,7 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     A nonzero g is the one precondition on the algebra: its rules must be
     those of make_catalog("clw", m, -1) (_g_component_rules), else
     FamilyError.  The table is the bracket's, each coefficient object
-    scaled once by t * a (_scaled_table, which leaves out the terms of a
+    scaled once by t * a (_scaled_map, which leaves out the terms of a
     zero factor), and the g-component's one coefficient object on every
     (L, L) pair.  t, a and g must be ints or Fractions, shift an int, and
     a parameter the kind does not take (shift, a, g for inner; t, g for
@@ -620,16 +623,17 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     if g and algebra.rules() != _g_component_rules():
         raise FamilyError("the g-component exists only on the CLW table at b = -1")
     factor = Poly.const(t * a)
-    table = _scaled_table(algebra, algebra._table, lambda c: c * factor, shift)
+    phi = _scaled_map(algebra, algebra._table, lambda c: c * factor, shift)
     if g:
         # The (L, L) bracket targets L and the g-component G, so the
-        # g-component's term joins each (L, L) value as a new target.
+        # g-component's term joins each (L, L) value as a new target, on
+        # the algebra's pairs (a zero factor leaves them out of phi).
         coeff = _D_PLUS_2L * g
-        for (gi, gj), value in table.items():
+        for gi, gj in algebra._table:
             if gi.family == gj.family == "L":
                 tgt = algebra.gen("G", gi.index + gj.index + shift)
-                table[(gi, gj)] = Element._raw(algebra, {**value.terms, tgt: coeff})
-    return BilinearMap(algebra, table)
+                phi._table[(gi, gj)] = {**phi._table.get((gi, gj), {}), tgt: coeff}
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +645,12 @@ def map_to_dict(phi: BilinearMap) -> dict:
     alg = phi.algebra
     entries = []
     for gi, gj in phi.pairs():
-        value = phi.table[(gi, gj)]
-        gens = sorted(value.terms, key=alg.gen_sort_key)
+        terms = phi._table[(gi, gj)]
         entries.append({
             "left": str(gi),
             "right": str(gj),
-            "value": [{"gen": str(g), "coeff": str(value.terms[g])} for g in gens],
+            "value": [{"gen": str(g), "coeff": str(terms[g])}
+                      for g in sorted(terms, key=alg.gen_sort_key)],
         })
     return {"algebra": alg.name, "entries": entries}
 

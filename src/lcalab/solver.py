@@ -252,14 +252,15 @@ class Ansatz:
         entries: dict[int, dict[int, dict[Monomial, Fraction]]] = {}
         n, r, monos = self._n_gens, self._n_monos, self._monos
         for i, k, coeff in terms:
-            rest, mono = divmod(k, r)
-            pair, target = divmod(rest, n)
-            dpow, lpow = monos[mono]
-            entries.setdefault(pair, {}).setdefault(target, {})[(dpow, lpow, 0, 0, i)] = coeff
-        gens, element = self._gens, self.algebra.element
-        return BilinearMap(self.algebra, {
+            if coeff:
+                rest, mono = divmod(k, r)
+                pair, target = divmod(rest, n)
+                dpow, lpow = monos[mono]
+                entries.setdefault(pair, {}).setdefault(target, {})[(dpow, lpow, 0, 0, i)] = coeff
+        gens = self._gens
+        return BilinearMap._raw(self.algebra, {
             (gens[pair // n], gens[pair % n]):
-                element({gens[target]: Poly(monos) for target, monos in targets.items()})
+                {gens[target]: Poly(monos) for target, monos in targets.items()}
             for pair, targets in entries.items()})
 
     def map_from_vector(self, vector: Row) -> BilinearMap:
@@ -301,8 +302,8 @@ class Ansatz:
         """
         position = self._position
         vector: Row = {}
-        for (gi, gj), value in phi.table.items():
-            for gt, poly in value.terms.items():
+        for (gi, gj), value in phi._table.items():
+            for gt, poly in value.items():
                 for mono, coeff in poly.terms.items():
                     if mono[2] or mono[3] or mono[4]:
                         raise SolverError(f"map coefficient {poly} uses a variable "
@@ -417,10 +418,10 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
     # one map per slot, an assembled identity has at most three; its value
     # is the same on every pair
     pairs = list(itertools.product(units, repeat=2))
-    slot_maps = [BilinearMap(unit, dict.fromkeys(pairs, unit.element({
+    slot_maps = [BilinearMap._raw(unit, dict.fromkeys(pairs, {
         gt: Poly({(dpow, lpow, 0, 0, i * stride + t * m * r + q): 1
                   for q, (dpow, lpow) in enumerate(ansatz._monos)})
-        for t, gt in enumerate(units)}))) for i in range(3)]
+        for t, gt in enumerate(units)})) for i in range(3)]
     # per tag: the unmerged rows of each family tuple's residual (holding
     # its Poly values took more peak RSS), and each key's template
     residuals: dict[tuple[int, ...], list] = {}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import lcalab.solver
 from lcalab import (
     AlgebraError,
     Ansatz,
@@ -34,6 +35,7 @@ from lcalab import (
     map_to_dict,
     normalize_tags,
     residual,
+    solve_bider,
     verify_map,
 )
 from lcalab import bimaps
@@ -927,6 +929,18 @@ def assert_one_object_per_source_coefficient(source, result, shift=0):
             assert images.setdefault(id(c), kept) is kept
 
 
+def assert_table_form(phi):
+    """The form of every map's table, which the maps built without the
+    constructor's checks must keep: the constructor, given the map's
+    view, gives the same map; every key is the algebra's own generator
+    id; no value is empty and no coefficient is zero."""
+    alg = phi.algebra
+    assert BilinearMap(alg, phi.table) == phi
+    for (gi, gj), terms in phi._table.items():
+        assert all(alg.gen(*g) is g for g in (gi, gj, *terms))
+        assert terms and all(not c.is_zero for c in terms.values())
+
+
 # Factors beyond the grid's: t * a = 0 with and without the g-component
 # (the clw_g template is a = 0, g = 1), negative ints and Fractions.
 FACTOR_CASES = [
@@ -942,9 +956,13 @@ def test_scaled_tables_match_the_per_pair_formula():
     # make_family and _integral_multiple scale each coefficient object
     # once; their tables equal the per-pair Element formula, a zero factor
     # leaves no zero term, den * phi has int coefficients only, and the
-    # scaled copies of one coefficient object are one object.
+    # scaled copies of one coefficient object are one object.  They and
+    # phi * c keep the table form.
     for alg, kind, params in [*family_grid(), *FACTOR_CASES]:
         phi = make_family(alg, kind, **params)
+        for psi in (phi, _integral_multiple(phi)[0],
+                    *(phi * c for c in (0, -1, Fraction(7, 3)))):
+            assert_table_form(psi)
         assert phi.table == per_pair_family(alg, **params)
         assert all(not c.is_zero for value in phi.table.values() for c in value.terms.values())
         assert_one_object_per_source_coefficient(alg.table, phi.table, params.get("shift", 0))
@@ -962,6 +980,56 @@ def test_scaled_tables_match_the_per_pair_formula():
         assert_one_object_per_source_coefficient(phi.table, scaled.table)
         assert (phi * -1).table == {pair: alg.element({gt: -c for gt, c in value.terms.items()})
                                     for pair, value in phi.table.items()}
+
+
+@pytest.mark.parametrize("algebra", [make_catalog("cw", 3), make_catalog("clw", 2, -1)],
+                         ids=["cw3", "clw2-b-1"])
+def test_ansatz_maps_keep_the_table_form(algebra, monkeypatch):
+    # map_from_vector's maps, and the tagged map of the post-solve re-check
+    ansatz = Ansatz(algebra, 1)
+    rng = make_rng(33)
+    for _ in range(5):
+        vector = {k: random_fraction(rng, nonzero=True)
+                  for k in sorted(rng.sample(range(ansatz.n_unknowns), 12))}
+        assert_table_form(ansatz.map_from_vector(vector))
+    assert ansatz.map_from_vector({0: Fraction(0)}).is_zero
+    swept = []
+
+    def recording_verify_map(phi, tags):
+        swept.append(phi)
+        return verify_map(phi, tags)
+
+    monkeypatch.setattr(lcalab.solver, "verify_map", recording_verify_map)
+    assert solve_bider(algebra, 2).dimension and len(swept) == 1
+    assert_table_form(swept[0])
+
+
+def test_entry_resolves_its_keys():
+    # L:2 is L:0 at m = 2; an unknown family and a float index are refused
+    # as the constructor refuses them
+    clw = make_catalog("clw", 2)
+    phi = make_family(clw, "inner")
+    value = clw.element({("L", 0): D + 2 * L})
+    assert phi.entry(("L", 2), ("L", 0)) == phi.entry(clw.gen("L", 0), ("L", 4)) == value
+    with pytest.raises(AlgebraError, match="unknown family"):
+        phi.entry(("X", 0), ("L", 0))
+    with pytest.raises(AlgebraError, match="index must be an int"):
+        phi.entry(("L", 0.0), ("L", 0))
+    assert phi.entry(("G", 0), ("G", 1)).is_zero
+
+
+def test_zero_maps_and_table_views():
+    clw = make_catalog("clw", 2)
+    phi = BilinearMap(clw, {(("G", 1), ("L", 0)): clw.element({("G", 1): B * D - L, ("L", 0): 3}),
+                            (("L", 0), ("L", 3)): clw.element({("L", 1): D + 2 * L})})
+    for zero in (phi - phi, 0 * phi, phi * 0):
+        assert zero.is_zero and zero._table == {} and zero == BilinearMap.zero(clw)
+    first, second = phi.table, phi.table
+    assert first == second and first is not second
+    assert all(first[pair].terms is second[pair].terms is phi._table[pair] for pair in first)
+    assert repr(phi) == ("BilinearMap((L:0,L:1) -> (d + 2*l)*L:1; "
+                         "(G:1,L:0) -> (3)*L:0 + (d*b - l)*G:1)")
+    assert repr(BilinearMap.zero(clw)) == "BilinearMap(0)"
 
 
 def unit_value_map():
