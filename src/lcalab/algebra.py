@@ -17,15 +17,18 @@ are the same kernel on theirs.  Spectral variables already present in
 coefficients pass through untouched, which is what makes nested brackets
 (Jacobi, Leibniz, and friends) straightforward residual computations.
 
-Each table owner (an Algebra or a bimaps BilinearMap) holds its table
-as slot_eval reads it, ``_table``: {(x_i, y_j): {target: coeff}}.  A
-table value's l is renamed to the spectral parameter s once per table
-and s, not per evaluation: the owner's ``_renamed`` keeps the renamed
-copies, s -> table, with -s and d + s, filled on first use.  The slot
-substitutions p(-s) and q(d+s) of an operand coefficient are memoized on
-the coefficient itself (poly.Poly._subst_d).  Tables are therefore
-read-only after construction; ``table`` is a view of Elements.  An
-algebra's table is capped at MAX_TABLE_ENTRIES generator pairs, and a
+Each table owner (an Algebra or a bimaps BilinearMap) holds its table as
+slot_eval reads it, ``_table``: {(x_i, y_j): {target: coeff}}.  The
+pairs of one (family pair, index sum) share one value dict of an
+algebra's table, and every derived table (renamed, scaled, shifted)
+comes from _mapped_table, which keeps that sharing.  A table value's l
+is renamed to the spectral parameter s once per table and s, not per
+evaluation: the owner's ``_renamed`` keeps the renamed copies, s ->
+table, with -s and d + s, filled on first use.  The slot substitutions
+p(-s) and q(d+s) of an operand coefficient are memoized on the
+coefficient itself (poly.Poly._subst_d).  Tables are therefore read-only
+after construction, values included; ``table`` is a view of Elements.
+An algebra's table is capped at MAX_TABLE_ENTRIES generator pairs, and a
 residual sweep at MAX_SWEEP_RESIDUALS residuals.  Skew-symmetry and
 Jacobi are def1a and def1b of the bracket itself (bimaps' inner map,
 t = 1), so check_axioms is bimaps.verify_map of that map on those tags.
@@ -296,14 +299,15 @@ class Algebra:
         # terms of each value: (x_i, y_j) -> {target_{i+j mod m}: coeff},
         # empty if zero.  Plain dicts, not Elements: an Element refers to
         # its algebra, so a table of them would make every algebra a
-        # reference cycle, kept alive until the cyclic collector runs.
+        # reference cycle, kept alive until the cyclic collector runs.  A
+        # value depends only on the families and the index sum of its pair,
+        # so the pairs of one (family pair, index sum) share one dict.
         gens = self.generators()
-        self._table: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, Poly]] = {}
-        for gi in gens:
-            for gj in gens:
-                rule = table[(gi.family, gj.family)]
-                self._table[(gi, gj)] = {} if rule.target is None else \
-                    {self._gens[(rule.target, (gi.index + gj.index) % modulus)]: rule.coeff}
+        values = {fams: [{} if rule.target is None else {self._gens[(rule.target, k)]: rule.coeff}
+                         for k in range(modulus)] for fams, rule in table.items()}
+        self._table: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, Poly]] = {
+            (gi, gj): values[(gi.family, gj.family)][(gi.index + gj.index) % modulus]
+            for gi in gens for gj in gens}
         self._renamed: dict = {}
 
     @property
@@ -392,6 +396,34 @@ def _spectral_poly(spectral: Union[Var, Poly]) -> Poly:
 _D = Poly.variable(Var.D)
 _L = Poly.variable(Var.L)
 
+def _mapped_table(table: Mapping, coeff_map, moved: Optional[Mapping] = None) -> dict:
+    """The table with every coefficient c replaced by coeff_map(c) and, if
+    moved is given, every target gt by moved[gt]; a zero image leaves its
+    term out, and an empty value its pair.
+
+    Each distinct value dict is mapped once, memo keyed by id (the table
+    holds every value alive while this runs), so pairs that share a value
+    share its image; each distinct coefficient once, memo keyed by value.
+    moved must keep the targets of one value distinct, as a shift does.
+    """
+    values: dict[int, dict[GeneratorId, Poly]] = {}
+    coeffs: dict[Poly, Poly] = {}
+    out = {}
+    for pair, value in table.items():
+        new = values.get(id(value))
+        if new is None:
+            new = values[id(value)] = {}
+            for gt, c in value.items():
+                r = coeffs.get(c)
+                if r is None:
+                    r = coeffs[c] = coeff_map(c)
+                if r.terms:
+                    new[gt if moved is None else moved[gt]] = r
+        if new:
+            out[pair] = new
+    return out
+
+
 def _renamed_table(owner, spectral: Union[Var, Poly]) -> tuple:
     """The owner's cache entry of a spectral parameter: (table with the l
     of every value renamed to s, -s, d + s).
@@ -400,37 +432,17 @@ def _renamed_table(owner, spectral: Union[Var, Poly]) -> tuple:
     use: s is validated once, and the entry is stored under s and under
     the argument as given (a Var or a Poly), so that later calls with
     either find it without validating or building -s and d + s again.
-    For s = l the renamed table is ``owner._table`` itself.  Equal
-    coefficients share one renamed copy, equal values one renamed terms
-    dict (a bracket table has one value per target, not per pair), and
-    pairs whose value is or becomes zero are left out.  The cache is only
-    valid because tables are never written after construction; filling
-    it is idempotent, so two threads filling it at once only repeat the
-    work.
+    For s = l the renamed table is ``owner._table`` itself; any other is
+    _mapped_table's.  The cache is only valid because tables are never
+    written after construction; filling it is idempotent, so two threads
+    filling it at once only repeat the work.
     """
     s = _spectral_poly(spectral)
     renamed = owner._renamed
     entry = renamed.get(s)
     if entry is None:
-        if s == _L:
-            out = owner._table
-        else:
-            coeffs: dict[Poly, Poly] = {}
-            values: dict[tuple, dict[GeneratorId, Poly]] = {}
-            out = {}
-            for pair, value in owner._table.items():
-                key = tuple(value.items())
-                new = values.get(key)
-                if new is None:
-                    new = values[key] = {}
-                    for gt, c in value.items():
-                        r = coeffs.get(c)
-                        if r is None:
-                            r = coeffs[c] = c.subst({Var.L: s})
-                        if not r.is_zero:
-                            new[gt] = r
-                if new:
-                    out[pair] = new
+        out = owner._table if s == _L else \
+            _mapped_table(owner._table, lambda c: c.subst({Var.L: s}))
         entry = renamed[s] = (out, -s, _D + s)
     renamed[spectral] = entry
     return entry
@@ -572,12 +584,13 @@ def make_catalog(kind: str, m: int = 1, b: Scalar | None = None) -> Algebra:
     """
     d, lam, bb = Poly.variable(Var.D), Poly.variable(Var.L), Poly.variable(Var.B)
     if kind == "vir":
-        vir = Algebra("Vir", m, ["L"], [BracketRule("L", "L", "L", d + 2 * lam)])
-        if vir.modulus != 1:
+        # both arguments before the table; any m that is no int > 1 is
+        # left to Algebra's modulus check
+        if type(m) is int and m > 1:
             raise AlgebraError("vir is rank one; use kind 'cw' for m > 1")
         if b is not None:
             raise AlgebraError("b is only accepted for kind 'clw'")
-        return vir
+        return Algebra("Vir", m, ["L"], [BracketRule("L", "L", "L", d + 2 * lam)])
     if kind == "cw":
         if b is not None:
             raise AlgebraError("b is only accepted for kind 'clw'")

@@ -79,6 +79,7 @@ from .algebra import (
     BracketRule,
     Element,
     GeneratorId,
+    _mapped_table,
     bracket,
     make_catalog,
     parse_generator,
@@ -143,6 +144,9 @@ class BilinearMap:
             # two keys may name one pair, ("L", 0) and ("L", 2) at m = 2
             if (gi, gj) in named:
                 raise MapError(f"duplicate entry for pair ({gi},{gj})")
+            if not isinstance(value, Element):
+                raise MapError(f"entry ({gi},{gj}): value must be an Element, "
+                               f"got {type(value).__name__}")
             if value.algebra is not algebra and value.algebra != algebra:
                 raise MapError("table value over a different algebra")
             for coeff in value.terms.values():
@@ -201,7 +205,7 @@ class BilinearMap:
 
     def __mul__(self, factor: Scalar) -> "BilinearMap":
         c = Poly.const(exact_scalar(factor, MapError, "factor"))
-        return _scaled_map(self.algebra, self._table, lambda coeff: coeff * c)
+        return BilinearMap._raw(self.algebra, _mapped_table(self._table, lambda coeff: coeff * c))
 
     __rmul__ = __mul__
 
@@ -362,42 +366,13 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _scaled_map(algebra: Algebra, table: Mapping[GenPair, Mapping[GeneratorId, Poly]],
-                scale, shift: int = 0) -> BilinearMap:
-    """The map of a table of terms, each coefficient c replaced by scale(c)
-    and each target index moved by shift (mod m), a zero scale(c) leaving
-    its term out and an empty value its pair.
-
-    scale runs once per distinct coefficient object, in a memo keyed by
-    id that lives for this call only (the table holds every key alive),
-    so the work per pair is dict work: a table has a few distinct
-    coefficients, one per bracket rule, over n^2 pairs.  The targets of
-    one value stay distinct under the shift, so its terms are kept as
-    they are.
-    """
-    memo: dict[int, Poly] = {}
-    moved = {g: algebra.gen(g.family, g.index + shift) for g in algebra._gens}
-    out = {}
-    for pair, terms in table.items():
-        value = {}
-        for gt, c in terms.items():
-            scaled = memo.get(id(c))
-            if scaled is None:
-                scaled = memo[id(c)] = scale(c)
-            if scaled.terms:
-                value[moved[gt]] = scaled
-        if value:
-            out[pair] = value
-    return BilinearMap._raw(algebra, out)
-
-
 def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
     """(den * phi, den), den the least common multiple of the denominators
     of phi's coefficients; den * phi has int coefficients only.
 
     A map with no Fraction coefficient is returned as it is, with den 1.
-    Each distinct coefficient object is read and scaled once
-    (_scaled_map).
+    Each distinct coefficient object is read once, and each distinct
+    value and coefficient scaled once (algebra._mapped_table).
     """
     coeffs = {id(c): c for terms in phi._table.values() for c in terms.values()}
     denominators = [x.denominator for c in coeffs.values()
@@ -407,8 +382,8 @@ def _integral_multiple(phi: BilinearMap) -> tuple[BilinearMap, int]:
     den = lcm(*denominators)
     # Poly() stores each integral product, a Fraction with denominator 1,
     # as an int; Poly * den would keep it a Fraction.
-    return _scaled_map(phi.algebra, phi._table,
-                       lambda c: Poly({mono: x * den for mono, x in c.terms.items()})), den
+    return BilinearMap._raw(phi.algebra, _mapped_table(
+        phi._table, lambda c: Poly({mono: x * den for mono, x in c.terms.items()}))), den
 
 
 def shift_targets(value: Element, s: int) -> Element:
@@ -509,13 +484,9 @@ def verify_map(phi: BilinearMap, tags: Iterable[str] = TAGS) -> VerifyReport:
     shift.
 
     The table-level work around the residuals is O(n^2) dict work, its
-    Poly arithmetic done once per distinct coefficient object:
-    _integral_multiple reads and scales each once and wraps the terms
-    (_scaled_map), with no Element or key lookup per pair, and
-    _is_equivariant compares term dicts.  On CLW(m=40) at symbolic b,
-    def1a + def1b of clw_shift (shift 3, a = -5/3) take 5.1-5.2 ms,
-    15.3-15.6 ms with an Element per pair (best of 9, two runs, Python
-    3.11.7, a shared 2-CPU Linux host).
+    Poly arithmetic done once per distinct coefficient: _integral_multiple
+    scales the table by algebra._mapped_table, and _is_equivariant
+    compares term dicts.
 
     The residuals share one memo of den * phi (_sweep_memo), so each
     distinct bracket, map evaluation and last step of the sweep is made
@@ -600,13 +571,13 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
 
     A nonzero g is the one precondition on the algebra: its rules must be
     those of make_catalog("clw", m, -1) (_g_component_rules), else
-    FamilyError.  The table is the bracket's, each coefficient object
-    scaled once by t * a (_scaled_map, which leaves out the terms of a
-    zero factor), and the g-component's one coefficient object on every
-    (L, L) pair.  t, a and g must be ints or Fractions, shift an int, and
-    a parameter the kind does not take (shift, a, g for inner; t, g for
-    cw_shift; t for clw_shift) must keep its default, so t * a is the
-    kind's own factor.
+    FamilyError.  The table is the bracket's scaled by t * a with its
+    targets moved by shift (algebra._mapped_table, which leaves out the
+    terms of a zero factor), one value per (family pair, index sum), and
+    the g-component's one coefficient object on every (L, L) pair.  t, a
+    and g must be ints or Fractions, shift an int, and a parameter the
+    kind does not take (shift, a, g for inner; t, g for cw_shift; t for
+    clw_shift) must keep its default, so t * a is the kind's own factor.
     """
     t, a, g = (exact_scalar(value, FamilyError, name)
                for value, name in ((t, "t"), (a, "a"), (g, "g")))
@@ -623,17 +594,22 @@ def make_family(algebra: Algebra, kind: str, *, t: Scalar = 1, shift: int = 0,
     if g and algebra.rules() != _g_component_rules():
         raise FamilyError("the g-component exists only on the CLW table at b = -1")
     factor = Poly.const(t * a)
-    phi = _scaled_map(algebra, algebra._table, lambda c: c * factor, shift)
+    moved = {gt: algebra.gen(gt.family, gt.index + shift) for gt in algebra._gens}
+    table = _mapped_table(algebra._table, lambda c: c * factor, moved)
     if g:
         # The (L, L) bracket targets L and the g-component G, so the
         # g-component's term joins each (L, L) value as a new target, on
-        # the algebra's pairs (a zero factor leaves them out of phi).
+        # the algebra's pairs (a zero factor leaves them out of table), one
+        # new dict per index sum.
         coeff = _D_PLUS_2L * g
+        joined = {}
         for gi, gj in algebra._table:
             if gi.family == gj.family == "L":
                 tgt = algebra.gen("G", gi.index + gj.index + shift)
-                phi._table[(gi, gj)] = {**phi._table.get((gi, gj), {}), tgt: coeff}
-    return phi
+                if tgt not in joined:
+                    joined[tgt] = {**table.get((gi, gj), {}), tgt: coeff}
+                table[(gi, gj)] = joined[tgt]
+    return BilinearMap._raw(algebra, table)
 
 
 # ---------------------------------------------------------------------------

@@ -100,12 +100,14 @@ def test_cw_equals_vir_bracket_at_m1():
 
 
 def test_catalog_rejects_bad_parameters():
-    with pytest.raises(AlgebraError):
-        make_catalog("vir", 2)
-    with pytest.raises(AlgebraError):
-        make_catalog("cw", 2, b=1)
-    with pytest.raises(AlgebraError):
-        make_catalog("vir", 1, b=1)
+    # vir checks m and b before it builds a table: at m = 300 the table
+    # cap would refuse it first, at m = 200 it would build 40,000 pairs
+    for m in (2, 200, 300):
+        with pytest.raises(AlgebraError, match="vir is rank one; use kind 'cw' for m > 1"):
+            make_catalog("vir", m)
+    for kind in ("vir", "cw"):
+        with pytest.raises(AlgebraError, match="b is only accepted for kind 'clw'"):
+            make_catalog(kind, 1 if kind == "vir" else 2, b=1)
     with pytest.raises(AlgebraError):
         make_catalog("clw", 0)
     with pytest.raises(AlgebraError):

@@ -39,7 +39,7 @@ from lcalab import (
     verify_map,
 )
 from lcalab import bimaps
-from lcalab.algebra import Element
+from lcalab.algebra import Element, _mapped_table, _renamed_table
 from lcalab.bimaps import (PHI_SLOTS, TAG_ARITY, _identity, _integral_multiple,
                            _is_equivariant, _sweep_memo, shift_targets)
 from lcalab.poly import B, D, G, L, M, Var
@@ -170,6 +170,12 @@ def test_renamed_tables_do_not_leak_between_maps():
     first = map_eval(phi, x, y, L + M)
     assert map_eval(phi, x, y, M) == oracle_slot_eval(phi.table, x, y, M)
     assert map_eval(phi, x, y, L + M) == first == oracle_slot_eval(phi.table, x, y, L + M)
+    # A map whose values are not shared: one dict per pair, read from a file.
+    clw3 = make_catalog("clw", 3)
+    perturbed = load_map(Path(__file__).parent / "clw3_perturbed_g_map.json", clw3)
+    x3, y3 = nonzero_element(rng, clw3), nonzero_element(rng, clw3)
+    for s in ORACLE_SPECTRALS:
+        assert map_eval(perturbed, x3, y3, s) == oracle_slot_eval(perturbed.table, x3, y3, s)
     # Maps built from phi after its tables were renamed have their own.
     scaled, den = _integral_multiple(phi)
     assert den == 4
@@ -258,6 +264,12 @@ def test_map_table_rejects_non_pair_keys(key, error):
     clw = make_catalog("clw", 2)
     with pytest.raises(error):
         BilinearMap(clw, {key: clw.gen_element(("L", 0))})
+    # a value that is no Element is refused, naming its pair
+    pair = (clw.gen("L", 0), clw.gen("G", 1))
+    for value in ({clw.gen("G", 1): D}, D + L):
+        with pytest.raises(MapError, match=r"entry \(L:0,G:1\): value must be an Element, "
+                                           rf"got {type(value).__name__}"):
+            BilinearMap(clw, {pair: value})
 
 
 def test_map_eval_zero_table():
@@ -952,17 +964,42 @@ FACTOR_CASES = [
 ]
 
 
+def distinct_values(table):
+    return len({id(value) for value in table.values()})
+
+
 def test_scaled_tables_match_the_per_pair_formula():
     # make_family and _integral_multiple scale each coefficient object
     # once; their tables equal the per-pair Element formula, a zero factor
     # leaves no zero term, den * phi has int coefficients only, and the
     # scaled copies of one coefficient object are one object.  They and
-    # phi * c keep the table form.
+    # phi * c keep the table form.  An algebra holds one value object per
+    # (family pair, index sum); every table derived from one, scaled,
+    # shifted or renamed, holds no more, and maps each distinct
+    # coefficient once.
     for alg, kind, params in [*family_grid(), *FACTOR_CASES]:
+        m = alg.modulus
+        assert len(alg._table) == (len(alg.families) * m) ** 2
+        assert distinct_values(alg._table) == len(alg.families) ** 2 * m
+        for (gi, gj), value in alg._table.items():
+            assert value is alg._table[(alg.gen(gi.family, gi.index + gj.index),
+                                        alg.gen(gj.family, 0))]
         phi = make_family(alg, kind, **params)
+        derived = [(alg._table, phi._table)]
         for psi in (phi, _integral_multiple(phi)[0],
                     *(phi * c for c in (0, -1, Fraction(7, 3)))):
             assert_table_form(psi)
+            derived.append((phi._table, psi._table))
+        for owner in (alg, phi):
+            for s in (L + M, M):
+                derived.append((owner._table, _renamed_table(owner, s)[0]))
+        for source, table in derived:
+            assert distinct_values(table) <= distinct_values(source)
+        for source in (alg._table, phi._table):
+            seen = []
+            _mapped_table(source, lambda c: seen.append(c) or 2 * c)
+            assert len(seen) == len(set(seen)) == \
+                len({c for value in source.values() for c in value.values()})
         assert phi.table == per_pair_family(alg, **params)
         assert all(not c.is_zero for value in phi.table.values() for c in value.terms.values())
         assert_one_object_per_source_coefficient(alg.table, phi.table, params.get("shift", 0))
