@@ -27,10 +27,10 @@ every tuple are instantiated from it by integer arithmetic (see
 _tuple_rows).  No list of the unknowns is kept: an unknown is decoded
 from its index on demand (see Ansatz).  The rows stream
 straight into an incremental elimination, so a solve holds only the
-pivot rows of the reduced row echelon form, never the rows; reports read
-only the row count, and ConstraintSystem.rows rebuilds the rows on
-demand.  Every row entry is an exact rational, an int or a Fraction
-(never a float).
+pivot rows of the reduced row echelon form (mod p also those of one
+block, below), never the rows; reports read only the row count, and
+ConstraintSystem.rows rebuilds the rows on demand.  Every row entry is an
+exact rational, an int or a Fraction (never a float).
 
 Assembly has two modes.  With p = 0 it eliminates every row exactly; with
 a prime p, solve_bider's p = PRIME = 2^61 - 1, it eliminates a subset S of
@@ -61,6 +61,27 @@ every division has a Fraction operand or is an exact floor division.  The
 reduced row echelon form is unique, so the emitted basis is deterministic
 bit for bit.  The elimination and the reconstruction, exact and mod p, are
 the kernels of lcalab.linalg.
+
+Mod p the def1b and lem1 rows are assembled by translation.  The three phi
+slots of def1b share their left argument x, and those of lem1 their right
+argument z: the free argument of the tag (FREE_ARGS).  tau_i moves the
+index of the free side's generator of each unknown, and that of its
+target, by i within the family (Ansatz.translate).  Every bracket
+coefficient is free of the indices, and neither the families nor the
+coincidence pattern of the slots depend on the free index, so the rows of
+a tuple with its free argument moved by i are tau_i of the rows of the
+tuple.  So only the tuples whose free argument has index 0 are
+enumerated, each row count taken m times, which covers the m translates.
+SUBSET_ARGS restricts another argument, so the translates of the tuples of
+S among them are the tuples of S.  Their rows are eliminated as one block
+per tag, and the block's pivot rows, each translated by tau_i for i =
+0..m-1, stream into the main elimination after the def1a rows.  tau_i is
+an injective column map, so the streamed rows span the row space of S mod
+p, and the reduced row echelon form, which is unique, is that of S, pivot
+by pivot and value by value.  Only the insertion order of the pivots
+differs, and it is not part of the result: nullspace reads the pivots by
+column.  With p = 0 every tuple is enumerated and every row goes into one
+elimination.
 
 Every algebra is a loop algebra over Z_m, so the index shift
 sigma_s: Z_k -> Z_{k+s} commutes with d and with the bracket in either
@@ -105,6 +126,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import Algebra, BracketRule, GeneratorId
@@ -151,6 +173,13 @@ ASSEMBLE_TAGS = ("def1a", "def1b", "lem1")
 # at degree 2 were lem1 rows, with rank 190 either way); the re-check covers
 # lem1.
 SUBSET_ARGS = {"def1a": None, "def1b": 2, "lem1": 1}
+
+# The argument every phi slot of a tag shares, or None (see the module
+# docstring): x, the left argument of each def1b slot, and z, the right one
+# of each lem1 slot.  Mod a prime, assemble eliminates the subset rows of the
+# tuples whose free argument has index 0 as one block, and streams its pivot
+# rows translated by Ansatz.translate.
+FREE_ARGS = {"def1a": None, "def1b": 0, "lem1": 2}
 
 # The most unknowns an Ansatz may have, counted over every index class: a
 # larger one is refused before any work, which bounds the time and memory of
@@ -294,6 +323,20 @@ class Ansatz:
         sigma_s o phi is sigma_s of the residual of phi."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
+    def translate(self, entries: Row, side: int, i: int) -> Row:
+        """The Row of tau_i of a class-0 row or vector: each unknown with
+        the index of its generator on ``side`` (0 left, 1 right) and of its
+        target moved by i (mod m), each within its family.  tau_i maps class
+        0 onto itself injectively; the indices need not stay ascending."""
+        n, m = self._n_gens, self.algebra.modulus
+        # the weight of the side digit (see _encode); shift moves the target
+        weight = n ** (2 - side) * self._n_monos
+        moved = {}
+        for k, value in entries.items():
+            a = k // weight % n % m
+            moved[self.shift(k, i) + ((a + i) % m - a) * weight] = value
+        return moved
+
     def vector_of(self, phi: BilinearMap) -> Row:
         """The Row of a concrete map on the unknown coordinates.
 
@@ -325,10 +368,13 @@ class ConstraintSystem:
     p = 0, assemble's default, the exact form of every row, and with a
     prime ``p``, the form of the row subset SUBSET_ARGS keeps mod p, whose
     entries are residues, while ``n_rows`` and ``rows`` are always the
-    complete system.  A modular form is exact only once the basis
-    nullspace rebuilds from it passes the re-check: solve_bider runs that
-    check, and solves the complete system again with p = 0 if it fails.  The
-    class-0 solutions, lifted by sigma_s for s = 0..m-1, are the solutions
+    complete system.  Mod p the subset's def1b and lem1 rows are
+    eliminated as the translates of one block per tag (see assemble); the
+    form is the same, and the insertion order of ``pivots`` is not part of
+    it.  A modular form is exact only once the basis nullspace rebuilds
+    from it passes the re-check: solve_bider runs that check, and solves
+    the complete system again with p = 0 if it fails.  The class-0
+    solutions, lifted by sigma_s for s = 0..m-1, are the solutions
     of the whole system, and ``n_rows`` counts every class, m times the
     class-0 rows.
     ``rows`` is rebuilt exactly from the ansatz and the tags on each
@@ -359,7 +405,11 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
         tuple[str, tuple[GeneratorId, ...], int, dict[GeneratorId, dict[Monomial, Row]]]]:
     """The class-0 rows of each (tag, tuple): (tag, args, class-0 row
     count, target -> monomial -> row), with unsorted unknowns, exact and
-    of every tuple with p = 0.  With a prime p, a tuple outside the subset
+    of every tuple with p = 0.  With a prime p, a def1b or lem1 tuple is
+    enumerated only if its free argument (FREE_ARGS) has index 0, and its
+    row count is that of its m translates, m times its own: the families
+    and the coincidence pattern, so the template, do not depend on the
+    free index (see the module docstring).  A tuple outside the subset
     (SUBSET_ARGS) is keyed and counted but yields no rows, and a key met
     only at such tuples is counted without a template; each template
     coefficient is reduced mod p once, as the template is built, and a
@@ -474,7 +524,13 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
         restrict = SUBSET_ARGS[tag] if p else None
         # the def1b rows already give the subset its full rank
         dropped = p and tag == "lem1" and "def1b" in tags
-        for args in itertools.product(range(n), repeat=TAG_ARITY[tag]):
+        free = FREE_ARGS[tag] if p else None
+        ranges, translates = [range(n)] * TAG_ARITY[tag], 1
+        if free is not None:
+            # the tuples whose free argument has index 0, each counted with
+            # its m translates
+            ranges[free], translates = range(0, n, m), m
+        for args in itertools.product(*ranges):
             bases = []
             for left, right in PHI_SLOTS[tag]:
                 a, b = operand(left, args), operand(right, args)
@@ -489,6 +545,7 @@ def _tuple_rows(ansatz: Ansatz, tags: tuple[str, ...], p: int = 0) -> Iterator[
                 size, template = build(tag, families, pattern)
                 entry = templates[families, pattern] = size, None if skipped else template
             size, template = entry
+            size *= translates
             gen_args = tuple(gens[a] for a in args)
             if skipped:
                 yield tag, gen_args, size, {}
@@ -511,14 +568,24 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     nullspace(assemble(...)) with p = 0 is exact on its own.  ``n_rows``
     and ``rows`` always count and rebuild every row.
 
+    Mod p the def1b and lem1 rows come from the tuples whose free argument
+    has index 0 (see _tuple_rows): for each of those tags they are
+    eliminated as one block, and each pivot row of the block goes into the
+    main elimination translated by tau_i for i = 0..m-1 (Ansatz.translate),
+    after the def1a rows.  The translates span the row space of the
+    subset, so the pivots are its reduced row echelon form, equal in value
+    to an elimination of its rows; their insertion order is not part of
+    the result.
+
     One residual is evaluated per (tag, family tuple), not per generator
     tuple, and the rows of each tuple are instantiated from the templates
     made from it (see _tuple_rows); each row goes straight into _rref, so
-    only the class-0 pivots are ever held.  The other m - 1 classes are
-    not assembled: their rows are the class-0 rows lifted by sigma_s, so
-    ``n_rows`` is m times the class-0 rows, and SolutionSpace lifts the
-    solutions.  The system's ``rows`` are the exact class-0 rows lifted by
-    Ansatz.lift, in class-major order, which is deterministic.  Mod p the
+    only the class-0 pivots, and mod p those of one block, are ever held.
+    The other m - 1 classes are not assembled: their rows are the class-0
+    rows lifted by sigma_s, so ``n_rows`` is m times the class-0 rows, and
+    SolutionSpace lifts the solutions.  The system's ``rows`` are the
+    exact class-0 rows lifted by Ansatz.lift, in class-major order, which
+    is deterministic.  Mod p the
     def1b and lem1 rows are those of the integer copy, D times the exact
     rows, for D the least common multiple of the denominators of the
     bracket rules; for p dividing D they may lose rank, which solve_bider's
@@ -529,17 +596,32 @@ def assemble(ansatz: Ansatz, tags: Iterable[str] = ("def1a", "def1b"),
     if bad:
         raise SolverError(f"tag(s) not assemblable as linear constraints: "
                           f"{', '.join(bad)} (lem2 is checked, not solved)")
+    m = ansatz.algebra.modulus
     n_rows = 0
 
-    def stream() -> Iterator[Row]:
+    def rows_of(tuples) -> Iterator[Row]:
         nonlocal n_rows
-        for _, _, size, by_target in _tuple_rows(ansatz, tags, p):
+        for _, _, size, by_target in tuples:
             n_rows += size
             for rows in by_target.values():
                 yield from rows.values()
 
+    def stream() -> Iterator[Row]:
+        for tag, tuples in itertools.groupby(_tuple_rows(ansatz, tags, p), key=itemgetter(0)):
+            free = FREE_ARGS[tag] if p else None
+            if free is None:
+                yield from rows_of(tuples)
+                continue
+            block = _rref(rows_of(tuples), p).values()
+            # the free argument is on this side of every slot
+            side = PHI_SLOTS[tag][0].index(free)
+            # each row's translates one after another: streaming every row
+            # per i was three times slower on CW(m=80) d2
+            for row in block:
+                for i in range(m):
+                    yield ansatz.translate(row, side, i)
+
     pivots = _rref(stream(), p)
-    m = ansatz.algebra.modulus
     return ConstraintSystem(ansatz, tags, m * n_rows, pivots, p)
 
 

@@ -40,12 +40,14 @@ from lcalab import (
     verify_map,
 )
 from lcalab import cli
-from lcalab.bimaps import TAG_ARITY
+from lcalab.bimaps import PHI_SLOTS, TAG_ARITY
 from lcalab.poly import D, L, Poly, Var
 from lcalab.solver import (
     ASSEMBLE_TAGS,
+    FREE_ARGS,
     MAX_UNKNOWNS,
     PRIME,
+    SUBSET_ARGS,
     _checks,
     _normalize_vector,
     _rref,
@@ -1303,9 +1305,69 @@ def test_row_subset_has_the_full_rank_and_basis(case):
         assert nullspace(subset).vectors == nullspace(full).vectors, tags
 
 
+@pytest.mark.parametrize("case", sorted(SUBSET_CASES) + ["vir-d2"])
+def test_block_elimination_is_the_elimination_of_the_row_subset(case):
+    # the subset rows rebuilt from the exact listing (def1b and lem1 rows
+    # scaled by D, every row reduced mod PRIME, the tuples of SUBSET_ARGS
+    # kept and lem1 left out next to def1b), eliminated at once, against
+    # the block elimination and its streamed translates: equal pivots, key
+    # by key and value by value, and the exact row count
+    make, degree = SUBSET_CASES.get(case, (lambda: make_catalog("vir"), 2))
+    algebra = make()
+    ansatz = Ansatz(algebra, degree)
+    scale = math.lcm(*(c.denominator for rule in algebra.rules()
+                       for c in rule.coeff.terms.values()))
+    for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
+        subset = []
+        for tag, args, _, by_target in _tuple_rows(ansatz, tags):
+            restrict = SUBSET_ARGS[tag]
+            if (tag == "lem1" and "def1b" in tags
+                    or restrict is not None and args[restrict].index):
+                continue
+            s = 1 if tag == "def1a" else scale
+            subset += [{k: int(v * s) % PRIME for k, v in row.items() if v * s % PRIME}
+                       for rows in by_target.values() for row in rows.values()]
+        system = assemble(ansatz, tags, p=PRIME)
+        expected = _rref(subset, PRIME)
+        assert system.pivots.keys() == expected.keys(), tags
+        for pc, prow in expected.items():
+            assert system.pivots[pc] == prow, (tags, pc)
+        assert system.n_rows == assemble(ansatz, tags).n_rows, tags
+
+
+@pytest.mark.parametrize("algebra", [make_catalog("clw", 3, -1), make_catalog("cw", 5)],
+                         ids=["clw3-b-1", "cw5"])
+def test_translate_carries_the_rows_of_an_index_0_tuple_onto_its_translates(algebra):
+    # tau_i moves the free argument's generator of each unknown, the left
+    # one of def1b and the right one of lem1, and the target by i: the
+    # exact rows of a tuple whose free argument has index 0 go to the exact
+    # rows of the tuple with that argument moved by i, the row targets
+    # moved by i too (wrapping around mod m)
+    ansatz = Ansatz(algebra, 2)
+    m = algebra.modulus
+    for tag in ("def1b", "lem1"):
+        free = FREE_ARGS[tag]
+        side = PHI_SLOTS[tag][0].index(free)
+        assert all(slot[side] == free for slot in PHI_SLOTS[tag])
+        rows = {args: by_target for _, args, _, by_target in _tuple_rows(ansatz, (tag,))}
+        for args, by_target in rows.items():
+            if args[free].index:
+                continue
+            for i in range(m):
+                moved = list(args)
+                moved[free] = algebra.gen(args[free].family, i)
+                assert {(algebra.gen(gt.family, gt.index + i), mono):
+                        ansatz.translate(row, side, i)
+                        for gt, by_mono in by_target.items() for mono, row in by_mono.items()} == \
+                    {(gt, mono): row for gt, by_mono in rows[tuple(moved)].items()
+                     for mono, row in by_mono.items()}, (tag, args, i)
+
+
 def test_row_subset_leaves_out_lem1_next_to_def1b():
     # every lem1 tuple is still counted, but only lem1 on its own (with
-    # def1a) eliminates rows, those of the tuples whose y has index 0
+    # def1a) eliminates rows: those of the tuples whose y has index 0 (the
+    # subset) and whose z, the free argument, has index 0 too, as the block
+    # the other values of z are translates of
     ansatz = Ansatz(make_catalog("clw", 2, -1), 2)
     for tags in (ASSEMBLE_TAGS, ("def1a", "lem1")):
         full = assemble(ansatz, tags)
@@ -1319,7 +1381,8 @@ def test_row_subset_leaves_out_lem1_next_to_def1b():
             assert not kept
         else:
             assert kept == {args for args in itertools.product(ansatz.algebra.generators(),
-                                                               repeat=3) if args[1].index == 0}
+                                                               repeat=3)
+                            if args[1].index == args[2].index == 0}
 
 
 @pytest.mark.parametrize("algebra", [
@@ -1327,21 +1390,28 @@ def test_row_subset_leaves_out_lem1_next_to_def1b():
     make_catalog("cw", 4),
 ], ids=["half-third2-D6", "clw2-b-7/4-D4", "inhom-clw2", "cw4"])
 def test_modular_rows_are_the_exact_rows_scaled_and_reduced(algebra):
-    # mod p a kept tuple gets its exact rows times D (def1b, lem1: one
-    # bracket per term of the integer copy) or 1 (def1a), reduced, with the
-    # entries that vanish mod p dropped; a skipped tuple gets no rows, and
-    # every tuple the exact row count.  Some keys are met first, or only, at
-    # skipped tuples (def1b with [y z] = z != y): their row count is taken
-    # there, and their rows when a kept tuple meets them
+    # mod p only the tuples whose free argument (FREE_ARGS) has index 0 are
+    # enumerated, each with m times its exact row count, which covers its m
+    # translates.  Such a tuple, if kept, gets its exact rows times D (def1b,
+    # lem1: one bracket per term of the integer copy) or 1 (def1a), reduced,
+    # with the entries that vanish mod p dropped; a skipped tuple gets no
+    # rows.  Some keys are met first, or only, at skipped tuples (def1b with
+    # [y z] = z != y): their row count is taken there, and their rows when
+    # a kept tuple meets them
     scale = math.lcm(*(c.denominator for rule in algebra.rules()
                        for c in rule.coeff.terms.values()))
     ansatz = Ansatz(algebra, 2)
+    n, m = len(algebra.generators()), algebra.modulus
+    translates = {tag: 1 if free is None else m for tag, free in FREE_ARGS.items()}
     for tags in (("def1a", "def1b"), ASSEMBLE_TAGS, ("def1a", "lem1")):
-        exact = list(_tuple_rows(ansatz, tags))
+        exact = [t for t in _tuple_rows(ansatz, tags)
+                 if FREE_ARGS[t[0]] is None or t[1][FREE_ARGS[t[0]]].index == 0]
+        assert len(exact) == sum(n ** TAG_ARITY[tag] // translates[tag] for tag in tags)
         for p in (PRIME, 2, 3, 5):
             modular = list(_tuple_rows(ansatz, tags, p))
-            assert [t[:3] for t in modular] == [t[:3] for t in exact]
-            for (tag, args, _, expected), (*_, by_target) in zip(exact, modular):
+            assert [t[:2] for t in modular] == [t[:2] for t in exact]
+            for (tag, args, size, expected), (*_, count, by_target) in zip(exact, modular):
+                assert count == translates[tag] * size, (tag, args)
                 kept = (tag == "def1a" or tag == "def1b" and args[2].index == 0
                         or tag == "lem1" and "def1b" not in tags and args[1].index == 0)
                 if not kept:
@@ -1359,14 +1429,19 @@ def test_modular_rows_are_the_exact_rows_scaled_and_reduced(algebra):
 
 
 def test_short_row_subset_falls_back_to_one_complete_exact_solve(monkeypatch):
-    # lem1 restricted on z instead of y leaves the def1a + lem1 subset of
-    # CW(m=4) short, rank 71 against 95: the re-check fails, the lift check
-    # passes, and the one retry solves the complete system exactly
+    # lem1 restricted on z, with no translates streamed, leaves the def1a +
+    # lem1 subset of CW(m=4) short, rank 71 against 95: the re-check fails,
+    # the lift check passes, and the one retry solves the complete system
+    # exactly.  (z is lem1's free argument, so the restriction on z alone
+    # keeps the full rank once the translates are streamed, and so does
+    # every other one-argument restriction.)
     cw4, tags = make_catalog("cw", 4), ("def1a", "lem1")
     expected = report_sha256(solve_bider(cw4, 2, tags))
     ansatz = Ansatz(cw4, 2)
     assert len(assemble(ansatz, tags, p=PRIME).pivots) == 95
     monkeypatch.setitem(lcalab.solver.SUBSET_ARGS, "lem1", 2)
+    assert len(assemble(ansatz, tags, p=PRIME).pivots) == 95
+    monkeypatch.setitem(lcalab.solver.FREE_ARGS, "lem1", None)
     assert len(assemble(ansatz, tags, p=PRIME).pivots) == 71
     calls = record_assemble(monkeypatch)
     space = solve_bider(cw4, 2, tags)
