@@ -48,9 +48,9 @@ tuple per family tuple, m^arity times fewer, and shifts each failure
 into place (verify_map gives the counts on the benchmark's sweeps).  A
 map that fails the test is swept over every tuple, through the same
 memo.  The solver's post-solve re-check is one such sweep, of the tagged
-map sum_j b^j phi_j of the class-0 basis maps (the lifted ones are
-checked without residuals), so each of its brackets is made once for all
-of them.  Assembly (solver) keeps no memo: it calls residual once per
+map sum_j b^j phi_j of the class-0 basis maps (their lifts need no
+residuals: sigma_s lies in the centroid), so each of its brackets is made
+once for all of them.  Assembly (solver) keeps no memo: it calls residual once per
 (tag, family tuple), at the index-0 generators of an m = 1 copy of the
 algebra, with one map per phi slot (PHI_SLOTS, the call order of
 _identity), each tagging the unknowns of its slot with its own powers of

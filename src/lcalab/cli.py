@@ -22,12 +22,13 @@ import re
 import sys
 
 from .algebra import AlgebraError, check_axioms, load_algebra, make_catalog
-from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, map_to_dict, verify_map
+from .bimaps import FamilyError, MapError, TAGS, load_map, make_family, verify_map
 from .poly import ParseError, Scalar, parse_rational
 from .solver import (
     ASSEMBLE_TAGS,
     InternalCheckError,
     SolverError,
+    basis_dicts,
     match_templates,
     solve_bider,
     solver_report,
@@ -175,7 +176,7 @@ def _emit(args, payload) -> None:
 
 def _solve_report_text(space, match) -> str:
     """The text report: solver_report's fields, with the map of an
-    unmatched basis vector, the only one it prints, built for it alone."""
+    unmatched basis vector, the only one it prints, from basis_dicts."""
     ansatz, system = space.ansatz, space.system
     lines = [f"algebra {ansatz.algebra.name}",
              f"degree {ansatz.degree}  tags {','.join(system.tags)}",
@@ -186,10 +187,9 @@ def _solve_report_text(space, match) -> str:
         if combination is not None:
             combo = " + ".join(f"{c}*{name}" for name, c in combination.items() if c)
             lines.append(f"basis[{i}] = {combo or '0'}")
-    for i, combination in entries:
-        if combination is None:
-            phi = ansatz.map_from_vector(space.vectors[i])
-            lines.append(f"basis[{i}] UNMATCHED: {json.dumps(map_to_dict(phi)['entries'])}")
+    unmatched = [i for i, combination in entries if combination is None]
+    for i, phi in zip(unmatched, basis_dicts(space, unmatched)):
+        lines.append(f"basis[{i}] UNMATCHED: {json.dumps(phi['entries'])}")
     return "\n".join(lines)
 
 

@@ -91,27 +91,27 @@ row involves one class only, and phi -> sigma_s o phi maps the rows and
 the solutions of class 0 onto those of class s.  So only class 0 is
 assembled and eliminated, and each class-0 basis vector is lifted by
 sigma_s for s = 0..m-1; the reported row count is m times the class-0
-rows.  Every reported basis map is checked to be a solution: the
-class-0 ones by residuals, and the lifted ones as sigma_s of those (see
-below); that the lifted basis is complete for the classes s != 0 follows
-from the centroid argument, not from elimination, and the unlifted solve
-in tests/test_solver.py checks it.
+rows.  That the lifted basis is complete for the classes s != 0, and
+that each lift is a solution, follow from the centroid argument, not
+from elimination; the unlifted solve in tests/test_solver.py checks it.
 
 The class-0 basis is the one stored result of a solve: each basis
-vector of the whole system is a pair (class-0 vector j, shift s), derived
-from it (see SolutionSpace), so the work after the solve is done once per
-class-0 vector and no lift is ever undone.  The re-check is one verify_map
-sweep of the tagged map sum_j b^j phi_j of the class-0 basis maps, whose
-b^j parts are the residuals of phi_j by the argument of assembly; it
-covers every tuple (see verify_map), so the certification of the row
-subset stays exact, and the b-exponents of its failures name the failing
-class-0 vectors, so a failed solve is diagnosed from it.  The lift check
-moves the target of each decoded class-0 unknown by s: the result must be
-the reported vector.  The template match eliminates the shift-0 templates
-once, with each class-0 vector as one more column, and solver_report
-serializes each class-0 map once and renames its targets for each lift.
-One builder, Ansatz._map, makes every map: the tagged basis map and, with
-the tag b^0, each concrete map.
+vector of the whole system is a pair (class-0 vector j, shift s) (see
+SolutionSpace), so the work after the solve is done once per class-0
+vector.  The re-check is one verify_map sweep of the tagged map sum_j b^j
+phi_j of the class-0 basis maps, whose b^j parts are the residuals of
+phi_j by the argument of assembly; it covers every tuple (see
+verify_map), so the certification of the row subset stays exact, and the
+b-exponents of its failures name the failing class-0 vectors, so a failed
+solve is diagnosed from it.  The template match eliminates the shift-0
+templates once, with each class-0 vector as one more column.  The one
+lift is a rename: sigma_s of a class-0 map keeps every pair and every
+coefficient and moves each target index by s, so the serialized map of
+basis vector (j, s) is that of class0[j] with its targets renamed by
+SolutionSpace.renames[s], one table per shift, and the lift check
+compares those tables with Ansatz.shift, the index arithmetic that orders
+the lifts.  One builder, Ansatz._map, makes every map: the tagged basis
+map and, with the tag b^0, each concrete map.
 
 Every vector over the unknowns is a sparse Row, {unknown index: nonzero
 value} with the indices ascending: the constraint rows, the pivot rows,
@@ -157,8 +157,9 @@ class SolverError(ValueError):
 
 
 class InternalCheckError(SolverError):
-    """A solved basis vector failed the post-solve check, its residual
-    re-check or its lift check: a solver bug, not bad input."""
+    """A solved class-0 basis vector failed the residual re-check, or a
+    rename table of the lift failed the lift check: a solver bug, not bad
+    input."""
 
 
 # Tags usable as linear constraints; lem2 is a consequence of the others
@@ -219,8 +220,9 @@ class Ansatz:
     Algebra.generators() (see _encode), and no list of the unknowns is
     kept: ``unknown`` decodes one from its index, and only class 0
     (target index = left + right mod m) is assembled and solved.
-    ``shift`` and ``lift`` carry class 0 onto class s; ``lift`` lifts both
-    the solution vectors and the rows.
+    ``shift`` carries an unknown of class 0 onto class s, and ``lift`` a
+    Row: ConstraintSystem.rows lifts the rows with it.  The solutions are
+    lifted by renaming generators (see SolutionSpace.renames).
     """
 
     def __init__(self, algebra: Algebra, degree: int):
@@ -257,8 +259,10 @@ class Ansatz:
         return ((left * n + right) * n + target) * self._n_monos + mono
 
     def unknown(self, k: int) -> Unknown:
-        """Unknown k, decoded from the digits of its index (see _encode)."""
-        if not 0 <= k < self.n_unknowns:
+        """Unknown k, decoded from the digits of its index (see _encode); an
+        index that is not an int in 0 .. n_unknowns - 1, a bool included,
+        raises SolverError."""
+        if type(k) is not int or not 0 <= k < self.n_unknowns:
             raise SolverError(f"unknown index {k} outside 0 .. {self.n_unknowns - 1}")
         gens, n = self._gens, self._n_gens
         rest, mono = divmod(k, self._n_monos)
@@ -294,9 +298,10 @@ class Ansatz:
 
     def map_from_vector(self, vector: Row) -> BilinearMap:
         """Assemble the concrete map with the given unknown values, a Row;
-        an index outside 0 .. n_unknowns - 1 raises SolverError."""
+        an index that is not an int in 0 .. n_unknowns - 1, a bool
+        included, raises SolverError."""
         for k in vector:
-            if not 0 <= k < self.n_unknowns:
+            if type(k) is not int or not 0 <= k < self.n_unknowns:
                 raise SolverError(f"vector index {k} outside the unknowns "
                                   f"0 .. {self.n_unknowns - 1}")
         return self._map((0, k, coeff) for k, coeff in vector.items())
@@ -317,10 +322,9 @@ class Ansatz:
     def lift(self, entries: Row, s: int) -> Row:
         """The Row of sigma_s o phi, for phi given by its Row: each value
         moves to the shifted unknown, and the indices stay ascending (see
-        shift).  SolutionSpace.vectors lifts the class-0 solution vectors
-        with it, and ConstraintSystem.rows the class-0 rows: sigma_s of a
-        row of class 0 is the row of class s, since the residual of
-        sigma_s o phi is sigma_s of the residual of phi."""
+        shift).  ConstraintSystem.rows lifts the class-0 rows with it:
+        sigma_s of a row of class 0 is the row of class s, since the
+        residual of sigma_s o phi is sigma_s of the residual of phi."""
         return {self.shift(k, s): value for k, value in entries.items()}
 
     def translate(self, entries: Row, side: int, i: int) -> Row:
@@ -636,12 +640,12 @@ class SolutionSpace:
     ints, exact of an exact system (p = 0) and of a modular one only once
     solve_bider's re-check has passed.
 
-    The basis of the whole system is derived from class0, each list when
-    it is first read, and kept: basis vector i is sigma_s of class0[j] for
-    (j, s) = lifts[i], vectors[i] is its Row and basis[i] its concrete map.
-    The lifts are ordered by free column, sigma_s of that of class0[j], as
-    an elimination of every class would give (see nullspace).
-    match_templates and solver_report read only class0 and lifts."""
+    Basis vector i of the whole system is sigma_s of class0[j] for (j, s)
+    = lifts[i], ordered by free column, sigma_s of that of class0[j], as
+    an elimination of every class would give (see nullspace).  No lift is
+    stored: renames[s] maps the name of each generator to that of sigma_s
+    of it, and basis_dicts serializes a lift as the class-0 map with its
+    targets renamed."""
 
     system: ConstraintSystem
     class0: list[Row]
@@ -653,12 +657,12 @@ class SolutionSpace:
                       key=lambda lift: shift(max(class0[lift[0]]), lift[1]))
 
     @cached_property
-    def vectors(self) -> list[Row]:
-        return [self.ansatz.lift(self.class0[j], s) for j, s in self.lifts]
-
-    @cached_property
-    def basis(self) -> list[BilinearMap]:
-        return [self.ansatz.map_from_vector(v) for v in self.vectors]
+    def renames(self) -> list[dict[str, str]]:
+        algebra = self.ansatz.algebra
+        # one string per generator, shared by every table
+        names = {g: str(g) for g in algebra.generators()}
+        return [{name: names[algebra.gen(g.family, g.index + s)] for g, name in names.items()}
+                for s in range(algebra.modulus)]
 
     @property
     def ansatz(self) -> Ansatz:
@@ -699,34 +703,29 @@ def nullspace(system: ConstraintSystem) -> SolutionSpace:
     return SolutionSpace(system, class0)
 
 
-def _checks(space: SolutionSpace) -> tuple[VerifyReport, int | None]:
-    """The post-solve checks of solve_bider: the re-check's report, of the
-    tagged sum sum_j b^j phi_j of the class-0 basis maps, in which the
-    failures of phi_j are the terms of b-exponent j, and the lowest
-    position at which the basis, space.vectors, differs from the lifts of
-    its class-0 vectors, or None.  Those lifts are made without
-    Ansatz.shift, from the decoded unknowns.
-    """
+def _recheck(space: SolutionSpace) -> VerifyReport:
+    """The re-check of solve_bider: the report of one verify_map sweep of
+    the tagged sum sum_j b^j phi_j of the class-0 basis maps, in which the
+    failures of phi_j are the terms of b-exponent j."""
     ansatz, class0 = space.ansatz, space.class0
     tagged = ansatz._map((j, k, c) for j, v in enumerate(class0) for k, c in v.items())
-    report = verify_map(tagged, space.system.tags)
-    algebra, position = ansatz.algebra, ansatz._position
-    lifts = []
-    for vector in class0:
-        # each unknown is decoded once and dropped at once: a list of them,
-        # held across the shifts, raised classify's peak RSS by 0.1 MB
-        moved = [{} for _ in range(algebra.modulus)]
-        for k, c in vector.items():
-            u = ansatz.unknown(k)
-            for s, lift in enumerate(moved):
-                lift[ansatz._encode(position[u.left], position[u.right],
-                                    position[algebra.gen(u.target.family, u.target.index + s)],
-                                    ansatz._mono_position[u.dpow, u.lpow])] = c
-        lifts += moved
-    lifts.sort(key=max)
-    pairs = itertools.zip_longest(space.vectors, lifts)
-    mismatch = next((i for i, (vector, lift) in enumerate(pairs) if vector != lift), None)
-    return report, mismatch
+    return verify_map(tagged, space.system.tags)
+
+
+def _check_renames(space: SolutionSpace) -> None:
+    """The lift check: one rename table per shift s = 0..m-1, in which each
+    generator goes to the target of sigma_s of an unknown on it, as
+    Ansatz.shift moves it and Ansatz.unknown decodes it.  O(m n) for n
+    generators; raises InternalCheckError naming the shift and the
+    generator of the first disagreement."""
+    ansatz = space.ansatz
+    for s in range(ansatz.algebra.modulus):
+        for t, g in enumerate(ansatz._gens):
+            want = str(ansatz.unknown(ansatz.shift(ansatz._encode(0, 0, t, 0), s)).target)
+            got = space.renames[s].get(str(g))
+            if got != want:
+                raise InternalCheckError(f"internal check failed: the shift-{s} rename sends "
+                                         f"{g} to {got}, not to {want}")
 
 
 def solve_bider(algebra: Algebra, degree: int,
@@ -734,51 +733,42 @@ def solve_bider(algebra: Algebra, degree: int,
     """Assemble, solve, and re-verify: the classification oracle.
 
     Class 0 is solved mod PRIME from the row subset of SUBSET_ARGS and
-    lifted onto every class (see SolutionSpace), and every reported basis
-    map is checked (defense in depth against elimination and lift bugs) in
-    class 0 only (see _checks):
+    lifted onto every class (see SolutionSpace), and checked twice, as
+    defense in depth against elimination and lift bugs:
 
-    - The re-check: one verify_map sweep of the tagged sum sum_j b^j phi_j
-      of the class-0 basis maps against the solved identities, exact for
-      the reason assembly is and covering every tuple, so passing it also
-      makes the modular solve of the row subset exact.
-    - The lift check, without residuals and without maps: each class-0
-      vector lifted by index arithmetic must be the reported vector,
-      value by value, in the reported order (by free column: sigma_s
-      keeps the order within a class).  It shares no code with
-      Ansatz.shift or Ansatz.lift, and sigma_s of a solution is a
-      solution, because sigma_s lies in the centroid.
+    - The re-check (_recheck): one verify_map sweep of the tagged sum
+      sum_j b^j phi_j of the class-0 basis maps, exact for the reason
+      assembly is and covering every tuple, so passing it also makes the
+      modular solve of the row subset exact.  The lifts need no residuals:
+      sigma_s lies in the centroid.
+    - The lift check (_check_renames) of the rename tables, the one lift
+      every report reads, against Ansatz.shift, which orders the lifts.
 
     The re-check alone decides whether the modular solve stands, for any
-    prime, one that divides a denominator or leaves a reconstructed entry
-    wrong included: if it fails while the lift check passes, the solve is
-    retried once, on every row with p = 0.  A lift mismatch depends on
-    neither the prime nor the rows, so it is never retried.  If only the
-    lift check fails on the final solve, InternalCheckError names the
-    lowest position at which the basis differs from the lifts.  If the
-    re-check fails, the b-exponents of its failures are the failing class-0
-    vectors, and InternalCheckError names the first basis vector i lifted
-    from one of them, with the first three failures of verify_map on phi_i
-    alone.
+    prime, one that divides a denominator included: if it fails, the solve
+    is retried once, on every row with p = 0.  The lift check depends on
+    neither the prime nor the rows, so it runs once, on the space
+    returned.  If the retry fails the re-check too, its b-exponents name
+    the failing class-0 vectors, and InternalCheckError names the one
+    lifted first, class0[j], the first basis vector lifted from it, and
+    the first three failures of verify_map on the map of class0[j].
     """
     ansatz = Ansatz(algebra, degree)
     space = nullspace(assemble(ansatz, tags, p=PRIME))
-    report, mismatch = _checks(space)
-    if not report.passed and mismatch is None:
+    report = _recheck(space)
+    if not report.passed:
         space = nullspace(assemble(ansatz, tags))
-        report, mismatch = _checks(space)
+        report = _recheck(space)
     if report.passed:
-        if mismatch is None:
-            return space
-        raise InternalCheckError(f"internal check failed: basis vector {mismatch} is not "
-                                 f"the index shift of a class-0 basis vector")
+        _check_renames(space)
+        return space
     failing = {mono[4] for r in report.failures for poly in r.value.terms.values()
                for mono in poly.terms}
-    i = next(i for i, (j, _) in enumerate(space.lifts) if j in failing)
-    failures = verify_map(ansatz.map_from_vector(space.vectors[i]), space.system.tags).failures
+    i, j = next((i, j) for i, (j, _) in enumerate(space.lifts) if j in failing)
+    failures = verify_map(ansatz.map_from_vector(space.class0[j]), space.system.tags).failures
     raise InternalCheckError(
-        f"internal check failed: basis vector {i} has nonzero residuals: "
-        + "; ".join(str(r) for r in failures[:3]))
+        f"internal check failed: class-0 basis vector {j}, lifted first to basis vector "
+        f"{i}, has nonzero residuals: " + "; ".join(str(r) for r in failures[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -855,32 +845,41 @@ def match_templates(space: SolutionSpace) -> MatchReport:
         for j, s in space.lifts])
 
 
+def basis_dicts(space: SolutionSpace, indices: Iterable[int]) -> Iterator[dict]:
+    """map_to_dict of basis map i for each i in indices, in their order.
+
+    Basis vector (j, s) = lifts[i] is sigma_s of class0[j], which renames
+    the targets and keeps every pair, every coefficient string and the
+    order of each value list: on one pair, the targets of a class-0 map
+    share one index, so the list is in family order before and after.  So
+    each class-0 map is serialized once, and each lift of it is that dict
+    with its targets renamed by renames[s]; no lifted map is built.
+    """
+    serialized: dict[int, dict] = {}
+    for i in indices:
+        j, s = space.lifts[i]
+        if j not in serialized:
+            serialized[j] = map_to_dict(space.ansatz.map_from_vector(space.class0[j]))
+        rename, phi = space.renames[s], serialized[j]
+        yield {**phi, "entries": [{**entry, "value": [
+            {**term, "gen": rename[term["gen"]]} for term in entry["value"]]}
+            for entry in phi["entries"]]}
+
+
 def solver_report(space: SolutionSpace, match: MatchReport) -> dict:
     """The full JSON report of a classification run, from its solution
     space and match_templates(space).
 
     "matched" gives each matched basis vector with the nonzero
     coefficients of its combination; "unmatched" gives each other one
-    with its map verbatim, the same dict as its entry in "basis".
-
-    map_to_dict serializes each class-0 map once.  Basis vector (j, s) is
-    sigma_s of class0[j], which renames the targets and keeps every pair,
-    every coefficient string and the order of each value list: on one pair,
-    the targets of a class-0 map share one index, so the list is in family
-    order before and after.
+    with its map verbatim, the same dict as its entry in "basis", from
+    basis_dicts.
     """
     ansatz = space.ansatz
-    algebra = ansatz.algebra
-    serialized = [map_to_dict(ansatz.map_from_vector(v)) for v in space.class0]
-    basis = []
-    for j, s in space.lifts:
-        moved = {str(g): str(algebra.gen(g.family, g.index + s)) for g in algebra.generators()}
-        basis.append({**serialized[j], "entries": [{**entry, "value": [
-            {**term, "gen": moved[term["gen"]]} for term in entry["value"]]}
-            for entry in serialized[j]["entries"]]})
+    basis = list(basis_dicts(space, range(space.dimension)))
     entries = list(enumerate(match.combinations))
     return {
-        "algebra": algebra.name,
+        "algebra": ansatz.algebra.name,
         "degree": ansatz.degree,
         "tags": list(space.system.tags),
         "unknowns": ansatz.n_unknowns,

@@ -10,7 +10,15 @@ import pytest
 
 import lcalab.cli
 import lcalab.solver
-from lcalab import Ansatz, ConstraintSystem, make_catalog, make_family, map_to_dict
+from lcalab import (
+    Ansatz,
+    ConstraintSystem,
+    SolutionSpace,
+    make_catalog,
+    make_family,
+    map_to_dict,
+    verify_map,
+)
 from lcalab.cli import main
 from lcalab.solver import _rref
 
@@ -338,6 +346,22 @@ def test_match_unmatched_report_is_pinned(capsys):
             '[{"gen": "L:0", "coeff": "d*d + 2*d*l"}]}]') in out.splitlines()
 
 
+def test_match_text_prints_the_lifted_unmatched_maps_of_the_json_report(capsys):
+    # CW(m=3) under def1a alone: 36 unmatched lifts of 12 class-0 vectors,
+    # by every shift s, each printed in the text report as the entries of
+    # its JSON map
+    argv = ["match", "--catalog", "cw", "--m", "3", "--degree", "1", "--eq", "def1a"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    unmatched = json.loads(out)["unmatched"]
+    assert len(unmatched) == 36
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "UNMATCHED" in line] == [
+        f"basis[{entry['basis']}] UNMATCHED: {json.dumps(entry['map']['entries'])}"
+        for entry in unmatched]
+
+
 @pytest.mark.parametrize("fmt, maps", [("text", 1), ("json", 2)])
 def test_match_builds_no_map_per_lifted_vector(capsys, monkeypatch, fmt, maps):
     # CW(m=12) has one class-0 basis vector, lifted onto twelve classes: the
@@ -546,43 +570,58 @@ def assert_internal_error(code, err, fragment):
 
 def test_failed_post_solve_check_is_internal_error(capsys, monkeypatch):
     # assembly that drops every row leaves basis vectors that fail the
-    # solved identities; the re-check must blame the solver, not the user
+    # solved identities; the re-check must blame the solver, not the user.
+    # Every class-0 vector fails, so the error names the class-0 vector of
+    # the first lift, basis vector 0, with the residuals of its map, at
+    # least two on each algebra
     def assemble_dropping_rows(ansatz, tags, **options):
         system = assemble(ansatz, tags, **options)
         return ConstraintSystem(ansatz, system.tags, 0, _rref([]))
 
     assemble = lcalab.solver.assemble
-    monkeypatch.setattr(lcalab.solver, "assemble", assemble_dropping_rows)
-    code, out, err = run(capsys, "match", "--catalog", "vir", "--degree", "1")
-    assert out == ""
-    assert_internal_error(code, err, "internal check failed")
+    for catalog, m in (("vir", 1), ("cw", 2)):
+        ansatz = Ansatz(make_catalog(catalog, m), 1)
+        space = lcalab.solver.nullspace(assemble_dropping_rows(ansatz, ("def1a", "def1b")))
+        j, _ = space.lifts[0]
+        phi = ansatz.map_from_vector(space.class0[j])
+        failures = verify_map(phi, ("def1a", "def1b")).failures
+        with monkeypatch.context() as patch:
+            patch.setattr(lcalab.solver, "assemble", assemble_dropping_rows)
+            code, out, err = run(capsys, "match", "--catalog", catalog, "--m", str(m),
+                                 "--degree", "1")
+        assert out == ""
+        assert_internal_error(code, err, f"internal check failed: class-0 basis vector {j}, "
+                                         f"lifted first to basis vector 0, has nonzero "
+                                         f"residuals: {failures[0]}; ")
 
 
 def test_broken_basis_vector_is_internal_error(capsys, monkeypatch):
-    # a lift one entry short breaks the lifted basis vectors, which the
-    # lift check reports as one line naming the lowest of them
-    def lift_dropping_an_entry(self, entries, s):
-        vector = lift(self, entries, s)
-        if s == 1:
-            del vector[self.shift(min(entries), s)]
-        return vector
+    # a shift-1 rename table one generator short would break every lift by
+    # sigma_1 in the report; the lift check names the shift and generator
+    def renames_dropping_a_generator(self):
+        tables = renames(self)
+        del tables[1]["L:0"]
+        return tables
 
-    lift = Ansatz.lift
-    monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
+    renames = SolutionSpace.renames.func
+    monkeypatch.setattr(SolutionSpace, "renames", property(renames_dropping_a_generator))
     code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "2", "--b=-1",
                          "--degree", "1")
     assert out == ""
-    assert_internal_error(code, err, "internal check failed: basis vector ")
+    assert_internal_error(code, err,
+                          "internal check failed: the shift-1 rename sends L:0 to None, not to L:1")
 
 
 def test_lift_onto_the_wrong_class_is_internal_error(capsys, monkeypatch):
-    # a lift that returns sigma_0 for every s reports valid solutions, each
-    # class-0 vector m times; only the lift check can refuse them
-    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: dict(entries))
+    # a rename that is sigma_0 for every s reports valid solutions, each
+    # class-0 map m times; only the lift check can refuse them
+    monkeypatch.setattr(SolutionSpace, "renames", property(lambda self: [
+        {str(g): str(g) for g in self.ansatz.algebra.generators()}] * 3))
     code, out, err = run(capsys, "match", "--catalog", "clw", "--m", "3", "--b=-1",
                          "--degree", "2")
     assert out == ""
-    assert_internal_error(code, err, "is not the index shift of a class-0 basis vector")
+    assert_internal_error(code, err,
+                          "internal check failed: the shift-1 rename sends L:0 to L:0, not to L:1")
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

@@ -30,6 +30,7 @@ from lcalab import (
     load_algebra,
     make_catalog,
     make_family,
+    map_from_dict,
     map_to_dict,
     match_templates,
     normalize_tags,
@@ -48,13 +49,15 @@ from lcalab.solver import (
     MAX_UNKNOWNS,
     PRIME,
     SUBSET_ARGS,
-    _checks,
     _normalize_vector,
+    _recheck,
     _rref,
     _tuple_rows,
+    basis_dicts,
     express_all_in_span,
 )
 
+from lifted import lifted_basis, lifted_vectors
 from randgen import make_rng, random_fraction, random_poly
 
 INHOMOGENEOUS = Path(__file__).resolve().parents[1] / "bench" / "inhomogeneous_clw.json"
@@ -129,7 +132,8 @@ def test_unknown_decodes_the_index():
         assert ansatz._encode(position[u.left], position[u.right], position[u.target],
                               monos.index((u.dpow, u.lpow))) == k
     assert str(ansatz.unknown(n - 1)) == "u[G:2,G:2->G:2|d^0*l^1]"
-    for k in (-1, n):
+    # True equals 1, and 1.0 indexes nothing: neither is an unknown index
+    for k in (-1, n, True, 1.0):
         with pytest.raises(SolverError, match=f"unknown index {k} outside 0 .. {n - 1}"):
             ansatz.unknown(k)
 
@@ -179,7 +183,8 @@ def test_vector_map_round_trip():
 def test_map_from_vector_refuses_indices_outside_the_unknowns():
     ansatz = Ansatz(make_catalog("cw", 2), 1)
     n = ansatz.n_unknowns
-    for k in (-1, n):
+    # True equals 1, but is no unknown index
+    for k in (-1, n, True):
         with pytest.raises(SolverError, match=f"vector index {k} outside the unknowns"):
             ansatz.map_from_vector({0: Fraction(1), k: Fraction(1)})
     assert ansatz.vector_of(ansatz.map_from_vector({n - 1: Fraction(2)})) == {n - 1: 2}
@@ -462,10 +467,14 @@ def assert_lift_matches_unlifted_solve(algebra, degree, tags):
     listing, vectors = unlifted_solve(ansatz, tags)
     system = assemble(ansatz, tags)
     space = nullspace(system)
-    assert space.vectors == vectors
-    assert [list(v) for v in space.vectors] == [list(v) for v in vectors]
-    assert [list(map(type, v.values())) for v in space.vectors] == \
+    lifted = lifted_vectors(space)
+    assert lifted == vectors
+    assert [list(v) for v in lifted] == [list(v) for v in vectors]
+    assert [list(map(type, v.values())) for v in lifted] == \
         [list(map(type, v.values())) for v in vectors]
+    # the lift the reports print, the class-0 maps renamed
+    assert list(basis_dicts(space, range(space.dimension))) == \
+        [map_to_dict(ansatz.map_from_vector(v)) for v in vectors]
     assert system.n_rows == len(listing)
     assert all(len({index_class(ansatz, k) for k in row}) == 1 for _, row in listing)
     # the class-0 rows that assembly eliminates
@@ -537,36 +546,29 @@ def test_lift_matches_unlifted_solve_on_random_loop_tables(salt, moduli, max_deg
 
 
 def test_post_solve_check_covers_the_lift(monkeypatch):
-    # a lift that drops one entry (the lowest or highest unknown) of the
-    # first vector of each class s in broken; s = 0 is the class-0 vector
-    # itself, not lifted.  Each broken vector is a non-solution, but the
-    # re-check sweeps the intact class-0 vectors and passes, so the lift
-    # check names the lowest broken index in the basis.
+    # rename tables that leave out one generator (the first or the last) of
+    # the table of each shift s in broken; s = 0 is the class-0 map itself.
+    # The reports would fail on a lift that names the missing generator,
+    # and the re-check sweeps the intact class-0 vectors and passes, so the
+    # lift check names the lowest broken shift and its missing generator.
     algebra = make_catalog("clw", 3, -1)
     expected = solve_bider(algebra, 2)
-    lift = Ansatz.lift
-    for broken in ({1: min}, {0: min}, {2: max, 0: min}):
-        damaged = {}
-
-        def lift_dropping_an_entry(self, entries, s):
-            vector = lift(self, entries, s)
-            if s in broken and s not in damaged:
-                intact = dict(vector)
-                del vector[self.shift(broken[s](entries), s)]
-                damaged[s] = (expected.vectors.index(intact), dict(vector))
-            return vector
-
-        monkeypatch.setattr(Ansatz, "lift", lift_dropping_an_entry)
+    intact = expected.renames
+    names = [str(g) for g in algebra.generators()]
+    for broken in ({1: 0}, {0: 0}, {2: -1, 0: 0}):
+        damaged = [dict(table) for table in intact]
+        for s, position in broken.items():
+            del damaged[s][names[position]]
+        monkeypatch.setattr(SolutionSpace, "renames", property(lambda self: damaged))
+        with pytest.raises(KeyError):
+            list(basis_dicts(expected, range(expected.dimension)))
         with pytest.raises(InternalCheckError) as failure:
             solve_bider(algebra, 2)
-        assert damaged.keys() == broken.keys()
-        for _, vector in damaged.values():
-            phi = Ansatz(algebra, 2).map_from_vector(vector)
-            assert not verify_map(phi, ("def1a", "def1b")).passed
-        index = min(damaged.values())[0]
+        s = min(broken)
+        g = names[broken[s]]
         assert str(failure.value) == (
-            f"internal check failed: basis vector {index} is not the index shift of a class-0 "
-            f"basis vector")
+            f"internal check failed: the shift-{s} rename sends {g} to None, "
+            f"not to {intact[s][g]}")
 
 
 def tagged_sum(maps):
@@ -594,7 +596,7 @@ def tagged_sum(maps):
 ], ids=["cw4-d2", "clw3-b-1-d2", "inhom-clw3-d2"])
 def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
     # the re-check sweeps only the class-0 basis maps, those of space.class0
-    # (the lift is checked without residuals): one verify_map
+    # (the lift is a rename, checked without residuals): one verify_map
     # of their tagged sum, in basis order, pair for pair in order
     swept = []
 
@@ -605,7 +607,7 @@ def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
     monkeypatch.setattr(lcalab.solver, "verify_map", recording_verify_map)
     space = solve_bider(algebra, 2)
     first_class = set(class0(space.ansatz))
-    maps = [phi for phi, vector in zip(space.basis, space.vectors)
+    maps = [phi for phi, vector in zip(lifted_basis(space), lifted_vectors(space))
             if first_class.issuperset(vector)]
     assert len(maps) * algebra.modulus == space.dimension
     assert maps == [space.ansatz.map_from_vector(v) for v in space.class0]
@@ -615,59 +617,57 @@ def test_post_solve_check_sweeps_the_tagged_basis_sum(algebra, monkeypatch):
     assert list(swept[0].table) == list(reference.table)
 
 
-# Lifts that return valid solutions of the wrong class on CLW(m=3): sigma_0
-# for every s (each class-0 vector 3 times), sigma_1 for every s != 0 (a
-# duplicated lift, class 2 missing) and sigma_{s+1} (the right vectors as a
-# set, in the wrong positions).  Each maps (s, m) to the shift it applies
-# instead of s.
-WRONG_CLASS_LIFTS = {
-    "sigma-0": lambda s, m: 0,
-    "duplicated": lambda s, m: min(s, 1),
-    "permuted": lambda s, m: (s + 1) % m,
+def renames_by_position(algebra, move):
+    """One rename table per shift s: the name of the generator at position
+    t of Algebra.generators() to that of the one at move(t, s, m, n), for
+    n generators."""
+    gens = algebra.generators()
+    m, n = algebra.modulus, len(gens)
+    return [{str(g): str(gens[move(t, s, m, n)]) for t, g in enumerate(gens)}
+            for s in range(m)]
+
+
+# Renames that send CLW(m=3) generators elsewhere than sigma_s does:
+# sigma_0 for every s (each class-0 map 3 times), sigma_1 for every s != 0
+# (a duplicated lift, class 2 missing), sigma_{s+1} (the right maps as a
+# set, in the wrong positions), and position arithmetic that drops the
+# wrap-around mod m, so that L:2 moves on to G:0 (the list of generators
+# still wraps, G:2 to L:0).  Each maps (t, s, m, n) to the position that
+# generator t is sent to instead of that of sigma_s of it.
+WRONG_RENAMES = {
+    "sigma-0": lambda t, s, m, n: t,
+    "duplicated": lambda t, s, m, n: t - t % m + (t + min(s, 1)) % m,
+    "permuted": lambda t, s, m, n: t - t % m + (t + s + 1) % m,
+    "no-wrap": lambda t, s, m, n: (t + s) % n,
 }
 
 
-@pytest.mark.parametrize("case", sorted(WRONG_CLASS_LIFTS))
+@pytest.mark.parametrize("case", sorted(WRONG_RENAMES))
 def test_post_solve_check_refuses_a_lift_onto_the_wrong_class(case, monkeypatch):
-    # every reported map is a solution, so no residual sweep can fail: the
-    # position-by-position lift check has to catch it, and name the lowest
-    # position at which the basis differs from the true lifts
+    # the three shifted renames report lifts of solutions, so every reported
+    # map is a solution and no residual sweep can fail (the no-wrap one
+    # reports non-solutions, never swept): the lift check has to catch each,
+    # and name the first shift and generator at which the table differs
+    # from sigma_s
     algebra = make_catalog("clw", 3, -1)
     expected = solve_bider(algebra, 2)
-    moved, lift = WRONG_CLASS_LIFTS[case], Ansatz.lift
-    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: lift(
-        self, entries, moved(s, self.algebra.modulus)))
-    broken = nullspace(assemble(Ansatz(algebra, 2)))
-    assert broken.dimension == expected.dimension == 6
-    assert all(verify_map(phi, ("def1a", "def1b")).passed for phi in broken.basis)
-    index = next(i for i, (got, want) in enumerate(zip(broken.vectors, expected.vectors))
-                 if got != want)
+    intact = renames_by_position(algebra, lambda t, s, m, n: t - t % m + (t + s) % m)
+    assert intact == expected.renames
+    reported = list(basis_dicts(expected, range(expected.dimension)))
+    damaged = renames_by_position(algebra, WRONG_RENAMES[case])
+    s, g = next((s, g) for s, table in enumerate(damaged) for g in table
+                if table[g] != intact[s][g])
+    monkeypatch.setattr(SolutionSpace, "renames", property(lambda self: damaged))
+    broken = list(basis_dicts(expected, range(expected.dimension)))
+    assert broken != reported
+    solutions = [verify_map(map_from_dict(phi, algebra), ("def1a", "def1b")).passed
+                 for phi in broken]
+    assert all(solutions) == (case != "no-wrap")
     with pytest.raises(InternalCheckError) as failure:
         solve_bider(algebra, 2)
     assert str(failure.value) == (
-        f"internal check failed: basis vector {index} is not the index shift of a class-0 "
-        f"basis vector")
-
-
-def test_post_solve_check_refuses_a_lift_that_scales_values(monkeypatch):
-    # twice a lifted vector is still a solution, on the right class and in
-    # the right position, so only the value-by-value lift check can refuse
-    # it, at the first vector that is not of class 0
-    algebra = make_catalog("clw", 3, -1)
-    expected = solve_bider(algebra, 2)
-    lift = Ansatz.lift
-    monkeypatch.setattr(Ansatz, "lift", lambda self, entries, s: {
-        k: 2 * value if s else value for k, value in lift(self, entries, s).items()})
-    broken = nullspace(assemble(Ansatz(algebra, 2)))
-    assert [list(v) for v in broken.vectors] == [list(v) for v in expected.vectors]
-    assert all(verify_map(phi, ("def1a", "def1b")).passed for phi in broken.basis)
-    index = next(i for i, vector in enumerate(expected.vectors)
-                 if index_class(expected.ansatz, max(vector)))
-    with pytest.raises(InternalCheckError) as failure:
-        solve_bider(algebra, 2)
-    assert str(failure.value) == (
-        f"internal check failed: basis vector {index} is not the index shift of a class-0 "
-        f"basis vector")
+        f"internal check failed: the shift-{s} rename sends {g} to {damaged[s][g]}, "
+        f"not to {intact[s][g]}")
 
 
 # -- nullspace -----------------------------------------------------------------------
@@ -676,9 +676,9 @@ def test_nullspace_vir_skew():
     ansatz = Ansatz(make_catalog("vir"), 1)
     space = nullspace(assemble(ansatz, ["def1a"]))
     assert space.dimension == 1
-    assert [dense(v, 3) for v in space.vectors] == [[Fraction(0), Fraction(1), Fraction(2)]]
+    assert [dense(v, 3) for v in lifted_vectors(space)] == [[Fraction(0), Fraction(1), Fraction(2)]]
     gid = ansatz.algebra.gen("L", 0)
-    assert space.basis[0].entry(gid, gid) == ansatz.algebra.element({gid: D + 2 * L})
+    assert lifted_basis(space)[0].entry(gid, gid) == ansatz.algebra.element({gid: D + 2 * L})
 
 
 def test_nullspace_identity_system():
@@ -695,7 +695,7 @@ def test_nullspace_empty_system():
     space = nullspace(system)
     assert space.dimension == ansatz.n_unknowns
     # free-column basis: one elementary vector per unknown
-    for k, vec in enumerate(space.vectors):
+    for k, vec in enumerate(lifted_vectors(space)):
         vec = dense(vec, ansatz.n_unknowns)
         assert vec[k] == 1 and sum(map(bool, vec)) == 1
 
@@ -736,7 +736,7 @@ def test_nullspace_matches_sympy(kind, m, b):
                            for row in system.rows])
     theirs = matrix.nullspace()
     assert len(theirs) == space.dimension
-    ours = sympy.Matrix([[q(v) for v in dense(vec, n)] for vec in space.vectors])
+    ours = sympy.Matrix([[q(v) for v in dense(vec, n)] for vec in lifted_vectors(space)])
     assert (matrix * ours.T).is_zero_matrix
     assert ours.rank() == space.dimension
     assert sympy.Matrix.vstack(ours, *(v.T for v in theirs)).rank() == space.dimension
@@ -749,7 +749,7 @@ def test_vir_inner_classification():
     for degree in (1, 2, 3):
         space = solve_bider(vir, degree)
         assert space.dimension == 1
-        assert space.basis[0] == make_family(vir, "inner", t=1)
+        assert lifted_basis(space)[0] == make_family(vir, "inner", t=1)
 
 
 def test_degree_saturation():
@@ -783,7 +783,7 @@ def test_clw_solutions_kill_gg():
         clw = make_catalog("clw", 1, b)
         space = solve_bider(clw, 2)
         gg = (clw.gen("G", 0), clw.gen("G", 0))
-        assert all(phi.entry(*gg).is_zero for phi in space.basis)
+        assert all(phi.entry(*gg).is_zero for phi in lifted_basis(space))
 
 
 def test_solution_spans_contain_families():
@@ -794,14 +794,14 @@ def test_solution_spans_contain_families():
         vec = space.ansatz.vector_of(make_family(cw, "cw_shift", shift=s, a=1))
         assert all(sum((c * vec.get(k, 0) for k, c in row.items()), Fraction(0)) == 0
                    for row in system.rows)
-        assert express_all_in_span(space.vectors, [vec])[0] is not None
+        assert express_all_in_span(lifted_vectors(space), [vec])[0] is not None
 
 
 def test_solver_basis_satisfies_all_identities():
     # solved bases pass the solved tags by construction, and the two
     # consequence identities (lem1, lem2) on top
     space = solve_bider(make_catalog("clw", 1, -1), 2)
-    for phi in space.basis:
+    for phi in lifted_basis(space):
         assert verify_map(phi, ["def1a", "def1b", "lem1", "lem2"]).passed
 
 
@@ -812,8 +812,9 @@ def test_leibniz_forms_give_same_nullspace():
         s1 = solve_bider(algebra, 2, ["def1a", "def1b"])
         s2 = solve_bider(algebra, 2, ["def1a", "lem1"])
         assert s1.dimension == s2.dimension
-        assert all(express_all_in_span(s2.vectors, [v])[0] is not None for v in s1.vectors)
-        assert all(express_all_in_span(s1.vectors, [v])[0] is not None for v in s2.vectors)
+        v1, v2 = lifted_vectors(s1), lifted_vectors(s2)
+        assert all(express_all_in_span(v2, [v])[0] is not None for v in v1)
+        assert all(express_all_in_span(v1, [v])[0] is not None for v in v2)
 
 
 @pytest.mark.parametrize("kind, m, b", [("cw", 4, None), ("clw", 3, -1),
@@ -822,8 +823,9 @@ def test_leibniz_forms_give_same_nullspace():
 def test_basis_vectors_are_canonical_rows(kind, m, b):
     # the classify cases of the benchmark and the largest lifted case
     space = solve_bider(make_catalog(kind, m, b), 2)
-    assert space.vectors
-    for vector in space.vectors:
+    vectors = lifted_vectors(space)
+    assert vectors
+    for vector in vectors:
         keys, values = list(vector), list(vector.values())
         assert keys == sorted(keys)
         assert all(type(v) is int and v for v in values)
@@ -920,7 +922,7 @@ def match_oracle(space):
             continue
         names.append(name)
     return [None if coords is None else dict(zip(names, coords))
-            for coords in express_all_in_span(columns, space.vectors)]
+            for coords in express_all_in_span(columns, lifted_vectors(space))]
 
 
 def assert_match_is_oracle(space):
@@ -1005,7 +1007,7 @@ def assert_report_is_map_to_dict(space):
     # the report serializes each class-0 map once and derives its lifts by
     # renaming targets
     report = solver_report(space, match_templates(space))
-    expected = [map_to_dict(space.ansatz.map_from_vector(v)) for v in space.vectors]
+    expected = [map_to_dict(space.ansatz.map_from_vector(v)) for v in lifted_vectors(space)]
     assert report["basis"] == expected
     assert json.dumps(report["basis"], indent=2) == json.dumps(expected, indent=2)
     assert [entry["map"] for entry in report["unmatched"]] == \
@@ -1084,14 +1086,13 @@ def test_large_lifted_report_matches_golden_hash(kind, m, b, digest):
 
 
 def test_match_and_report_read_only_the_class0_basis(monkeypatch):
-    # the lifted vectors are not built after the solve: the match and the
-    # report derive every basis vector from class0 and lifts
+    # no lifted vector is built, in the solve or after it: the match and
+    # the report derive every basis vector from class0, lifts and renames
+    def unread(self, entries, s):
+        raise AssertionError("Ansatz.lift was called")
+
+    monkeypatch.setattr(Ansatz, "lift", unread)
     space = solve_bider(make_catalog("clw", 3, -1), 2)
-
-    def unread(self):
-        raise AssertionError("SolutionSpace.vectors was read")
-
-    monkeypatch.setattr(SolutionSpace, "vectors", property(unread))
     assert report_sha256(space) == GOLDEN["clw3-bm1-d2"]
 
 
@@ -1190,8 +1191,8 @@ def test_unlucky_primes_retry_in_exact_arithmetic(case, monkeypatch):
 
 
 def test_each_retry_cause_is_reached():
-    # the one cause of a retry: the re-check refuses the row subset mod p
-    # while the lift check passes.  Mod 3, which divides D = 3 of b = 1/3,
+    # the one cause of a retry: the re-check refuses the row subset mod p.
+    # Mod 3, which divides D = 3 of b = 1/3,
     # the scale of the def1b rows; mod 3 on CW(m=4), whose entries are
     # rebuilt to wrong rationals; and mod 2, where the rank drops below the
     # rank over Q, 190 against 191, so one more vector per class
@@ -1199,16 +1200,14 @@ def test_each_retry_cause_is_reached():
     assert len(assemble(clw).pivots) == 191
     for ansatz, p in ((clw, 3), (cw4, 3), (clw, 2)):
         space = nullspace(assemble(ansatz, p=p))
-        report, mismatch = _checks(space)
-        assert not report.passed and mismatch is None, p
+        assert not _recheck(space).passed, p
     assert len(space.system.pivots) == 190 and space.dimension == 4
     # mod 5 some entries of CW(m=4) lie outside the reconstruction bound,
     # yet every candidate is the exact entry: the solve stands
     space = nullspace(assemble(cw4, p=5))
     assert len(space.system.pivots) == len(assemble(cw4).pivots) == 95
     assert space.class0 == nullspace(assemble(cw4)).class0
-    report, mismatch = _checks(space)
-    assert report.passed and mismatch is None
+    assert _recheck(space).passed
 
 
 def test_prime_dividing_the_denominator_retries_to_the_exact_report(monkeypatch):
@@ -1227,26 +1226,27 @@ def test_prime_dividing_the_denominator_retries_to_the_exact_report(monkeypatch)
 
 # Solves whose class0[j] is broken: (algebra, j, the error).  CW(m=12) has
 # one class-0 vector, whose first lift, basis vector 0, is sigma_2 of it;
-# CLW(m=3, b=-1) lifts class0[1] first to basis vector 3, so the error names
-# a lift, not a class-0 position.
+# CLW(m=3, b=-1) lifts class0[1] first to basis vector 3.  The residuals
+# are those of the class-0 map, whose targets lie at the index sum.
 BOTH_SOLVES_FAIL = {
     "cw12": (lambda: make_catalog("cw", 12), 0,
-             "internal check failed: basis vector 0 has nonzero residuals: "
-             "def1a (L:11, L:11): (-d)*L:0; def1b (L:11, L:0, L:11): (l*l)*L:0; "
-             "def1b (L:11, L:1, L:10): (d*l + l*l + 2*l*m)*L:0"),
+             "internal check failed: class-0 basis vector 0, lifted first to basis vector 0, "
+             "has nonzero residuals: def1a (L:11, L:11): (-d)*L:10; "
+             "def1b (L:11, L:0, L:11): (l*l)*L:10; "
+             "def1b (L:11, L:1, L:10): (d*l + l*l + 2*l*m)*L:10"),
     "clw3-b-1": (lambda: make_catalog("clw", 3, -1), 1,
-                 "internal check failed: basis vector 3 has nonzero residuals: "
-                 "def1a (L:2, G:2): (-d - l)*G:0; def1a (G:2, L:2): (l)*G:0; "
-                 "def1b (G:2, L:0, L:2): (l*l)*G:0"),
+                 "internal check failed: class-0 basis vector 1, lifted first to basis "
+                 "vector 3, has nonzero residuals: def1a (L:2, G:2): (-d - l)*G:1; "
+                 "def1a (G:2, L:2): (l)*G:1; def1b (G:2, L:0, L:2): (l*l)*G:1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOTH_SOLVES_FAIL))
 def test_recheck_failing_on_both_solves_names_the_first_failing_lift(case, monkeypatch):
     # a nullspace that adds 1 to the highest entry of class0[j] breaks both
-    # the modular solve and its exact retry.  The lift check passes, so the
-    # error is read off the re-check's b-exponents: the first basis vector
-    # lifted from class0[j], with the failures of that vector alone
+    # the modular solve and its exact retry.  The error is read off the
+    # re-check's b-exponents: class0[j], the first basis vector lifted from
+    # it, and the failures of the class-0 map alone; no lift is built
     make, j, message = BOTH_SOLVES_FAIL[case]
     real = lcalab.solver.nullspace
 
@@ -1256,7 +1256,11 @@ def test_recheck_failing_on_both_solves_names_the_first_failing_lift(case, monke
         vector[max(vector)] += 1
         return space
 
+    def unread(self, entries, s):
+        raise AssertionError("Ansatz.lift was called")
+
     monkeypatch.setattr(lcalab.solver, "nullspace", nullspace_breaking_a_vector)
+    monkeypatch.setattr(Ansatz, "lift", unread)
     calls = record_assemble(monkeypatch)
     with pytest.raises(InternalCheckError) as failure:
         solve_bider(make(), 2)
@@ -1272,9 +1276,9 @@ def test_modular_solve_reconstructs_the_exact_basis():
         ansatz = Ansatz(algebra, 2)
         modular, exact = nullspace(assemble(ansatz, p=PRIME)), nullspace(assemble(ansatz))
         assert modular.system.p == PRIME and exact.system.p == 0
-        assert modular.vectors == exact.vectors
-        assert [[(k, type(v)) for k, v in vector.items()] for vector in modular.vectors] == \
-            [[(k, type(v)) for k, v in vector.items()] for vector in exact.vectors]
+        assert modular.class0 == exact.class0
+        assert [[(k, type(v)) for k, v in vector.items()] for vector in modular.class0] == \
+            [[(k, type(v)) for k, v in vector.items()] for vector in exact.class0]
         assert modular.system.n_rows == exact.system.n_rows
         assert modular.system.pivots.keys() == exact.system.pivots.keys()
 
@@ -1302,7 +1306,7 @@ def test_row_subset_has_the_full_rank_and_basis(case):
         subset = assemble(ansatz, tags, p=PRIME)
         assert subset.n_rows == full.n_rows, tags
         assert subset.pivots.keys() == full.pivots.keys(), tags
-        assert nullspace(subset).vectors == nullspace(full).vectors, tags
+        assert nullspace(subset).class0 == nullspace(full).class0, tags
 
 
 @pytest.mark.parametrize("case", sorted(SUBSET_CASES) + ["vir-d2"])
